@@ -41,7 +41,7 @@ def _small_sets(count: int = 3) -> list:
     vocab = corpus.build_vocab(docs, 200)
     examples = corpus.tokenize_documents(docs, vocab, 48, 16)
     rng = random.Random(1)
-    return [workloads.substitution_set(ex, vocab, rng, 5) for ex in examples]
+    return [workloads.substitution_set(ex, vocab, rng, workloads.MAX_SUBSTITUTIONS) for ex in examples]
 
 
 def test_report_check_accepts_emitted_report_and_rejects_altered_ones():

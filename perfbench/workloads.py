@@ -10,6 +10,7 @@ refactors of private helpers do not break the benchmark.
 from __future__ import annotations
 
 import contextlib
+import copy
 import hashlib
 import io
 import json
@@ -60,6 +61,12 @@ TOY_SECTIONS: dict[str, dict[str, str]] = {
 
 REPORT_SYSTEMS = ["standard", "fine-tuned", "BRIO", "BRIO-Loop"]
 FIRST_WORD_ID = corpus.UNK_ID + 1
+# brio-train candidates: the reference with k = 0..MAX_SUBSTITUTIONS words replaced.
+MAX_SUBSTITUTIONS = 5
+# decode-wide's vocabulary source: enough docs over enough distinct words
+# that the vocabulary reaches the shipped cap of 2000.
+WIDE_CORPUS_DOCS = 340
+WIDE_VOCAB_WORDS = 2400
 
 
 class Checker:
@@ -120,7 +127,8 @@ def toy_config(work: Path, docs: list[corpus.Document], changes: dict | None = N
 
 
 def config_facts(config: cli.ExperimentConfig) -> dict:
-    return {"config": config.values, "config_hash": config.config_hash()}
+    # A copy: pipeline passes rewrite experiment.out_dir in the live values.
+    return {"config": copy.deepcopy(config.values), "config_hash": config.config_hash()}
 
 
 def warm_up(params: model.ModelParams, config: cli.ExperimentConfig) -> None:
@@ -214,10 +222,9 @@ class Pipeline:
 
     name: str = "pipeline"
     docs: int = 60
-    vocab_words: int = 60
 
     def setup(self, seed: int, work: Path) -> PipelineState:
-        docs = synthetic.make_toy_corpus(self.docs, seed, vocab_words=self.vocab_words)
+        docs = synthetic.make_toy_corpus(self.docs, seed)
         config = toy_config(work, docs)
         split = corpus.split_corpus(docs, config.seed)
         vocab = corpus.build_vocab(split.train, config.max_vocab_size, config.min_count)
@@ -299,17 +306,15 @@ class BrioTrain:
     name: str = "brio-train"
     sets: int = 90
     epochs: int = 2
-    max_substitutions: int = 5
-    vocab_words: int = 60
 
     def setup(self, seed: int, work: Path) -> BrioTrainState:
-        docs = synthetic.make_toy_corpus(self.sets, seed, vocab_words=self.vocab_words)
+        docs = synthetic.make_toy_corpus(self.sets, seed)
         config = toy_config(work, docs, {("brio", "epochs"): str(self.epochs)})
         vocab = corpus.build_vocab(docs, config.max_vocab_size, config.min_count)
         model_config = config.model_config(vocab.size)
         examples = corpus.tokenize_documents(docs, vocab, model_config.max_source_len, model_config.max_target_len)
         rng = random.Random(seed)
-        sets = [substitution_set(ex, vocab, rng, self.max_substitutions) for ex in examples]
+        sets = [substitution_set(ex, vocab, rng, MAX_SUBSTITUTIONS) for ex in examples]
         params = model.init_params(model_config, config.seed)
         brio.brio_loss(params.copy(), sets[0], config.brio_config()).backward()
         sizes = {"sets": len(sets), "candidates": sum(len(s.candidates) for s in sets), "vocab": vocab.size}
@@ -355,11 +360,9 @@ class DecodeWide:
     name: str = "decode-wide"
     cand_docs: int = 6
     greedy_docs: int = 45
-    corpus_docs: int = 340
-    vocab_words: int = 2400
 
     def setup(self, seed: int, work: Path) -> DecodeWideState:
-        docs = synthetic.make_toy_corpus(self.corpus_docs, seed, vocab_words=self.vocab_words)
+        docs = synthetic.make_toy_corpus(WIDE_CORPUS_DOCS, seed, vocab_words=WIDE_VOCAB_WORDS)
         config = toy_config(work, docs, {("corpus", "max_vocab_size"): None})
         vocab = corpus.build_vocab(docs, config.max_vocab_size, config.min_count)
         model_config = config.model_config(vocab.size)
