@@ -16,11 +16,12 @@ from .brio import (
     brio_loss,
     brio_train_stage,
     contrastive_loss,
+    evaluate,
     finetune_stage,
     generate_candidates,
     kendall_tau,
 )
-from .cli import ExperimentConfig, ReportRow, emit_report, evaluate, run_pipeline
+from .cli import ExperimentConfig, ReportRow, emit_report, run_pipeline
 from .corpus import (
     BOS_ID,
     EOS_ID,

@@ -27,8 +27,10 @@ from .model import (
     candidate_scores,
     decoder_logprobs,
     encode_source,
-    forward_batch,
-    mle_loss_batch,
+    mle_loss,
+    pad_ids,
+    score_rows,
+    teacher_forcing,
 )
 from .optim import init_optimizer, optimizer_step, warmup_schedule
 from .rouge import RougeScore, RougeTriple, quality_score, score_pair
@@ -238,32 +240,26 @@ def _contrastive_loss_graph(scores: Tensor, margin: float) -> Tensor:
     return (ad.relu(diffs) * Tensor(upper)).sum()
 
 
-def _brio_loss_parts(
+def _brio_terms(
     params: ModelParams, ranked: RankedCandidateSet, config: BrioConfig
 ) -> tuple[Tensor, float, float]:
-    src = np.asarray([ranked.source_ids], dtype=np.int64)
-    ref = np.asarray(ranked.reference_ids, dtype=np.int64)
-    enc_out, src_mask = encode_source(params, src)
+    """The weighted loss graph plus the values of its MLE and ranking terms.
 
-    table = decoder_logprobs(params, enc_out, src_mask, ref[None, :-1])
-    mle = mle_loss_batch(table, ref[None, 1:])
-
+    One decoder pass scores the gold summary as row 0 and the candidates as
+    rows 1..N; row 0 alone is scored when the ranking term is off.
+    """
+    ranking = config.ctr_weight > 0.0 and len(ranked.candidates) >= 2
+    rows = [ranked.reference_ids]
+    if ranking:
+        rows += [list(c.token_ids) for c in ranked.candidates]
+    sums, lengths = score_rows(params, ranked.source_ids, rows)
+    mle = sums[0] * (-1.0 / lengths[0])
     total = mle * config.mle_weight
-    ctr_value = 0.0
-    if config.ctr_weight > 0.0 and len(ranked.candidates) >= 2:
-        cand_tokens = [list(c.token_ids) for c in ranked.candidates]
-        scores = candidate_scores(
-            params,
-            ranked.source_ids,
-            cand_tokens,
-            config.length_penalty,
-            enc_out=enc_out,
-            src_mask=src_mask,
-        )
-        ctr = _contrastive_loss_graph(scores, config.margin)
-        total = total + ctr * config.ctr_weight
-        ctr_value = ctr.item()
-    return total, mle.item(), ctr_value
+    if not ranking:
+        return total, mle.item(), 0.0
+    scores = sums[1:] * Tensor(lengths[1:] ** -config.length_penalty)
+    ctr = _contrastive_loss_graph(scores, config.margin)
+    return total + ctr * config.ctr_weight, mle.item(), ctr.item()
 
 
 def brio_loss(
@@ -271,11 +267,11 @@ def brio_loss(
 ) -> Tensor:
     """Weighted sum of the generator MLE term and the evaluator ranking term.
 
-    Both terms backpropagate into the same parameters. Candidate sets with
-    fewer than two members contribute the MLE term only.
+    Both terms come from one encoder and one decoder pass and backpropagate
+    into the same parameters. Candidate sets with fewer than two members
+    contribute the MLE term only.
     """
-    total, _, _ = _brio_loss_parts(params, ranked, config)
-    return total
+    return _brio_terms(params, ranked, config)[0]
 
 
 # -- training stages ----------------------------------------------------------
@@ -292,20 +288,30 @@ def batch_indices(order: Sequence[int], batch_size: int) -> list[list[int]]:
     return [list(order[i : i + batch_size]) for i in range(0, len(order), batch_size)]
 
 
-def _pad_batch(
+def evaluate(
+    params: ModelParams,
     examples: Sequence[TokenizedExample],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    max_src = max(len(ex.source_ids) for ex in examples)
-    max_tgt = max(len(ex.target_ids) for ex in examples)
-    src = np.full((len(examples), max_src), PAD_ID, dtype=np.int64)
-    tgt_in = np.full((len(examples), max_tgt - 1), PAD_ID, dtype=np.int64)
-    gold = np.full((len(examples), max_tgt - 1), PAD_ID, dtype=np.int64)
-    for i, ex in enumerate(examples):
-        src[i, : len(ex.source_ids)] = ex.source_ids
-        k = len(ex.target_ids) - 1
-        tgt_in[i, :k] = ex.target_ids[:-1]
-        gold[i, :k] = ex.target_ids[1:]
-    return src, tgt_in, gold
+    decode_config: DecodeConfig,
+) -> tuple[list[tuple[str, RougeTriple]], dict[str, float]]:
+    """Greedy-decode every document and score against its reference.
+
+    Returns per-document ROUGE triples and the corpus means as F1
+    percentages (the arithmetic mean of the per-document F1s).
+    """
+    if not examples:
+        raise ValueError("cannot evaluate an empty split")
+    per_doc: list[tuple[str, RougeTriple]] = []
+    for ex in examples:
+        hyp = greedy_decode(params, ex.source_ids, decode_config)
+        triple = score_pair(strip_special_ids(hyp.tokens), strip_special_ids(ex.target_ids))
+        per_doc.append((ex.doc_id, triple))
+    n = len(per_doc)
+    means = {
+        "r1": 100.0 * sum(t.rouge1.f1 for _, t in per_doc) / n,
+        "r2": 100.0 * sum(t.rouge2.f1 for _, t in per_doc) / n,
+        "rl": 100.0 * sum(t.rougeL.f1 for _, t in per_doc) / n,
+    }
+    return per_doc, means
 
 
 def mean_greedy_rouge(
@@ -314,17 +320,14 @@ def mean_greedy_rouge(
     decode_config: DecodeConfig,
 ) -> dict[str, float]:
     """Mean ROUGE F1 of greedy decodes against references, in [0, 1]."""
-    if not examples:
-        raise ValueError("cannot evaluate an empty example list")
+    per_doc, _ = evaluate(params, examples, decode_config)
     sums = {"rouge1": 0.0, "rouge2": 0.0, "rougeL": 0.0, "quality": 0.0}
-    for ex in examples:
-        hyp = greedy_decode(params, ex.source_ids, decode_config)
-        triple = score_pair(strip_special_ids(hyp.tokens), strip_special_ids(ex.target_ids))
+    for _, triple in per_doc:
         sums["rouge1"] += triple.rouge1.f1
         sums["rouge2"] += triple.rouge2.f1
         sums["rougeL"] += triple.rougeL.f1
         sums["quality"] += quality_score(triple)
-    return {key: value / len(examples) for key, value in sums.items()}
+    return {key: value / len(per_doc) for key, value in sums.items()}
 
 
 def finetune_stage(
@@ -358,8 +361,10 @@ def finetune_stage(
         order = _epoch_order(len(train), seed, epoch)
         losses: list[float] = []
         for batch in batch_indices(order, config.batch_size):
-            src, tgt_in, gold = _pad_batch([train[i] for i in batch])
-            loss = mle_loss_batch(forward_batch(params, src, tgt_in), gold)
+            examples = [train[i] for i in batch]
+            enc_out, src_mask = encode_source(params, pad_ids([ex.source_ids for ex in examples]))
+            tgt_in, gold = teacher_forcing([ex.target_ids for ex in examples])
+            loss = mle_loss(decoder_logprobs(params, enc_out, src_mask, tgt_in), gold)
             loss.backward()
             lr = warmup_schedule(config.learning_rate, optimizer.step + 1, warmup)
             optimizer_step(params, optimizer, lr)
@@ -411,7 +416,7 @@ def brio_train_stage(
             scale = 1.0 / len(batch)
             for idx in batch:
                 ranked = ranked_sets[idx]
-                total, mle_value, ctr_value = _brio_loss_parts(params, ranked, config)
+                total, mle_value, ctr_value = _brio_terms(params, ranked, config)
                 (total * scale).backward()
                 losses.append(total.item())
                 mles.append(mle_value)
@@ -575,7 +580,7 @@ def load_candidate_cache(
     ranked_sets: list[RankedCandidateSet] = []
     with path.open("r", encoding="utf-8") as fh:
         header = json.loads(fh.readline())
-        if header.get("kind") != CANDIDATE_CACHE_KIND:
+        if not isinstance(header, dict) or header.get("kind") != CANDIDATE_CACHE_KIND:
             raise ValueError(f"{path}: not a candidate cache file")
         for line in fh:
             if not line.strip():

@@ -31,10 +31,10 @@ from .brio import (
     RankedCandidateSet,
     brio_loop,
     brio_train_stage,
+    evaluate,
     finetune_stage,
     generate_candidates,
     load_candidate_cache,
-    strip_special_ids,
     write_candidate_cache,
 )
 from .corpus import (
@@ -47,15 +47,15 @@ from .corpus import (
     split_corpus,
     tokenize_documents,
 )
-from .decode import DecodeConfig, greedy_decode
+from .decode import DecodeConfig
 from .model import (
+    CheckpointError,
     ModelConfig,
     ModelParams,
     init_params,
     load_checkpoint,
     save_checkpoint,
 )
-from .rouge import RougeTriple, quality_score, score_pair
 
 STAGES = ("split", "finetune", "gen-cands", "brio", "loop", "evaluate", "report")
 
@@ -311,32 +311,6 @@ class ReportRow:
                 raise ValueError(f"ReportRow.{name} must be in [0, 100], got {value}")
 
 
-def evaluate(
-    params: ModelParams,
-    examples: Sequence[TokenizedExample],
-    decode_config: DecodeConfig,
-) -> tuple[list[tuple[str, RougeTriple]], dict[str, float]]:
-    """Greedy-decode every document and score against its reference.
-
-    Returns per-document ROUGE triples and the corpus means as F1
-    percentages (the arithmetic mean of the per-document F1s).
-    """
-    if not examples:
-        raise ValueError("cannot evaluate an empty split")
-    per_doc: list[tuple[str, RougeTriple]] = []
-    for ex in examples:
-        hyp = greedy_decode(params, ex.source_ids, decode_config)
-        triple = score_pair(strip_special_ids(hyp.tokens), strip_special_ids(ex.target_ids))
-        per_doc.append((ex.doc_id, triple))
-    n = len(per_doc)
-    means = {
-        "r1": 100.0 * sum(t.rouge1.f1 for _, t in per_doc) / n,
-        "r2": 100.0 * sum(t.rouge2.f1 for _, t in per_doc) / n,
-        "rl": 100.0 * sum(t.rougeL.f1 for _, t in per_doc) / n,
-    }
-    return per_doc, means
-
-
 def emit_report(rows: Sequence[ReportRow], format: str = "text") -> str:
     """Render the systems table with two-decimal fixed columns."""
     if not rows:
@@ -391,7 +365,10 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _read_json(path: Path, stage: str, expected_hash: str) -> dict:
-    payload = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise StageError(stage, f"{path.name} is unreadable ({exc}); use --force to rebuild") from exc
     found = payload.get("config_hash")
     if found != expected_hash:
         raise StageError(
@@ -441,13 +418,16 @@ def _artifact_hash(path: Path) -> str | None:
                 return json.loads(fh.readline()).get("meta", {}).get("config_hash")
         with path.open("r", encoding="utf-8") as fh:
             return json.loads(fh.readline()).get("config_hash")
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError):
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError, AttributeError):
         return None
 
 
 def _load_checkpoint(ctx: _Context, filename: str, producer: str) -> ModelParams:
     path = _require(ctx, filename, producer)
-    params, meta = load_checkpoint(path)
+    try:
+        params, meta = load_checkpoint(path)
+    except CheckpointError as exc:
+        raise StageError(producer, f"{exc}; use --force to rebuild") from exc
     if meta.get("config_hash") != ctx.hash:
         raise StageError(
             producer,
@@ -573,12 +553,23 @@ def _stage_brio(ctx: _Context) -> str:
     params = _load_checkpoint(ctx, FINETUNE_CKPT, "finetune")
     prepared = _load_prepared(ctx)
     cache_path = _require(ctx, FINETUNE_CANDIDATES, "gen-cands")
-    ranked, cache_hash = load_candidate_cache(cache_path, prepared.train)
+    try:
+        ranked, cache_hash = load_candidate_cache(cache_path, prepared.train)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise StageError(
+            "gen-cands", f"{FINETUNE_CANDIDATES} is unreadable ({exc!r}); use --force to rebuild"
+        ) from exc
     if cache_hash != ctx.hash:
         raise StageError(
             "gen-cands",
             f"{FINETUNE_CANDIDATES} was produced by a different configuration "
             f"(hash {cache_hash}, expected {ctx.hash}); use --force to rebuild",
+        )
+    if [r.doc_id for r in ranked] != [ex.doc_id for ex in prepared.train]:
+        raise StageError(
+            "gen-cands",
+            f"{FINETUNE_CANDIDATES} holds {len(ranked)} candidate sets that are not the "
+            f"{len(prepared.train)} training documents in split order; use --force to rebuild",
         )
     trained, history = brio_train_stage(params, ranked, ctx.config.brio_config(), seed=ctx.config.seed)
     save_checkpoint(trained, ctx.path(BRIO_CKPT), {"config_hash": ctx.hash, "stage": "brio"})

@@ -281,16 +281,6 @@ def _validate_ids(ids: Sequence[int], limit: int, max_len: int, label: str) -> N
             raise ValueError(f"{label} id {token_id} out of range [0, {limit})")
 
 
-def forward_batch(
-    params: ModelParams,
-    src: np.ndarray,
-    tgt_in: np.ndarray,
-    dropout_rng: np.random.Generator | None = None,
-) -> Tensor:
-    enc_out, src_mask = encode_source(params, src, dropout_rng)
-    return decoder_logprobs(params, enc_out, src_mask, tgt_in, dropout_rng)
-
-
 def forward(
     params: ModelParams,
     source_ids: Sequence[int],
@@ -306,19 +296,36 @@ def forward(
     _validate_ids(target_ids, cfg.vocab_size, cfg.max_target_len, "target")
     if len(source_ids) == 0 or len(target_ids) == 0:
         raise ValueError("source and target must be non-empty")
-    src = np.asarray([source_ids], dtype=np.int64)
-    tgt = np.asarray([target_ids], dtype=np.int64)
-    table = forward_batch(params, src, tgt)
+    enc_out, src_mask = encode_source(params, np.asarray([source_ids], dtype=np.int64))
+    table = decoder_logprobs(params, enc_out, src_mask, np.asarray([target_ids], dtype=np.int64))
     return ad.reshape(table, (len(target_ids), cfg.vocab_size))
 
 
-def mle_loss(logprobs: Tensor | np.ndarray, gold_ids: Sequence[int]) -> Tensor:
-    """Mean negative log-likelihood of gold next-tokens, PAD positions excluded."""
+def pad_ids(rows: Sequence[Sequence[int]]) -> np.ndarray:
+    """Stack id rows into a (B, longest row) int64 array, PAD-filled on the right."""
+    out = np.full((len(rows), max(len(row) for row in rows)), PAD_ID, dtype=np.int64)
+    for i, row in enumerate(rows):
+        out[i, : len(row)] = row
+    return out
+
+
+def teacher_forcing(targets: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Decoder inputs and gold next tokens for a batch of target sequences:
+    row i holds ``targets[i][:-1]`` and ``targets[i][1:]``, PAD-filled."""
+    return pad_ids([t[:-1] for t in targets]), pad_ids([t[1:] for t in targets])
+
+
+def mle_loss(logprobs: Tensor | np.ndarray, gold_ids: Sequence[int] | np.ndarray) -> Tensor:
+    """Mean negative log-likelihood of gold next-tokens, PAD positions excluded.
+
+    ``gold_ids`` has the shape of ``logprobs`` without its vocabulary axis:
+    (T,) for one table, (B, T) for a batch (the mean is over all kept tokens).
+    """
     table = logprobs if isinstance(logprobs, Tensor) else Tensor(logprobs)
     gold = np.asarray(gold_ids, dtype=np.int64)
-    if gold.shape[0] != table.shape[0]:
+    if gold.shape != table.shape[:-1]:
         raise ValueError(
-            f"gold length {gold.shape[0]} does not match log-prob rows {table.shape[0]}"
+            f"gold shape {gold.shape} does not match log-prob rows {table.shape[:-1]}"
         )
     keep = gold != PAD_ID
     if not keep.any():
@@ -328,19 +335,27 @@ def mle_loss(logprobs: Tensor | np.ndarray, gold_ids: Sequence[int]) -> Tensor:
     return masked.sum() * (-1.0 / float(keep.sum()))
 
 
-def mle_loss_batch(logprobs: Tensor, gold: np.ndarray) -> Tensor:
-    """Batched masked mean NLL; gold is (B, Tt) with PAD at unused slots."""
-    keep = gold != PAD_ID
-    if not keep.any():
-        raise ValueError("no non-PAD positions to score")
-    picked = ad.gather_last(logprobs, np.where(keep, gold, 0))
-    masked = picked * Tensor(keep.astype(np.float64))
-    return masked.sum() * (-1.0 / float(keep.sum()))
-
-
 def _check_candidate_framing(candidate_ids: Sequence[int]) -> None:
     if len(candidate_ids) < 2 or candidate_ids[0] != BOS_ID or candidate_ids[-1] != EOS_ID:
         raise ValueError("candidate must start with BOS and end with EOS")
+
+
+def score_rows(
+    params: ModelParams, source_ids: Sequence[int], rows: Sequence[Sequence[int]]
+) -> tuple[Tensor, np.ndarray]:
+    """Teacher-forced log-prob sums of BOS/EOS-framed ``rows`` given one source.
+
+    One encoder pass over ``source_ids`` is broadcast over one decoder pass
+    on all rows. Returns the (N,) per-row sums of gold next-token log-probs
+    (PAD targets excluded) and the (N,) float token counts ``len(row) - 1``.
+    """
+    enc_out, src_mask = encode_source(params, np.asarray([source_ids], dtype=np.int64))
+    tgt_in, gold = teacher_forcing(rows)
+    table = decoder_logprobs(params, enc_out, src_mask, tgt_in)
+    keep = gold != PAD_ID
+    picked = ad.gather_last(table, np.where(keep, gold, 0))
+    sums = (picked * Tensor(keep.astype(np.float64))).sum(axis=1)
+    return sums, np.array([len(row) - 1 for row in rows], dtype=np.float64)
 
 
 def candidate_scores(
@@ -348,38 +363,17 @@ def candidate_scores(
     source_ids: Sequence[int],
     candidates: Sequence[Sequence[int]],
     length_penalty: float,
-    enc_out: Tensor | None = None,
-    src_mask: np.ndarray | None = None,
 ) -> Tensor:
     """Length-penalized sequence log-probs for BOS/EOS-framed candidates.
 
-    Returns a (N,) tensor; gradients flow into the model parameters. The
-    encoder pass over ``source_ids`` may be supplied (and is shared across
-    candidates either way).
+    Returns a (N,) tensor; gradients flow into the model parameters. One
+    encoder pass over ``source_ids`` is shared by all candidates.
     """
     cfg = params.config
     for cand in candidates:
         _check_candidate_framing(cand)
         _validate_ids(cand, cfg.vocab_size, cfg.max_target_len, "candidate")
-    if enc_out is None:
-        src = np.asarray([source_ids], dtype=np.int64)
-        enc_out, src_mask = encode_source(params, src)
-    assert src_mask is not None
-
-    max_in = max(len(c) - 1 for c in candidates)
-    n = len(candidates)
-    tgt_in = np.full((n, max_in), PAD_ID, dtype=np.int64)
-    gold = np.full((n, max_in), PAD_ID, dtype=np.int64)
-    for i, cand in enumerate(candidates):
-        k = len(cand) - 1
-        tgt_in[i, :k] = cand[:-1]
-        gold[i, :k] = cand[1:]
-
-    table = decoder_logprobs(params, enc_out, src_mask, tgt_in)
-    keep = gold != PAD_ID
-    picked = ad.gather_last(table, np.where(keep, gold, 0))
-    sums = (picked * Tensor(keep.astype(np.float64))).sum(axis=1)
-    lengths = np.array([len(c) - 1 for c in candidates], dtype=np.float64)
+    sums, lengths = score_rows(params, source_ids, candidates)
     return sums * Tensor(lengths**-length_penalty)
 
 
@@ -433,6 +427,8 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
         )
     config = ModelConfig(**manifest["config"])
     config.validate()
+    if (len(raw) - sep - 1) % 4:
+        raise CheckpointError(f"{path}: payload of {len(raw) - sep - 1} bytes is not whole floats")
     payload = np.frombuffer(raw[sep + 1 :], dtype="<f4")
     expected = sum(entry["count"] for entry in manifest["params"])
     if payload.size != expected:

@@ -24,11 +24,10 @@ from briosum.brio import (
     mean_ranking_agreement,
     strip_special_ids,
     write_candidate_cache,
-    _brio_loss_parts,
 )
 from briosum.corpus import BOS_ID, EOS_ID, PAD_ID, TokenizedExample
 from briosum.decode import DecodeConfig
-from briosum.model import forward, mle_loss
+from briosum.model import candidate_scores, forward, mle_loss, sequence_log_prob
 from briosum.optim import init_optimizer, optimizer_step
 from briosum.rouge import RougeScore, RougeTriple, quality_score, score_pair
 
@@ -145,15 +144,104 @@ def test_brio_loss_reduces_to_mle_when_ctr_weight_zero():
     assert combined == pytest.approx(plain, rel=1e-12)
 
 
+def varied_ranked(num_candidates, seed=0):
+    """A candidate set whose reference and candidates all differ in length."""
+    rng = random.Random(seed)
+    cands = []
+    for i in range(num_candidates):
+        body = [rng.randint(4, 12) for _ in range((2, 5, 1, 7, 3, 6)[i])]
+        f1 = 1.0 - 0.1 * i
+        triple = RougeTriple(*(RougeScore(f1, f1, f1) for _ in range(3)))
+        cands.append(
+            CandSum("d0", (BOS_ID, *body, EOS_ID), "", 0.0, triple, quality_score(triple))
+        )
+    return RankedCandidateSet(
+        doc_id="d0",
+        source_ids=[BOS_ID, 4, 5, 6, 7, 8, EOS_ID],
+        reference_ids=[BOS_ID, 9, 10, 11, 12, EOS_ID],
+        candidates=cands,
+    )
+
+
+def public_brio_value(params, ranked, config):
+    """mle_weight * MLE + ctr_weight * ranking loss, from public functions."""
+    ref = ranked.reference_ids
+    with ad.no_grad():
+        mle = mle_loss(forward(params, ranked.source_ids, ref[:-1]), ref[1:]).item()
+    if config.ctr_weight == 0.0 or len(ranked.candidates) < 2:
+        return config.mle_weight * mle, mle, 0.0
+    scores = [
+        sequence_log_prob(params, ranked.source_ids, c.token_ids, config.length_penalty)
+        for c in ranked.candidates
+    ]
+    ctr = contrastive_loss(ranked, scores, config.margin)
+    return config.mle_weight * mle + config.ctr_weight * ctr, mle, ctr
+
+
+def two_pass_brio_loss(params, ranked, config):
+    """The loss as a reference pass plus a separate candidate pass."""
+    ref = ranked.reference_ids
+    total = mle_loss(forward(params, ranked.source_ids, ref[:-1]), ref[1:]) * config.mle_weight
+    if config.ctr_weight == 0.0 or len(ranked.candidates) < 2:
+        return total
+    tokens = [list(c.token_ids) for c in ranked.candidates]
+    scores = candidate_scores(params, ranked.source_ids, tokens, config.length_penalty)
+    n = len(tokens)
+    idx = np.arange(n)
+    margins = config.margin * (idx[None, :] - idx[:, None])
+    diffs = ad.reshape(scores, (1, n)) - ad.reshape(scores, (n, 1)) + ad.Tensor(margins)
+    hinge = (ad.relu(diffs) * ad.Tensor(np.triu(np.ones((n, n)), k=1))).sum()
+    return total + hinge * config.ctr_weight
+
+
+@pytest.mark.parametrize("num_candidates", [1, 3, 6])
+def test_brio_loss_matches_public_formula_on_unequal_lengths(num_candidates):
+    params = tiny_params(seed=23)
+    ranked = varied_ranked(num_candidates, seed=num_candidates)
+    lengths = {len(ranked.reference_ids)} | {len(c.token_ids) for c in ranked.candidates}
+    assert len(lengths) == num_candidates + 1
+    for config in (
+        brio_cfg(ctr_weight=2.5, mle_weight=1.5, length_penalty=1.0),
+        brio_cfg(ctr_weight=0.7, mle_weight=0.0, length_penalty=0.5),
+        brio_cfg(ctr_weight=0.0),
+    ):
+        with ad.no_grad():
+            got = brio_loss(params, ranked, config).item()
+        expected, _, _ = public_brio_value(params, ranked, config)
+        assert got == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("num_candidates", [1, 3, 6])
+def test_brio_loss_gradients_match_two_pass_reference(num_candidates):
+    ranked = varied_ranked(num_candidates, seed=10 + num_candidates)
+    config = brio_cfg(ctr_weight=2.5, mle_weight=1.5, margin=0.01)
+
+    def grads(loss_fn):
+        params = tiny_params(seed=24)
+        loss_fn(params, ranked, config).backward()
+        return {name: t.grad.copy() for name, t in params.items()}
+
+    got = grads(brio_loss)
+    reference = grads(two_pass_brio_loss)
+    checked = 0
+    for name, ref in reference.items():
+        scale = np.abs(ref).max()
+        if scale < 1e-12:
+            continue  # e.g. attention key biases: exactly 0 by softmax shift-invariance
+        assert np.abs(got[name] - ref).max() <= 1e-10 * scale, name
+        checked += 1
+    assert checked > len(reference) // 2
+
+
 def test_brio_loss_zero_when_both_terms_vanish():
     params = tiny_params(seed=2)
     ranked = dummy_ranked(2)
-    # force the candidate scores into the no-hinge region by using a huge
-    # margin... instead, check mle_weight=0 with ctr measured directly
+    # with mle_weight=0 the loss is the ranking term alone
     config = brio_cfg(mle_weight=0.0, ctr_weight=1.0, margin=0.0)
     with ad.no_grad():
-        total, _, ctr = _brio_loss_parts(params, ranked, config)
-    assert total.item() == pytest.approx(ctr, rel=1e-12)
+        total = brio_loss(params, ranked, config).item()
+    _, _, ctr = public_brio_value(params, ranked, config)
+    assert total == pytest.approx(ctr, rel=1e-12)
     assert ctr >= 0.0
 
 
@@ -162,28 +250,32 @@ def test_brio_loss_is_weighted_sum_of_parts():
     ranked = dummy_ranked(4)
     config = brio_cfg(ctr_weight=2.5, mle_weight=1.5)
     with ad.no_grad():
-        total, mle_value, ctr_value = _brio_loss_parts(params, ranked, config)
-    assert total.item() == pytest.approx(1.5 * mle_value + 2.5 * ctr_value, rel=1e-12)
+        total = brio_loss(params, ranked, config).item()
+    _, mle_value, ctr_value = public_brio_value(params, ranked, config)
+    assert total == pytest.approx(1.5 * mle_value + 2.5 * ctr_value, rel=1e-12)
 
 
 def test_brio_loss_single_candidate_is_mle_only():
     params = tiny_params(seed=4)
     ranked = dummy_ranked(1)
-    config = brio_cfg(ctr_weight=5.0)
+    config = brio_cfg(ctr_weight=5.0, batch_size=1)
     with ad.no_grad():
-        total, mle_value, ctr_value = _brio_loss_parts(params, ranked, config)
-    assert ctr_value == 0.0
-    assert total.item() == pytest.approx(mle_value, rel=1e-12)
+        total = brio_loss(params, ranked, config).item()
+    _, mle_value, _ = public_brio_value(params, ranked, config)
+    assert total == pytest.approx(mle_value, rel=1e-12)
+    _, history = brio_train_stage(params, [ranked], config, seed=1)
+    assert history[0]["ctr"] == 0.0
+    assert history[0]["mle"] == pytest.approx(mle_value, rel=1e-12)
 
 
 def test_brio_loss_contrastive_matches_public_formula():
     params = tiny_params(seed=5)
     vocab = tiny_vocab()
     example = TokenizedExample("d0", [BOS_ID, 4, 5, 6, EOS_ID], [BOS_ID, 7, 8, EOS_ID])
-    config = brio_cfg()
+    config = brio_cfg(mle_weight=0.0, ctr_weight=1.0)
     ranked = generate_candidates(params, example, config, vocab)
     with ad.no_grad():
-        _, _, ctr_graph = _brio_loss_parts(params, ranked, config)
+        ctr_graph = brio_loss(params, ranked, config).item()
     scores = [c.model_score for c in ranked.candidates]
     assert ctr_graph == pytest.approx(
         contrastive_loss(ranked, scores, config.margin), rel=1e-9
@@ -380,13 +472,14 @@ def test_overfit_copy_task_to_near_zero_loss():
     examples = copy_task_examples(n=8, seed=3)
     params = tiny_params(seed=16, model_dim=32, num_heads=4, ffn_dim=64)
     opt = init_optimizer("adam", params)
-    from briosum.brio import _pad_batch
-    from briosum.model import forward_batch, mle_loss_batch
+    from briosum.model import decoder_logprobs, encode_source, pad_ids, teacher_forcing
 
-    src, tgt_in, gold = _pad_batch(examples)
+    src = pad_ids([ex.source_ids for ex in examples])
+    tgt_in, gold = teacher_forcing([ex.target_ids for ex in examples])
     loss_value = None
     for step in range(500):
-        loss = mle_loss_batch(forward_batch(params, src, tgt_in), gold)
+        enc_out, src_mask = encode_source(params, src)
+        loss = mle_loss(decoder_logprobs(params, enc_out, src_mask, tgt_in), gold)
         loss.backward()
         optimizer_step(params, opt, 3e-3)
         loss_value = loss.item()
@@ -409,7 +502,7 @@ def test_brio_stage_with_zero_ctr_matches_plain_mle_steps():
 
     # manual replication: same shuffle, same optimizer, MLE only
     from briosum.brio import _epoch_order
-    from briosum.model import forward, mle_loss
+    from briosum.model import candidate_scores, forward, mle_loss, sequence_log_prob
 
     manual = tiny_params(seed=17)
     for name, t in params.items():

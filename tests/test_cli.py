@@ -10,6 +10,7 @@ import pytest
 from briosum.cli import (
     BRIO_CKPT,
     EVAL_FILE,
+    FINETUNE_CANDIDATES,
     FINETUNE_CKPT,
     LOOP_REPORT,
     REPORT_CSV,
@@ -254,6 +255,62 @@ def test_mismatched_config_resume_refused(mini_config, tmp_path, capsys):
     assert "different configuration" in capsys.readouterr().err
     # --force rebuilds instead
     assert run_pipeline(other, ["split"], force=True) == 0
+
+
+def test_cut_split_file_fails_the_split_stage(mini_config, tmp_path, capsys):
+    out = tmp_path / "run"
+    config = ExperimentConfig.load(mini_config, out_dir=str(out))
+    assert run_pipeline(config, ["split"]) == 0
+    split = out / SPLIT_FILE
+    split.write_bytes(split.read_bytes()[:-10])
+    capsys.readouterr()
+    assert run_pipeline(config, ["finetune"]) == 1
+    err = capsys.readouterr().err
+    assert "error in stage 'split'" in err
+    assert SPLIT_FILE in err
+    # a header that is valid JSON but not an object is not a stamp either
+    split.write_text("[]\n", encoding="utf-8")
+    assert run_pipeline(config, ["split"]) == 1
+    assert "error in stage 'split'" in capsys.readouterr().err
+
+
+@pytest.fixture
+def mini_cands_run(mini_config, tmp_path):
+    """A mini run through gen-cands, ready for the brio stage."""
+    config = ExperimentConfig.load(mini_config, out_dir=str(tmp_path / "run"))
+    assert run_pipeline(config, ["split", "finetune", "gen-cands"]) == 0
+    return config, tmp_path / "run"
+
+
+def test_truncated_checkpoint_fails_the_producing_stage(mini_cands_run, capsys):
+    config, out = mini_cands_run
+    ckpt = out / FINETUNE_CKPT
+    ckpt.write_bytes(ckpt.read_bytes()[:-100])
+    capsys.readouterr()
+    assert run_pipeline(config, ["brio"]) == 1
+    err = capsys.readouterr().err
+    assert "error in stage 'finetune'" in err
+    assert "floats" in err
+    assert not (out / BRIO_CKPT).exists()
+
+
+def test_cut_candidate_cache_fails_the_gen_cands_stage(mini_cands_run, capsys):
+    config, out = mini_cands_run
+    cache = out / FINETUNE_CANDIDATES
+    text = cache.read_text(encoding="utf-8")
+    lines = text.splitlines(keepends=True)
+    cut_at_line = "".join(lines[: len(lines) // 2])
+    cut_mid_record = text[: len(cut_at_line) + 40]
+    list_header = "[]\n" + "".join(lines[1:])
+    for damaged in (cut_at_line, cut_mid_record, list_header):
+        cache.write_text(damaged, encoding="utf-8")
+        capsys.readouterr()
+        assert run_pipeline(config, ["brio"]) == 1
+        err = capsys.readouterr().err
+        assert "error in stage 'gen-cands'" in err
+        assert FINETUNE_CANDIDATES in err
+        assert "Traceback" not in err
+        assert not (out / BRIO_CKPT).exists()
 
 
 def test_full_mini_pipeline_and_determinism(mini_config, tmp_path):

@@ -9,14 +9,16 @@ from briosum.corpus import BOS_ID, EOS_ID, PAD_ID
 from briosum.model import (
     CheckpointError,
     ModelConfig,
+    decoder_logprobs,
+    encode_source,
     forward,
-    forward_batch,
     init_params,
     load_checkpoint,
     mle_loss,
-    mle_loss_batch,
+    pad_ids,
     save_checkpoint,
     sequence_log_prob,
+    teacher_forcing,
 )
 
 from helpers import max_gradcheck_error, tiny_config, tiny_params
@@ -94,8 +96,8 @@ def test_forward_ignores_source_padding():
     src_short = np.array([[BOS_ID, 4, 5, EOS_ID]])
     tgt = np.array([[BOS_ID, 6, 7]])
     with ad.no_grad():
-        padded = forward_batch(params, src, tgt).data
-        plain = forward_batch(params, src_short, tgt).data
+        padded = decoder_logprobs(params, *encode_source(params, src), tgt).data
+        plain = decoder_logprobs(params, *encode_source(params, src_short), tgt).data
     np.testing.assert_allclose(padded, plain, atol=1e-12)
 
 
@@ -139,6 +141,15 @@ def test_mle_loss_excludes_pad_positions():
 def test_mle_loss_length_mismatch():
     with pytest.raises(ValueError, match="does not match"):
         mle_loss(np.zeros((2, 4)), [1, 2, 3])
+    with pytest.raises(ValueError, match="does not match"):
+        mle_loss(np.zeros((2, 3, 4)), np.ones((2, 2), dtype=np.int64))
+    with pytest.raises(ValueError, match="does not match"):
+        mle_loss(np.zeros((2, 3, 4)), [1, 2, 3])
+
+
+def test_mle_loss_all_pad_rejected():
+    with pytest.raises(ValueError, match="non-PAD"):
+        mle_loss(np.zeros((2, 3, 4)), np.full((2, 3), PAD_ID))
 
 
 # -- gradients ----------------------------------------------------------------------
@@ -233,8 +244,7 @@ def test_sequence_log_prob_framing_errors():
         sequence_log_prob(params, [BOS_ID, 4, EOS_ID], [BOS_ID, 4])
 
 
-def test_mle_batch_matches_single():
-    params = tiny_params(seed=7)
+def test_pad_helpers_match_manual_padding():
     examples = [
         ([BOS_ID, 4, 5, EOS_ID], [BOS_ID, 6, 7, EOS_ID]),
         ([BOS_ID, 8, EOS_ID], [BOS_ID, 9, EOS_ID]),
@@ -248,8 +258,24 @@ def test_mle_batch_matches_single():
         src[i, : len(s)] = s
         tgt_in[i, : len(t) - 1] = t[:-1]
         gold[i, : len(t) - 1] = t[1:]
+    padded = pad_ids([s for s, _ in examples])
+    assert padded.dtype == np.int64
+    np.testing.assert_array_equal(padded, src)
+    got_in, got_gold = teacher_forcing([t for _, t in examples])
+    np.testing.assert_array_equal(got_in, tgt_in)
+    np.testing.assert_array_equal(got_gold, gold)
+
+
+def test_mle_batch_matches_single():
+    params = tiny_params(seed=7)
+    examples = [
+        ([BOS_ID, 4, 5, EOS_ID], [BOS_ID, 6, 7, EOS_ID]),
+        ([BOS_ID, 8, EOS_ID], [BOS_ID, 9, EOS_ID]),
+    ]
+    src = pad_ids([s for s, _ in examples])
+    tgt_in, gold = teacher_forcing([t for _, t in examples])
     with ad.no_grad():
-        batched = mle_loss_batch(forward_batch(params, src, tgt_in), gold).item()
+        batched = mle_loss(decoder_logprobs(params, *encode_source(params, src), tgt_in), gold).item()
         singles = []
         weights = []
         for s, t in examples:
@@ -290,9 +316,10 @@ def test_checkpoint_rejects_truncated_payload(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(params, path)
     raw = path.read_bytes()
-    path.write_bytes(raw[:-8])
-    with pytest.raises(CheckpointError, match="floats"):
-        load_checkpoint(path)
+    for cut in (8, 3):
+        path.write_bytes(raw[:-cut])
+        with pytest.raises(CheckpointError, match="floats"):
+            load_checkpoint(path)
 
 
 def test_checkpoint_rejects_bad_manifest(tmp_path):
