@@ -52,6 +52,7 @@ from .model import (
     CheckpointError,
     ModelConfig,
     ModelParams,
+    check_candidates,
     init_params,
     load_checkpoint,
     save_checkpoint,
@@ -369,14 +370,17 @@ def _read_json(path: Path, stage: str, expected_hash: str) -> dict:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise StageError(stage, f"{path.name} is unreadable ({exc}); use --force to rebuild") from exc
-    found = payload.get("config_hash")
-    if found != expected_hash:
+    _check_stamp(stage, path.name, payload.get("config_hash"), expected_hash)
+    return payload
+
+
+def _check_stamp(stage: str, name: str, found: str | None, expected: str) -> None:
+    if found != expected:
         raise StageError(
             stage,
-            f"{path.name} was produced by a different configuration "
-            f"(hash {found}, expected {expected_hash}); use --force to rebuild",
+            f"{name} was produced by a different configuration "
+            f"(hash {found}, expected {expected}); use --force to rebuild",
         )
-    return payload
 
 
 def _require(ctx: _Context, filename: str, producer: str) -> Path:
@@ -392,30 +396,20 @@ _UNSTAMPED = {REPORT_TXT, REPORT_CSV}
 
 
 def _outputs_fresh(ctx: _Context, stage: str, names: Sequence[str]) -> bool:
-    """True when every output exists and carries the current config hash."""
-    paths = [ctx.path(name) for name in names]
-    if not all(p.exists() for p in paths):
+    """True when every output exists and carries the current config hash;
+    a checkpoint must also load whole."""
+    if ctx.force or not all(ctx.path(name).exists() for name in names):
         return False
-    if ctx.force:
-        return False
-    for path, name in zip(paths, names):
-        if name in _UNSTAMPED:
-            continue
-        stamp = _artifact_hash(path)
-        if stamp != ctx.hash:
-            raise StageError(
-                stage,
-                f"{name} exists but was produced by a different configuration "
-                f"(hash {stamp}, expected {ctx.hash}); use --force to rebuild",
-            )
+    for name in names:
+        if name.endswith(".ckpt"):
+            _load_checkpoint(ctx, name, stage)
+        elif name not in _UNSTAMPED:
+            _check_stamp(stage, name, _artifact_hash(ctx.path(name)), ctx.hash)
     return True
 
 
 def _artifact_hash(path: Path) -> str | None:
     try:
-        if path.suffix == ".ckpt":
-            with path.open("rb") as fh:
-                return json.loads(fh.readline()).get("meta", {}).get("config_hash")
         with path.open("r", encoding="utf-8") as fh:
             return json.loads(fh.readline()).get("config_hash")
     except (OSError, json.JSONDecodeError, UnicodeDecodeError, AttributeError):
@@ -428,12 +422,7 @@ def _load_checkpoint(ctx: _Context, filename: str, producer: str) -> ModelParams
         params, meta = load_checkpoint(path)
     except CheckpointError as exc:
         raise StageError(producer, f"{exc}; use --force to rebuild") from exc
-    if meta.get("config_hash") != ctx.hash:
-        raise StageError(
-            producer,
-            f"{filename} was produced by a different configuration "
-            f"(hash {meta.get('config_hash')}, expected {ctx.hash}); use --force to rebuild",
-        )
+    _check_stamp(producer, filename, meta.get("config_hash"), ctx.hash)
     return params
 
 
@@ -559,18 +548,21 @@ def _stage_brio(ctx: _Context) -> str:
         raise StageError(
             "gen-cands", f"{FINETUNE_CANDIDATES} is unreadable ({exc!r}); use --force to rebuild"
         ) from exc
-    if cache_hash != ctx.hash:
-        raise StageError(
-            "gen-cands",
-            f"{FINETUNE_CANDIDATES} was produced by a different configuration "
-            f"(hash {cache_hash}, expected {ctx.hash}); use --force to rebuild",
-        )
+    _check_stamp("gen-cands", FINETUNE_CANDIDATES, cache_hash, ctx.hash)
     if [r.doc_id for r in ranked] != [ex.doc_id for ex in prepared.train]:
         raise StageError(
             "gen-cands",
             f"{FINETUNE_CANDIDATES} holds {len(ranked)} candidate sets that are not the "
             f"{len(prepared.train)} training documents in split order; use --force to rebuild",
         )
+    for rs in ranked:
+        try:
+            check_candidates(params.config, [c.token_ids for c in rs.candidates])
+        except (ValueError, TypeError) as exc:
+            raise StageError(
+                "gen-cands",
+                f"{FINETUNE_CANDIDATES}: document {rs.doc_id}: {exc}; use --force to rebuild",
+            ) from exc
     trained, history = brio_train_stage(params, ranked, ctx.config.brio_config(), seed=ctx.config.seed)
     save_checkpoint(trained, ctx.path(BRIO_CKPT), {"config_hash": ctx.hash, "stage": "brio"})
     with ctx.path(BRIO_METRICS).open("w", encoding="utf-8") as fh:

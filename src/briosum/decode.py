@@ -12,7 +12,7 @@ then the earlier hypothesis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -137,17 +137,20 @@ def group_beam_search(
             if config.diversity_penalty != 0.0:
                 logps = logps - config.diversity_penalty * chosen_counts
             budget = width - len(done[g])
-            candidates = [
-                (-(active[g][i].log_prob + logps[i, v]), v, i)
-                for i in range(len(active[g]))
-                for v in range(vocab_size)
-            ]
-            candidates.sort()
+            # Token-major, so flat index order is (token, hypothesis): a stable
+            # sort on the negated sums breaks ties toward the lower token id,
+            # then the earlier hypothesis.
+            sums = (np.array([h.log_prob for h in active[g]])[:, None] + logps).T.ravel()
+            kept = np.arange(sums.size)
+            if budget < sums.size:
+                cutoff = np.partition(sums, sums.size - budget)[sums.size - budget]
+                kept = np.flatnonzero(sums >= cutoff)
             next_active: list[Hypothesis] = []
-            for neg_cum, token, i in candidates[:budget]:
+            for k in kept[np.argsort(-sums[kept], kind="stable")][:budget]:
+                token, i = divmod(int(k), len(active[g]))
                 hyp = Hypothesis(
                     tokens=active[g][i].tokens + (token,),
-                    log_prob=-neg_cum,
+                    log_prob=float(sums[k]),
                     finished=token == EOS_ID,
                 )
                 chosen_counts[token] += 1.0
@@ -159,31 +162,24 @@ def group_beam_search(
 
     results: list[Hypothesis] = []
     for g in range(config.num_beam_groups):
-        pool = done[g] + active[g]
-        order = sorted(
-            range(len(pool)),
-            key=lambda k: (-pool[k].score(config.length_penalty), k),
-        )
-        results.extend(pool[k] for k in order)
+        results.extend(sorted(done[g] + active[g], key=lambda h: -h.score(config.length_penalty)))
     return results
+
+
+def _search(
+    params: ModelParams, source_ids: Sequence[int], config: DecodeConfig
+) -> list[Hypothesis]:
+    _check_budget(params, config)
+    return group_beam_search(make_scorer(params, source_ids), params.config.vocab_size, config)
 
 
 def greedy_decode(
     params: ModelParams, source_ids: Sequence[int], config: DecodeConfig
 ) -> Hypothesis:
-    """Pick the argmax token each step (ties go to the lowest id)."""
-    _check_budget(params, config)
-    scorer = make_scorer(params, source_ids)
-    tokens = (BOS_ID,)
-    log_prob = 0.0
-    while len(tokens) < config.max_decode_len:
-        logps = scorer([tokens])[0]
-        token = int(np.argmax(logps))
-        tokens += (token,)
-        log_prob += float(logps[token])
-        if token == EOS_ID:
-            return Hypothesis(tokens, log_prob, True)
-    return Hypothesis(tokens, log_prob, False)
+    """The one hypothesis of a one-beam, one-group search: each step appends
+    the most probable token (ties go to the lowest id)."""
+    config.validate()  # greedy ignores the beam settings but still rejects bad ones
+    return _search(params, source_ids, replace(config, num_beams=1, num_beam_groups=1))[0]
 
 
 def beam_search(
@@ -194,17 +190,11 @@ def beam_search(
         raise DecodeConfigError(
             f"beam_search requires num_beam_groups == 1, got {config.num_beam_groups}"
         )
-    _check_budget(params, config)
-    scorer = make_scorer(params, source_ids)
-    hyps = group_beam_search(scorer, params.config.vocab_size, config)
-    hyps.sort(key=lambda h: -h.score(config.length_penalty))
-    return hyps
+    return _search(params, source_ids, config)
 
 
 def diverse_beam_search(
     params: ModelParams, source_ids: Sequence[int], config: DecodeConfig
 ) -> list[Hypothesis]:
     """Grouped beam search with the Hamming diversity penalty, group-ordered."""
-    _check_budget(params, config)
-    scorer = make_scorer(params, source_ids)
-    return group_beam_search(scorer, params.config.vocab_size, config)
+    return _search(params, source_ids, config)

@@ -335,9 +335,13 @@ def mle_loss(logprobs: Tensor | np.ndarray, gold_ids: Sequence[int] | np.ndarray
     return masked.sum() * (-1.0 / float(keep.sum()))
 
 
-def _check_candidate_framing(candidate_ids: Sequence[int]) -> None:
-    if len(candidate_ids) < 2 or candidate_ids[0] != BOS_ID or candidate_ids[-1] != EOS_ID:
-        raise ValueError("candidate must start with BOS and end with EOS")
+def check_candidates(config: ModelConfig, candidates: Sequence[Sequence[int]]) -> None:
+    """Raise ValueError unless every candidate is framed by BOS...EOS, fits
+    ``max_target_len`` and holds only ids in ``[0, vocab_size)``."""
+    for cand in candidates:
+        if len(cand) < 2 or cand[0] != BOS_ID or cand[-1] != EOS_ID:
+            raise ValueError("candidate must start with BOS and end with EOS")
+        _validate_ids(cand, config.vocab_size, config.max_target_len, "candidate")
 
 
 def score_rows(
@@ -369,10 +373,7 @@ def candidate_scores(
     Returns a (N,) tensor; gradients flow into the model parameters. One
     encoder pass over ``source_ids`` is shared by all candidates.
     """
-    cfg = params.config
-    for cand in candidates:
-        _check_candidate_framing(cand)
-        _validate_ids(cand, cfg.vocab_size, cfg.max_target_len, "candidate")
+    check_candidates(params.config, candidates)
     sums, lengths = score_rows(params, source_ids, candidates)
     return sums * Tensor(lengths**-length_penalty)
 

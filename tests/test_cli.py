@@ -294,6 +294,17 @@ def test_truncated_checkpoint_fails_the_producing_stage(mini_cands_run, capsys):
     assert not (out / BRIO_CKPT).exists()
 
 
+def test_truncated_checkpoint_is_not_up_to_date(mini_cands_run, capsys):
+    config, out = mini_cands_run
+    ckpt = out / FINETUNE_CKPT
+    ckpt.write_bytes(ckpt.read_bytes()[:-100])
+    capsys.readouterr()
+    assert run_pipeline(config, ["finetune"]) == 1
+    captured = capsys.readouterr()
+    assert "error in stage 'finetune'" in captured.err
+    assert "up to date" not in captured.out
+
+
 def test_cut_candidate_cache_fails_the_gen_cands_stage(mini_cands_run, capsys):
     config, out = mini_cands_run
     cache = out / FINETUNE_CANDIDATES
@@ -302,7 +313,16 @@ def test_cut_candidate_cache_fails_the_gen_cands_stage(mini_cands_run, capsys):
     cut_at_line = "".join(lines[: len(lines) // 2])
     cut_mid_record = text[: len(cut_at_line) + 40]
     list_header = "[]\n" + "".join(lines[1:])
-    for damaged in (cut_at_line, cut_mid_record, list_header):
+
+    def with_first_candidate(token_ids):
+        record = json.loads(lines[1])
+        record["candidates"][0]["token_ids"] = token_ids
+        return "".join([lines[0], json.dumps(record) + "\n", *lines[2:]])
+
+    bad_ids = [with_first_candidate([BOS_ID, bad, EOS_ID]) for bad in (-1, 10**6)]
+    unframed = with_first_candidate([BOS_ID, 5])
+    overlong = with_first_candidate([BOS_ID] + [5] * 20 + [EOS_ID])
+    for damaged in (cut_at_line, cut_mid_record, list_header, *bad_ids, unframed, overlong):
         cache.write_text(damaged, encoding="utf-8")
         capsys.readouterr()
         assert run_pipeline(config, ["brio"]) == 1

@@ -37,6 +37,68 @@ def log_dist(probs):
     return np.log(np.maximum(probs, 1e-300))
 
 
+def reference_group_beam_search(scorer, vocab_size, cfg):
+    """The tuple-list selection that the numpy top-k in group_beam_search replaced."""
+    width = cfg.num_beams // cfg.num_beam_groups
+    active = [[Hypothesis((BOS_ID,), 0.0, False)] for _ in range(cfg.num_beam_groups)]
+    done = [[] for _ in range(cfg.num_beam_groups)]
+    for _ in range(cfg.max_decode_len - 1):
+        if not any(active):
+            break
+        chosen_counts = np.zeros(vocab_size)
+        for g in range(cfg.num_beam_groups):
+            if not active[g]:
+                continue
+            logps = scorer([h.tokens for h in active[g]])
+            if cfg.diversity_penalty != 0.0:
+                logps = logps - cfg.diversity_penalty * chosen_counts
+            candidates = [
+                (-(active[g][i].log_prob + logps[i, v]), v, i)
+                for i in range(len(active[g]))
+                for v in range(vocab_size)
+            ]
+            candidates.sort()
+            next_active = []
+            for neg_cum, token, i in candidates[: width - len(done[g])]:
+                hyp = Hypothesis(active[g][i].tokens + (token,), -neg_cum, token == EOS_ID)
+                chosen_counts[token] += 1.0
+                if hyp.finished or len(hyp.tokens) >= cfg.max_decode_len:
+                    done[g].append(hyp)
+                else:
+                    next_active.append(hyp)
+            active[g] = next_active
+    results = []
+    for g in range(cfg.num_beam_groups):
+        pool = done[g] + active[g]
+        order = sorted(range(len(pool)), key=lambda k: (-pool[k].score(cfg.length_penalty), k))
+        results.extend(pool[k] for k in order)
+    return results
+
+
+def reference_greedy(scorer, max_decode_len):
+    """The argmax loop that greedy_decode's one-beam search replaced."""
+    tokens, log_prob = (BOS_ID,), 0.0
+    while len(tokens) < max_decode_len:
+        logps = scorer([tokens])[0]
+        token = int(np.argmax(logps))
+        tokens += (token,)
+        log_prob += float(logps[token])
+        if token == EOS_ID:
+            return Hypothesis(tokens, log_prob, True)
+    return Hypothesis(tokens, log_prob, False)
+
+
+def integer_scorer(vocab_size, seed):
+    """History-dependent scorer with small integer log-probs, so many sums tie exactly."""
+
+    def step(prefixes):
+        return np.stack(
+            [-np.random.default_rng([seed, *p]).integers(0, 3, vocab_size).astype(np.float64) for p in prefixes]
+        )
+
+    return step
+
+
 def config(**kwargs):
     base = dict(
         num_beams=1, num_beam_groups=1, diversity_penalty=0.0, max_decode_len=6, length_penalty=1.0
@@ -101,6 +163,15 @@ def test_greedy_tie_breaks_to_lowest_id():
     scorer = fixed_scorer(row[None, :])
     hyps = group_beam_search(scorer, 4, config(max_decode_len=3))
     assert hyps[0].tokens[1] == 0
+
+
+def test_greedy_decode_matches_argmax_loop():
+    for seed in range(10):
+        params = tiny_params(seed=seed)
+        src = [BOS_ID, 4 + seed % 5, 5, EOS_ID]
+        got = greedy_decode(params, src, config(max_decode_len=8))
+        want = reference_greedy(make_scorer(params, src), 8)
+        assert (got.tokens, got.log_prob, got.finished) == (want.tokens, want.log_prob, want.finished)
 
 
 # -- beam fixtures -------------------------------------------------------------------
@@ -172,6 +243,19 @@ def test_beam_matches_exhaustive_enumeration_small_space():
         assert [h.tokens for h in got] == [t[0] for t in truth]
         for h, (_, lp) in zip(got, truth):
             assert h.log_prob == pytest.approx(lp, rel=1e-9)
+
+
+@pytest.mark.parametrize("vocab_size", [1, 2, 3, 6])
+def test_group_beam_search_matches_tuple_list_reference_under_ties(vocab_size):
+    # vocab 1..2 lets budgets reach width * vocab; integer log-probs tie often
+    for width, groups, penalty, seed in itertools.product((1, 2, 3), (1, 2, 3), (0.0, 0.5, 1.0), range(2)):
+        cfg = config(num_beams=width * groups, num_beam_groups=groups, diversity_penalty=penalty)
+        scorer = integer_scorer(vocab_size, seed)
+        got = group_beam_search(scorer, vocab_size, cfg)
+        want = reference_group_beam_search(scorer, vocab_size, cfg)
+        assert [(h.tokens, h.log_prob, h.finished) for h in got] == [
+            (h.tokens, h.log_prob, h.finished) for h in want
+        ]
 
 
 # -- diverse beam fixtures -------------------------------------------------------------
