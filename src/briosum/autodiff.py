@@ -405,11 +405,3 @@ def gather_last(a: Tensor, idx: np.ndarray) -> Tensor:
 
     return _node(out, (a,), vjp)
 
-
-def dropout(a: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
-    """Inverted dropout; identity when rate is 0 or no rng is supplied."""
-    if rate <= 0.0 or rng is None:
-        return _wrap(a)
-    a = _wrap(a)
-    mask = (rng.random(a.data.shape) >= rate) / (1.0 - rate)
-    return mul(a, Tensor(mask))

@@ -78,7 +78,6 @@ class BrioConfig:
     epochs: int = 1
     batch_size: int = 4
     loop_iterations: int = 2
-    restart_from_finetuned: bool = False
 
     def validate(self) -> None:
         if self.num_candidates < 2:
@@ -436,7 +435,7 @@ def brio_train_stage(
 
 def brio_loop(
     params: ModelParams,
-    train: Sequence[TokenizedExample],
+    ranked_sets: Sequence[RankedCandidateSet],
     validation: Sequence[TokenizedExample],
     test: Sequence[TokenizedExample],
     config: BrioConfig,
@@ -444,27 +443,29 @@ def brio_loop(
     seed: int = 0,
     candidate_sink: Callable[[int, list[RankedCandidateSet]], None] | None = None,
 ) -> tuple[ModelParams, list[dict]]:
-    """Alternate candidate generation and contrastive training.
+    """Alternate contrastive training and candidate generation.
 
-    Each iteration regenerates candidates from the current model (not an
-    accumulated pool), trains, then records test ROUGE and validation
-    quality. Returns the best-by-validation-quality checkpoint across
-    iterations (never a later, worse one) and the per-iteration report.
-    With ``restart_from_finetuned`` training restarts from the input
-    parameters each iteration instead of continuing.
+    ``ranked_sets`` are ``params``' own candidates for the training
+    documents; iteration 1 trains on them. Each later iteration
+    regenerates every set from its ``doc_id``, ``source_ids`` and
+    ``reference_ids`` with the current model (not an accumulated pool) and
+    hands the new sets to ``candidate_sink``. After training, each
+    iteration records test ROUGE and validation quality. Returns the
+    best-by-validation-quality checkpoint across iterations (never a
+    later, worse one) and the per-iteration report.
     """
     config.validate()
-    start = params.copy()
     current = params.copy()
+    train = [TokenizedExample(rs.doc_id, rs.source_ids, rs.reference_ids) for rs in ranked_sets]
     report: list[dict] = []
     best_params = current
     best_quality = -1.0
     for iteration in range(1, config.loop_iterations + 1):
-        ranked_sets = [generate_candidates(current, ex, config, vocab) for ex in train]
-        if candidate_sink is not None:
-            candidate_sink(iteration, ranked_sets)
-        base = start.copy() if config.restart_from_finetuned else current
-        current, _ = brio_train_stage(base, ranked_sets, config, seed=seed * 1009 + iteration)
+        if iteration > 1:
+            ranked_sets = [generate_candidates(current, ex, config, vocab) for ex in train]
+            if candidate_sink is not None:
+                candidate_sink(iteration, ranked_sets)
+        current, _ = brio_train_stage(current, ranked_sets, config, seed=seed * 1009 + iteration)
         test_rouge = mean_greedy_rouge(current, test, config.decode)
         val_rouge = mean_greedy_rouge(current, validation, config.decode)
         report.append(

@@ -4,7 +4,9 @@ The pipeline is split -> finetune -> gen-cands -> brio -> loop -> evaluate
 -> report. Every stage writes self-describing artifacts into the output
 directory (each embeds the hash of the resolved configuration); re-running
 a completed stage is a no-op unless --force is given, and resuming against
-artifacts from a different configuration is refused.
+artifacts from a different configuration is refused. An artifact counts as
+complete only when it loads whole through the loader its consumers use;
+one that exists but does not load ends in an error naming its stage.
 
 Configuration files are INI: one section per subsystem, flat keys. The
 ``--seed`` and ``--out`` flags override ``experiment.seed`` and
@@ -39,7 +41,6 @@ from .brio import (
 )
 from .corpus import (
     CorpusError,
-    Document,
     TokenizedExample,
     Vocabulary,
     build_vocab,
@@ -64,10 +65,11 @@ SPLIT_FILE = "split.json"
 VOCAB_FILE = "vocab.json"
 STANDARD_CKPT = "standard.ckpt"
 FINETUNE_CKPT = "finetune.ckpt"
-FINETUNE_METRICS = "finetune_metrics.jsonl"
+FINETUNE_METRICS = "finetune_metrics.json"
 FINETUNE_CANDIDATES = "candidates_finetune.jsonl"
+LOOP_CANDIDATES = "candidates_loop{}.jsonl"
 BRIO_CKPT = "brio.ckpt"
-BRIO_METRICS = "brio_metrics.jsonl"
+BRIO_METRICS = "brio_metrics.json"
 LOOP_CKPT = "loop.ckpt"
 LOOP_REPORT = "loop_report.json"
 EVAL_FILE = "eval.json"
@@ -100,7 +102,6 @@ _DEFAULTS: dict[str, dict[str, str]] = {
         "num_decoder_layers": "2",
         "max_source_len": "256",
         "max_target_len": "64",
-        "dropout_rate": "0.0",
         "tie_embeddings": "false",
     },
     "finetune": {
@@ -126,7 +127,6 @@ _DEFAULTS: dict[str, dict[str, str]] = {
         "epochs": "1",
         "batch_size": "4",
         "loop_iterations": "2",
-        "restart_from_finetuned": "false",
     },
 }
 
@@ -238,7 +238,6 @@ class ExperimentConfig:
             num_decoder_layers=self._int("model", "num_decoder_layers"),
             max_source_len=self._int("model", "max_source_len"),
             max_target_len=self._int("model", "max_target_len"),
-            dropout_rate=self._float("model", "dropout_rate"),
             tie_embeddings=_parse_bool(self.values["model"]["tie_embeddings"]),
         )
 
@@ -271,7 +270,6 @@ class ExperimentConfig:
             epochs=self._int("brio", "epochs"),
             batch_size=self._int("brio", "batch_size"),
             loop_iterations=self._int("brio", "loop_iterations"),
-            restart_from_finetuned=_parse_bool(self.values["brio"]["restart_from_finetuned"]),
         )
 
     def validate(self) -> None:
@@ -347,6 +345,44 @@ def parse_report_csv(text: str) -> list[ReportRow]:
 # -- pipeline ------------------------------------------------------------------
 
 
+# The stage that writes each artifact, besides the loop's candidate caches
+# for iterations 2 and up. The reports are not listed: they are re-rendered
+# on every run and carry no config hash, so they stay byte-identical.
+_PRODUCERS = {
+    SPLIT_FILE: "split",
+    VOCAB_FILE: "split",
+    STANDARD_CKPT: "finetune",
+    FINETUNE_CKPT: "finetune",
+    FINETUNE_METRICS: "finetune",
+    FINETUNE_CANDIDATES: "gen-cands",
+    BRIO_CKPT: "brio",
+    BRIO_METRICS: "brio",
+    LOOP_CKPT: "loop",
+    LOOP_REPORT: "loop",
+    EVAL_FILE: "evaluate",
+}
+
+
+def _strings(items) -> list[str]:
+    if not isinstance(items, list) or not all(isinstance(item, str) for item in items):
+        raise TypeError("expected a list of strings")
+    return items
+
+
+def _report_rows(items) -> list[ReportRow]:
+    rows = [ReportRow(r["system"], r["r1"], r["r2"], r["rl"]) for r in items]
+    emit_report(rows)  # raises unless the rows can be shown
+    return rows
+
+
+# The JSON fields that stages read, each with a check that raises unless usable.
+_JSON_FIELDS = {
+    SPLIT_FILE: {"train": _strings, "validation": _strings, "test": _strings},
+    VOCAB_FILE: {"tokens": _strings},
+    EVAL_FILE: {"rows": _report_rows},
+}
+
+
 @dataclass
 class _Context:
     config: ExperimentConfig
@@ -360,18 +396,14 @@ class _Context:
     def path(self, name: str) -> Path:
         return self.out / name
 
+    @property
+    def producers(self) -> dict[str, str]:
+        iterations = range(2, self.config.brio_config().loop_iterations + 1)
+        return _PRODUCERS | {LOOP_CANDIDATES.format(i): "loop" for i in iterations}
+
 
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
-
-
-def _read_json(path: Path, stage: str, expected_hash: str) -> dict:
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise StageError(stage, f"{path.name} is unreadable ({exc}); use --force to rebuild") from exc
-    _check_stamp(stage, path.name, payload.get("config_hash"), expected_hash)
-    return payload
 
 
 def _check_stamp(stage: str, name: str, found: str | None, expected: str) -> None:
@@ -383,52 +415,47 @@ def _check_stamp(stage: str, name: str, found: str | None, expected: str) -> Non
         )
 
 
-def _require(ctx: _Context, filename: str, producer: str) -> Path:
-    path = ctx.path(filename)
+def _require(ctx: _Context, name: str) -> Path:
+    path = ctx.path(name)
     if not path.exists():
-        raise StageError(producer, f"missing artifact {filename}; run the '{producer}' stage first")
+        producer = ctx.producers[name]
+        raise StageError(producer, f"missing artifact {name}; run the '{producer}' stage first")
     return path
 
 
-# Reports embed no config hash on purpose: identical experiments must
-# produce byte-identical report files wherever they run.
-_UNSTAMPED = {REPORT_TXT, REPORT_CSV}
-
-
-def _outputs_fresh(ctx: _Context, stage: str, names: Sequence[str]) -> bool:
-    """True when every output exists and carries the current config hash;
-    a checkpoint must also load whole."""
-    if ctx.force or not all(ctx.path(name).exists() for name in names):
-        return False
-    for name in names:
-        if name.endswith(".ckpt"):
-            _load_checkpoint(ctx, name, stage)
-        elif name not in _UNSTAMPED:
-            _check_stamp(stage, name, _artifact_hash(ctx.path(name)), ctx.hash)
-    return True
-
-
-def _artifact_hash(path: Path) -> str | None:
+def _read_json(ctx: _Context, name: str) -> dict:
+    """A whole, stamped JSON artifact holding the fields its consumers read."""
+    stage = ctx.producers[name]
+    path = _require(ctx, name)
     try:
-        with path.open("r", encoding="utf-8") as fh:
-            return json.loads(fh.readline()).get("config_hash")
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError, AttributeError):
-        return None
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise StageError(stage, f"{name} is unreadable ({exc}); use --force to rebuild") from exc
+    if not isinstance(payload, dict):
+        raise StageError(stage, f"{name} is not a JSON object; use --force to rebuild")
+    _check_stamp(stage, name, payload.get("config_hash"), ctx.hash)
+    for field, check in _JSON_FIELDS.get(name, {}).items():
+        try:
+            check(payload.get(field))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise StageError(
+                stage, f"{name} has no usable '{field}' ({exc!r}); use --force to rebuild"
+            ) from exc
+    return payload
 
 
-def _load_checkpoint(ctx: _Context, filename: str, producer: str) -> ModelParams:
-    path = _require(ctx, filename, producer)
+def _load_checkpoint(ctx: _Context, name: str) -> ModelParams:
+    stage = ctx.producers[name]
     try:
-        params, meta = load_checkpoint(path)
+        params, meta = load_checkpoint(_require(ctx, name))
     except CheckpointError as exc:
-        raise StageError(producer, f"{exc}; use --force to rebuild") from exc
-    _check_stamp(producer, filename, meta.get("config_hash"), ctx.hash)
+        raise StageError(stage, f"{exc}; use --force to rebuild") from exc
+    _check_stamp(stage, name, meta.get("config_hash"), ctx.hash)
     return params
 
 
 @dataclass
 class _Corpus:
-    split_docs: dict[str, list[Document]]
     vocab: Vocabulary
     train: list[TokenizedExample]
     validation: list[TokenizedExample]
@@ -436,14 +463,13 @@ class _Corpus:
 
 
 def _load_prepared(ctx: _Context) -> _Corpus:
-    split_payload = _read_json(_require(ctx, SPLIT_FILE, "split"), "split", ctx.hash)
-    vocab_payload = _read_json(_require(ctx, VOCAB_FILE, "split"), "split", ctx.hash)
+    split_payload = _read_json(ctx, SPLIT_FILE)
+    vocab_payload = _read_json(ctx, VOCAB_FILE)
     docs = {doc.id: doc for doc in load_corpus(ctx.config.corpus_path)}
     tokens = vocab_payload["tokens"]
     vocab = Vocabulary(token_to_id={t: i for i, t in enumerate(tokens)}, id_to_token=tokens)
     model_config = ctx.config.model_config(vocab.size)
 
-    split_docs: dict[str, list[Document]] = {}
     tokenized: dict[str, list[TokenizedExample]] = {}
     for name in ("train", "validation", "test"):
         try:
@@ -452,12 +478,10 @@ def _load_prepared(ctx: _Context) -> _Corpus:
             raise StageError(
                 "split", f"split references document {exc} absent from the corpus file"
             ) from exc
-        split_docs[name] = members
         tokenized[name] = tokenize_documents(
             members, vocab, model_config.max_source_len, model_config.max_target_len
         )
     return _Corpus(
-        split_docs=split_docs,
         vocab=vocab,
         train=tokenized["train"],
         validation=tokenized["validation"],
@@ -465,10 +489,48 @@ def _load_prepared(ctx: _Context) -> _Corpus:
     )
 
 
+def _load_candidates(ctx: _Context, name: str, prepared: _Corpus) -> list[RankedCandidateSet]:
+    """A stamped cache of scoreable candidate sets for the train split, in order."""
+    stage = ctx.producers[name]
+    try:
+        ranked, cache_hash = load_candidate_cache(_require(ctx, name), prepared.train)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise StageError(stage, f"{name} is unreadable ({exc!r}); use --force to rebuild") from exc
+    _check_stamp(stage, name, cache_hash, ctx.hash)
+    if [r.doc_id for r in ranked] != [ex.doc_id for ex in prepared.train]:
+        raise StageError(
+            stage,
+            f"{name} holds {len(ranked)} candidate sets that are not the "
+            f"{len(prepared.train)} training documents in split order; use --force to rebuild",
+        )
+    model_config = ctx.config.model_config(prepared.vocab.size)
+    for rs in ranked:
+        try:
+            check_candidates(model_config, [c.token_ids for c in rs.candidates])
+        except (ValueError, TypeError) as exc:
+            raise StageError(
+                stage, f"{name}: document {rs.doc_id}: {exc}; use --force to rebuild"
+            ) from exc
+    return ranked
+
+
+def _outputs_fresh(ctx: _Context, stage: str) -> bool:
+    """True when the stage's outputs all exist and each loads whole, through
+    the loader its consumers use; one that does not load is a StageError."""
+    names = [name for name, producer in ctx.producers.items() if producer == stage]
+    if ctx.force or not names or not all(ctx.path(name).exists() for name in names):
+        return False
+    for name in names:
+        if name.endswith(".ckpt"):
+            _load_checkpoint(ctx, name)
+        elif name.endswith(".jsonl"):
+            _load_candidates(ctx, name, _load_prepared(ctx))
+        else:
+            _read_json(ctx, name)
+    return True
+
+
 def _stage_split(ctx: _Context) -> str:
-    outputs = (SPLIT_FILE, VOCAB_FILE)
-    if _outputs_fresh(ctx, "split", outputs):
-        return "up to date"
     try:
         docs = load_corpus(ctx.config.corpus_path)
     except (CorpusError, FileNotFoundError) as exc:
@@ -497,9 +559,6 @@ def _stage_split(ctx: _Context) -> str:
 
 
 def _stage_finetune(ctx: _Context) -> str:
-    outputs = (STANDARD_CKPT, FINETUNE_CKPT, FINETUNE_METRICS)
-    if _outputs_fresh(ctx, "finetune", outputs):
-        return "up to date"
     prepared = _load_prepared(ctx)
     model_config = ctx.config.model_config(prepared.vocab.size)
     standard = init_params(model_config, ctx.config.seed)
@@ -514,18 +573,12 @@ def _stage_finetune(ctx: _Context) -> str:
         seed=ctx.config.seed,
     )
     save_checkpoint(best, ctx.path(FINETUNE_CKPT), meta | {"stage": "finetune"})
-    with ctx.path(FINETUNE_METRICS).open("w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"config_hash": ctx.hash, "kind": "finetune_metrics"}) + "\n")
-        for row in history:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+    _write_json(ctx.path(FINETUNE_METRICS), {"config_hash": ctx.hash, "history": history})
     return f"{len(history)} epochs, best val quality {max(h['val_quality'] for h in history):.4f}"
 
 
 def _stage_gen_cands(ctx: _Context) -> str:
-    outputs = (FINETUNE_CANDIDATES,)
-    if _outputs_fresh(ctx, "gen-cands", outputs):
-        return "up to date"
-    params = _load_checkpoint(ctx, FINETUNE_CKPT, "finetune")
+    params = _load_checkpoint(ctx, FINETUNE_CKPT)
     prepared = _load_prepared(ctx)
     brio_config = ctx.config.brio_config()
     ranked = [
@@ -536,64 +589,28 @@ def _stage_gen_cands(ctx: _Context) -> str:
 
 
 def _stage_brio(ctx: _Context) -> str:
-    outputs = (BRIO_CKPT, BRIO_METRICS)
-    if _outputs_fresh(ctx, "brio", outputs):
-        return "up to date"
-    params = _load_checkpoint(ctx, FINETUNE_CKPT, "finetune")
-    prepared = _load_prepared(ctx)
-    cache_path = _require(ctx, FINETUNE_CANDIDATES, "gen-cands")
-    try:
-        ranked, cache_hash = load_candidate_cache(cache_path, prepared.train)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise StageError(
-            "gen-cands", f"{FINETUNE_CANDIDATES} is unreadable ({exc!r}); use --force to rebuild"
-        ) from exc
-    _check_stamp("gen-cands", FINETUNE_CANDIDATES, cache_hash, ctx.hash)
-    if [r.doc_id for r in ranked] != [ex.doc_id for ex in prepared.train]:
-        raise StageError(
-            "gen-cands",
-            f"{FINETUNE_CANDIDATES} holds {len(ranked)} candidate sets that are not the "
-            f"{len(prepared.train)} training documents in split order; use --force to rebuild",
-        )
-    for rs in ranked:
-        try:
-            check_candidates(params.config, [c.token_ids for c in rs.candidates])
-        except (ValueError, TypeError) as exc:
-            raise StageError(
-                "gen-cands",
-                f"{FINETUNE_CANDIDATES}: document {rs.doc_id}: {exc}; use --force to rebuild",
-            ) from exc
+    params = _load_checkpoint(ctx, FINETUNE_CKPT)
+    ranked = _load_candidates(ctx, FINETUNE_CANDIDATES, _load_prepared(ctx))
     trained, history = brio_train_stage(params, ranked, ctx.config.brio_config(), seed=ctx.config.seed)
     save_checkpoint(trained, ctx.path(BRIO_CKPT), {"config_hash": ctx.hash, "stage": "brio"})
-    with ctx.path(BRIO_METRICS).open("w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"config_hash": ctx.hash, "kind": "brio_metrics"}) + "\n")
-        for row in history:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+    _write_json(ctx.path(BRIO_METRICS), {"config_hash": ctx.hash, "history": history})
     return f"{len(history)} steps"
 
 
 def _stage_loop(ctx: _Context) -> str:
-    brio_config = ctx.config.brio_config()
-    cache_names = [
-        f"candidates_loop{i}.jsonl" for i in range(1, brio_config.loop_iterations + 1)
-    ]
-    outputs = (LOOP_CKPT, LOOP_REPORT, *cache_names)
-    if _outputs_fresh(ctx, "loop", outputs):
-        return "up to date"
-    params = _load_checkpoint(ctx, FINETUNE_CKPT, "finetune")
+    params = _load_checkpoint(ctx, FINETUNE_CKPT)
     prepared = _load_prepared(ctx)
+    ranked = _load_candidates(ctx, FINETUNE_CANDIDATES, prepared)
 
-    def sink(iteration: int, ranked: list[RankedCandidateSet]) -> None:
-        write_candidate_cache(
-            ctx.path(f"candidates_loop{iteration}.jsonl"), ranked, ctx.hash
-        )
+    def sink(iteration: int, ranked_sets: list[RankedCandidateSet]) -> None:
+        write_candidate_cache(ctx.path(LOOP_CANDIDATES.format(iteration)), ranked_sets, ctx.hash)
 
     best, report = brio_loop(
         params,
-        prepared.train,
+        ranked,
         prepared.validation,
         prepared.test,
-        brio_config,
+        ctx.config.brio_config(),
         prepared.vocab,
         seed=ctx.config.seed,
         candidate_sink=sink,
@@ -604,18 +621,14 @@ def _stage_loop(ctx: _Context) -> str:
 
 
 def _stage_evaluate(ctx: _Context) -> str:
-    outputs = (EVAL_FILE,)
-    if _outputs_fresh(ctx, "evaluate", outputs):
-        return "up to date"
     prepared = _load_prepared(ctx)
     decode_config = ctx.config.decode_config()
-    producers = {STANDARD_CKPT: "finetune", FINETUNE_CKPT: "finetune", BRIO_CKPT: "brio", LOOP_CKPT: "loop"}
     rows = []
     per_doc_payload = {}
     for label, filename in _REPORT_SYSTEMS:
         if not ctx.path(filename).exists():
             continue
-        params = _load_checkpoint(ctx, filename, producers[filename])
+        params = _load_checkpoint(ctx, filename)
         if params.config.vocab_size != prepared.vocab.size:
             raise StageError(
                 "evaluate",
@@ -638,11 +651,7 @@ def _stage_evaluate(ctx: _Context) -> str:
 
 
 def _stage_report(ctx: _Context) -> str:
-    outputs = (REPORT_TXT, REPORT_CSV)
-    if _outputs_fresh(ctx, "report", outputs):
-        return "up to date"
-    payload = _read_json(_require(ctx, EVAL_FILE, "evaluate"), "evaluate", ctx.hash)
-    rows = [ReportRow(r["system"], r["r1"], r["r2"], r["rl"]) for r in payload["rows"]]
+    rows = _report_rows(_read_json(ctx, EVAL_FILE)["rows"])
     ctx.path(REPORT_TXT).write_text(emit_report(rows, "text"), encoding="utf-8")
     ctx.path(REPORT_CSV).write_text(emit_report(rows, "csv"), encoding="utf-8")
     return f"{len(rows)} rows"
@@ -680,7 +689,7 @@ def run_pipeline(
     ctx = _Context(config=config, out=out, force=force)
     for stage in stages:
         try:
-            note = _STAGE_FUNCS[stage](ctx)
+            note = "up to date" if _outputs_fresh(ctx, stage) else _STAGE_FUNCS[stage](ctx)
         except StageError as exc:
             print(f"error in stage '{exc.stage}': {exc}", file=sys.stderr)
             return 1

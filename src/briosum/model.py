@@ -41,7 +41,6 @@ class ModelConfig:
     num_decoder_layers: int = 2
     max_source_len: int = 256
     max_target_len: int = 64
-    dropout_rate: float = 0.0
     # Tie the output projection to the token embedding table (logits =
     # hidden @ tok_emb^T). Off by default; at toy scale tying makes copying
     # generalize from far less data.
@@ -66,8 +65,6 @@ class ModelConfig:
                 f"ModelConfig.model_dim ({self.model_dim}) must be divisible by "
                 f"num_heads ({self.num_heads})"
             )
-        if not (0.0 <= self.dropout_rate < 1.0):
-            raise ValueError(f"ModelConfig.dropout_rate must be in [0, 1), got {self.dropout_rate}")
 
     @property
     def head_dim(self) -> int:
@@ -230,20 +227,15 @@ def _embed(params: ModelParams, ids: np.ndarray, pos_table: str) -> Tensor:
     return ad.embedding(params["tok_emb"], ids) + positions
 
 
-def encode_source(
-    params: ModelParams,
-    src: np.ndarray,
-    dropout_rng: np.random.Generator | None = None,
-) -> tuple[Tensor, np.ndarray]:
+def encode_source(params: ModelParams, src: np.ndarray) -> tuple[Tensor, np.ndarray]:
     """Run the encoder stack; returns hidden states and the source pad mask."""
     cfg = params.config
     mask = source_pad_mask(src)
-    rate = cfg.dropout_rate
-    x = ad.dropout(_embed(params, src, "pos_emb_src"), rate, dropout_rng)
+    x = _embed(params, src, "pos_emb_src")
     for i in range(cfg.num_encoder_layers):
         normed = _norm(params, f"enc{i}.ln1", x)
-        x = x + ad.dropout(_attention(params, f"enc{i}.attn", normed, normed, mask), rate, dropout_rng)
-        x = x + ad.dropout(_ffn(params, f"enc{i}.ffn", _norm(params, f"enc{i}.ln2", x)), rate, dropout_rng)
+        x = x + _attention(params, f"enc{i}.attn", normed, normed, mask)
+        x = x + _ffn(params, f"enc{i}.ffn", _norm(params, f"enc{i}.ln2", x))
     return _norm(params, "enc_ln", x), mask
 
 
@@ -252,19 +244,16 @@ def decoder_logprobs(
     enc_out: Tensor,
     src_mask: np.ndarray,
     tgt_in: np.ndarray,
-    dropout_rng: np.random.Generator | None = None,
 ) -> Tensor:
     """Decoder stack over ``tgt_in`` prefixes: (B, Tt, vocab) log-probs."""
     cfg = params.config
-    rate = cfg.dropout_rate
     self_mask = causal_mask(tgt_in.shape[1])
-    cross_mask = src_mask
-    x = ad.dropout(_embed(params, tgt_in, "pos_emb_tgt"), rate, dropout_rng)
+    x = _embed(params, tgt_in, "pos_emb_tgt")
     for i in range(cfg.num_decoder_layers):
         normed = _norm(params, f"dec{i}.ln1", x)
-        x = x + ad.dropout(_attention(params, f"dec{i}.self", normed, normed, self_mask), rate, dropout_rng)
-        x = x + ad.dropout(_attention(params, f"dec{i}.cross", _norm(params, f"dec{i}.ln2", x), enc_out, cross_mask), rate, dropout_rng)
-        x = x + ad.dropout(_ffn(params, f"dec{i}.ffn", _norm(params, f"dec{i}.ln3", x)), rate, dropout_rng)
+        x = x + _attention(params, f"dec{i}.self", normed, normed, self_mask)
+        x = x + _attention(params, f"dec{i}.cross", _norm(params, f"dec{i}.ln2", x), enc_out, src_mask)
+        x = x + _ffn(params, f"dec{i}.ffn", _norm(params, f"dec{i}.ln3", x))
     x = _norm(params, "dec_ln", x)
     if cfg.tie_embeddings:
         logits = ad.matmul(x, ad.transpose(params["tok_emb"], (1, 0))) + params["out.b"]
@@ -277,8 +266,8 @@ def _validate_ids(ids: Sequence[int], limit: int, max_len: int, label: str) -> N
     if len(ids) > max_len:
         raise ValueError(f"{label} length {len(ids)} exceeds maximum {max_len}")
     for token_id in ids:
-        if not (0 <= token_id < limit):
-            raise ValueError(f"{label} id {token_id} out of range [0, {limit})")
+        if not isinstance(token_id, (int, np.integer)) or not (0 <= token_id < limit):
+            raise ValueError(f"{label} id {token_id!r} is not an integer or out of range [0, {limit})")
 
 
 def forward(
@@ -413,6 +402,7 @@ def save_checkpoint(params: ModelParams, path: str | Path, meta: dict | None = N
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
+    """Read a checkpoint back; any malformed content raises CheckpointError."""
     path = Path(path)
     raw = path.read_bytes()
     sep = raw.find(b"\n")
@@ -422,16 +412,22 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
         manifest = json.loads(raw[:sep].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: unreadable manifest ({exc})") from exc
-    if manifest.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-        raise CheckpointError(
-            f"{path}: unsupported format version {manifest.get('format_version')}"
-        )
-    config = ModelConfig(**manifest["config"])
-    config.validate()
+    version = manifest.get("format_version") if isinstance(manifest, dict) else None
+    if version != CHECKPOINT_FORMAT_VERSION:
+        raise CheckpointError(f"{path}: unsupported format version {version}")
+    try:
+        config = ModelConfig(**manifest["config"])
+        config.validate()
+        entries = [(e["name"], tuple(e["shape"]), int(e["count"])) for e in manifest["params"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: malformed manifest ({exc!r})") from exc
+    meta = manifest.get("meta", {})
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{path}: manifest meta is not an object")
     if (len(raw) - sep - 1) % 4:
         raise CheckpointError(f"{path}: payload of {len(raw) - sep - 1} bytes is not whole floats")
     payload = np.frombuffer(raw[sep + 1 :], dtype="<f4")
-    expected = sum(entry["count"] for entry in manifest["params"])
+    expected = sum(count for _, _, count in entries)
     if payload.size != expected:
         raise CheckpointError(
             f"{path}: payload holds {payload.size} floats, manifest expects {expected}"
@@ -439,15 +435,14 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
     spec_shapes = {name: shape for name, shape, _ in _param_specs(config)}
     tensors: dict[str, Tensor] = {}
     offset = 0
-    for entry in manifest["params"]:
-        name, shape, count = entry["name"], tuple(entry["shape"]), entry["count"]
-        if name not in spec_shapes or spec_shapes[name] != shape:
-            raise CheckpointError(f"{path}: parameter '{name}' has shape {shape}, "
-                                  f"config implies {spec_shapes.get(name)}")
+    for name, shape, count in entries:
+        if spec_shapes.get(name) != shape or count != int(np.prod(shape)):
+            raise CheckpointError(f"{path}: parameter '{name}' has shape {shape} and count "
+                                  f"{count}, config implies {spec_shapes.get(name)}")
         block = payload[offset : offset + count].reshape(shape)
         tensors[name] = Tensor(block.astype(np.float64), requires_grad=True)
         offset += count
     if set(tensors) != set(spec_shapes):
         raise CheckpointError(f"{path}: manifest does not cover the full parameter set")
     ordered = {name: tensors[name] for name, _, _ in _param_specs(config)}
-    return ModelParams(config, ordered), manifest.get("meta", {})
+    return ModelParams(config, ordered), meta

@@ -24,7 +24,6 @@ def tiny_config(vocab_size: int = 13, **overrides) -> ModelConfig:
         num_decoder_layers=1,
         max_source_len=12,
         max_target_len=10,
-        dropout_rate=0.0,
     )
     base.update(overrides)
     return ModelConfig(**base)

@@ -552,11 +552,16 @@ def test_kendall_tau_basics():
 # -- loop ---------------------------------------------------------------------------------
 
 
+def own_candidates(params, examples, config):
+    return [generate_candidates(params, ex, config, tiny_vocab()) for ex in examples]
+
+
 def test_loop_zero_iterations_identity():
     params = tiny_params(seed=20)
     examples = copy_task_examples(n=4, seed=9)
     config = brio_cfg(loop_iterations=0)
-    out, report = brio_loop(params, examples, examples, examples, config, tiny_vocab(), seed=1)
+    ranked = own_candidates(params, examples, config)
+    out, report = brio_loop(params, ranked, examples, examples, config, tiny_vocab(), seed=1)
     assert report == []
     for name, t in params.items():
         np.testing.assert_array_equal(out[name].data, t.data)
@@ -566,30 +571,51 @@ def test_loop_report_rows_and_candidate_regeneration():
     params = tiny_params(seed=21)
     examples = copy_task_examples(n=5, seed=10)
     config = brio_cfg(loop_iterations=2, learning_rate=5e-3)
+    ranked = own_candidates(params, examples, config)
     seen = {}
 
     def sink(iteration, ranked_sets):
-        seen[iteration] = [
-            tuple(c.token_ids for c in rs.candidates) for rs in ranked_sets
-        ]
+        seen[iteration] = ranked_sets
 
     _, report = brio_loop(
-        params, examples, examples, examples, config, tiny_vocab(), seed=2, candidate_sink=sink
+        params, ranked, examples, examples, config, tiny_vocab(), seed=2, candidate_sink=sink
     )
     assert [row["iteration"] for row in report] == [1, 2]
     for row in report:
         for key in ("r1", "r2", "rl"):
             assert 0.0 <= row[key] <= 100.0
-    assert set(seen) == {1, 2}
-    assert seen[1] != seen[2]  # params changed, so candidates must change
+    # iteration 1 trains on the given sets; only iteration 2 generates
+    assert set(seen) == {2}
+    assert [(rs.doc_id, rs.source_ids, rs.reference_ids) for rs in seen[2]] == [
+        (ex.doc_id, ex.source_ids, ex.target_ids) for ex in examples
+    ]
+    first = [tuple(c.token_ids for c in rs.candidates) for rs in ranked]
+    second = [tuple(c.token_ids for c in rs.candidates) for rs in seen[2]]
+    assert second != first  # params changed, so candidates must change
+
+
+def test_loop_on_cached_candidates_matches_loop_on_generated_ones(tmp_path):
+    params = tiny_params(seed=24)
+    examples = copy_task_examples(n=4, seed=13)
+    config = brio_cfg(loop_iterations=2, learning_rate=5e-3)
+    generated = own_candidates(params, examples, config)
+    write_candidate_cache(tmp_path / "cands.jsonl", generated)
+    cached, _ = load_candidate_cache(tmp_path / "cands.jsonl", examples)
+    runs = [
+        brio_loop(params, ranked, examples, examples, config, tiny_vocab(), seed=5)
+        for ranked in (generated, cached)
+    ]
+    assert runs[0][1] == runs[1][1]
+    for name, t in runs[0][0].items():
+        np.testing.assert_array_equal(runs[1][0][name].data, t.data)
 
 
 def test_loop_keeps_best_validation_checkpoint():
     params = tiny_params(seed=22)
     examples = copy_task_examples(n=5, seed=11)
     config = brio_cfg(loop_iterations=2, learning_rate=5e-3)
-    vocab = tiny_vocab()
-    best, report = brio_loop(params, examples, examples, examples, config, vocab, seed=3)
+    ranked = own_candidates(params, examples, config)
+    best, report = brio_loop(params, ranked, examples, examples, config, tiny_vocab(), seed=3)
     best_quality = max(row["val_quality"] for row in report)
     got = mean_greedy_rouge(best, examples, config.decode)["quality"]
     assert got == pytest.approx(best_quality, abs=1e-12)

@@ -1,6 +1,7 @@
 """Harness behavior: config files, stage dependencies, reports, end to end."""
 
 import json
+import shutil
 import subprocess
 import sys
 
@@ -9,9 +10,12 @@ import pytest
 
 from briosum.cli import (
     BRIO_CKPT,
+    BRIO_METRICS,
     EVAL_FILE,
     FINETUNE_CANDIDATES,
     FINETUNE_CKPT,
+    FINETUNE_METRICS,
+    LOOP_CKPT,
     LOOP_REPORT,
     REPORT_CSV,
     REPORT_TXT,
@@ -19,6 +23,7 @@ from briosum.cli import (
     STANDARD_CKPT,
     VOCAB_FILE,
     ConfigError,
+    STAGES,
     ExperimentConfig,
     ReportRow,
     emit_report,
@@ -108,6 +113,14 @@ def test_config_unknown_key_rejected(tmp_path, mini_corpus):
     path.write_text(f"[experiment]\ncorpus = {mini_corpus}\nbogus = 1\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="bogus"):
         ExperimentConfig.load(path)
+
+
+@pytest.mark.parametrize("section,key", [("model", "dropout_rate"), ("brio", "restart_from_finetuned")])
+def test_removed_config_keys_exit_2(tmp_path, mini_corpus, capsys, section, key):
+    path = tmp_path / "old.ini"
+    path.write_text(f"[experiment]\ncorpus = {mini_corpus}\n[{section}]\n{key} = 0\n", encoding="utf-8")
+    assert main(["split", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert f"unknown key {section}.{key}" in capsys.readouterr().err
 
 
 def test_config_missing_corpus_rejected(tmp_path):
@@ -274,6 +287,21 @@ def test_cut_split_file_fails_the_split_stage(mini_config, tmp_path, capsys):
     assert "error in stage 'split'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name,field", [(SPLIT_FILE, "train"), (VOCAB_FILE, "tokens")])
+def test_split_artifact_without_its_field_fails_the_split_stage(mini_config, tmp_path, capsys, name, field):
+    out = tmp_path / "run"
+    config = ExperimentConfig.load(mini_config, out_dir=str(out))
+    assert run_pipeline(config, ["split"]) == 0
+    payload = json.loads((out / name).read_text(encoding="utf-8"))
+    del payload[field]
+    (out / name).write_text(json.dumps(payload), encoding="utf-8")
+    capsys.readouterr()
+    assert run_pipeline(config, ["finetune"]) == 1
+    err = capsys.readouterr().err
+    assert "error in stage 'split'" in err
+    assert f"{name} has no usable '{field}'" in err
+
+
 @pytest.fixture
 def mini_cands_run(mini_config, tmp_path):
     """A mini run through gen-cands, ready for the brio stage."""
@@ -305,6 +333,38 @@ def test_truncated_checkpoint_is_not_up_to_date(mini_cands_run, capsys):
     assert "up to date" not in captured.out
 
 
+def test_checkpoint_with_unknown_config_key_fails_the_finetune_stage(mini_cands_run, capsys):
+    config, out = mini_cands_run
+    ckpt = out / FINETUNE_CKPT
+    header, payload = ckpt.read_bytes().split(b"\n", 1)
+    manifest = json.loads(header)
+    manifest["config"]["dropout_rate"] = 0.0
+    ckpt.write_bytes(json.dumps(manifest).encode("utf-8") + b"\n" + payload)
+    capsys.readouterr()
+    assert run_pipeline(config, ["brio"]) == 1
+    err = capsys.readouterr().err
+    assert "error in stage 'finetune'" in err
+    assert "Traceback" not in err
+
+
+def test_loop_stage_reuses_the_gen_cands_cache(mini_cands_run, monkeypatch):
+    import briosum.brio as brio_module
+
+    config, out = mini_cands_run
+    assert config.brio_config().loop_iterations == 1
+    calls = []
+    real = brio_module.generate_candidates
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].doc_id)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(brio_module, "generate_candidates", counting)
+    assert run_pipeline(config, ["loop"]) == 0
+    assert calls == []
+    assert not list(out.glob("candidates_loop*.jsonl"))
+
+
 def test_cut_candidate_cache_fails_the_gen_cands_stage(mini_cands_run, capsys):
     config, out = mini_cands_run
     cache = out / FINETUNE_CANDIDATES
@@ -319,7 +379,7 @@ def test_cut_candidate_cache_fails_the_gen_cands_stage(mini_cands_run, capsys):
         record["candidates"][0]["token_ids"] = token_ids
         return "".join([lines[0], json.dumps(record) + "\n", *lines[2:]])
 
-    bad_ids = [with_first_candidate([BOS_ID, bad, EOS_ID]) for bad in (-1, 10**6)]
+    bad_ids = [with_first_candidate([BOS_ID, bad, EOS_ID]) for bad in (-1, 10**6, 5.5)]
     unframed = with_first_candidate([BOS_ID, 5])
     overlong = with_first_candidate([BOS_ID] + [5] * 20 + [EOS_ID])
     for damaged in (cut_at_line, cut_mid_record, list_header, *bad_ids, unframed, overlong):
@@ -331,6 +391,73 @@ def test_cut_candidate_cache_fails_the_gen_cands_stage(mini_cands_run, capsys):
         assert FINETUNE_CANDIDATES in err
         assert "Traceback" not in err
         assert not (out / BRIO_CKPT).exists()
+
+
+# Every stamped artifact of a mini run with two loop iterations, and the
+# stage that writes it. report.txt and report.csv carry no stamp.
+STAMPED_ARTIFACTS = {
+    SPLIT_FILE: "split",
+    VOCAB_FILE: "split",
+    STANDARD_CKPT: "finetune",
+    FINETUNE_CKPT: "finetune",
+    FINETUNE_METRICS: "finetune",
+    FINETUNE_CANDIDATES: "gen-cands",
+    BRIO_CKPT: "brio",
+    BRIO_METRICS: "brio",
+    LOOP_CKPT: "loop",
+    LOOP_REPORT: "loop",
+    "candidates_loop2.jsonl": "loop",
+    EVAL_FILE: "evaluate",
+}
+
+
+@pytest.fixture(scope="module")
+def mini_full_run(tmp_path_factory):
+    """A finished mini run whose loop generates candidates once (iteration 2)."""
+    base = tmp_path_factory.mktemp("full")
+    corpus = base / "corpus.jsonl"
+    write_corpus_jsonl(make_toy_corpus(30, seed=5, vocab_words=40), corpus)
+    ini = base / "config.ini"
+    ini.write_text(
+        MINI_CONFIG.format(corpus=corpus).replace("loop_iterations = 1", "loop_iterations = 2"),
+        encoding="utf-8",
+    )
+    config = ExperimentConfig.load(ini, out_dir=str(base / "run"))
+    assert run_pipeline(config, list(STAGES)) == 0
+    return ini, base / "run"
+
+
+def test_mini_run_writes_exactly_the_stamped_artifacts_and_reports(mini_full_run):
+    _, out = mini_full_run
+    written = sorted(p.name for p in out.iterdir())
+    assert written == sorted([*STAMPED_ARTIFACTS, REPORT_TXT, REPORT_CSV])
+
+
+def _cut(raw: bytes, how: str) -> bytes:
+    lines = raw.splitlines(keepends=True)
+    half = b"".join(lines[: len(lines) // 2])
+    if how == "half-lines":
+        return half
+    return raw[: len(half) + len(lines[len(lines) // 2]) // 2]
+
+
+@pytest.mark.parametrize("how", ["half-lines", "mid-record"])
+@pytest.mark.parametrize("name", sorted(STAMPED_ARTIFACTS))
+def test_cut_artifact_fails_its_producing_stage(mini_full_run, tmp_path, capsys, name, how):
+    ini, out = mini_full_run
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    config = ExperimentConfig.load(ini, out_dir=str(run))
+    target = run / name
+    target.write_bytes(_cut(target.read_bytes(), how))
+    stage = STAMPED_ARTIFACTS[name]
+    capsys.readouterr()
+    assert run_pipeline(config, [stage]) == 1
+    captured = capsys.readouterr()
+    assert f"error in stage '{stage}'" in captured.err
+    assert name in captured.err
+    assert "up to date" not in captured.out
+    assert "Traceback" not in captured.err + captured.out
 
 
 def test_full_mini_pipeline_and_determinism(mini_config, tmp_path):

@@ -1,5 +1,7 @@
 """Transformer contracts: init, masking, losses, scores, checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -32,8 +34,6 @@ def test_config_validation_names_failed_invariant():
         ModelConfig(vocab_size=10, model_dim=10, num_heads=3).validate()
     with pytest.raises(ValueError, match="vocab_size"):
         ModelConfig(vocab_size=0).validate()
-    with pytest.raises(ValueError, match="dropout_rate"):
-        ModelConfig(vocab_size=10, dropout_rate=1.0).validate()
 
 
 def test_init_params_deterministic():
@@ -327,6 +327,17 @@ def test_checkpoint_rejects_bad_manifest(tmp_path):
     path.write_bytes(b"not json\n\x00\x00")
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
+
+    save_checkpoint(tiny_params(), path)
+    header, payload = path.read_bytes().split(b"\n", 1)
+    manifest = json.loads(header)
+    unknown_key = {**manifest, "config": {**manifest["config"], "dropout_rate": 0.1}}
+    no_count = {**manifest, "params": [{k: v for k, v in e.items() if k != "count"}
+                                       for e in manifest["params"]]}
+    for bad in ([], unknown_key, no_count):
+        path.write_bytes(json.dumps(bad).encode("utf-8") + b"\n" + payload)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
 
 
 def test_training_determinism_same_seed_same_losses():
