@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,7 +33,7 @@ from .model import (
     score_rows,
     teacher_forcing,
 )
-from .optim import init_optimizer, optimizer_step, warmup_schedule
+from .optim import OptimizerState, init_optimizer, optimizer_step, warmup_schedule
 from .rouge import RougeScore, RougeTriple, quality_score, score_pair
 
 logger = logging.getLogger(__name__)
@@ -120,6 +121,23 @@ class FinetuneConfig:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.warmup_steps < 0:
             raise ValueError(f"warmup_steps must be >= 0, got {self.warmup_steps}")
+
+
+class NonFiniteError(FloatingPointError):
+    """Training produced a non-finite loss or parameter."""
+
+
+def _checked_step(
+    params: ModelParams, optimizer: OptimizerState, learning_rate: float, loss: float, epoch: int
+) -> None:
+    """One optimizer step, refused on a non-finite ``loss`` and checked for
+    non-finite parameters after it; a failure names the epoch and step."""
+    where = f"epoch {epoch}, step {optimizer.step + 1}"
+    if not math.isfinite(loss):
+        raise NonFiniteError(f"non-finite training loss {loss} at {where}")
+    optimizer_step(params, optimizer, learning_rate)
+    if not params.all_finite():
+        raise NonFiniteError(f"non-finite parameters after the update at {where}")
 
 
 def strip_special_ids(ids: Sequence[int]) -> list[int]:
@@ -342,7 +360,8 @@ def finetune_stage(
     The warmup length is capped at 10% of the planned step count so the
     corpus-scale default stays usable on toy corpora. Validation quality
     (mean greedy-decode ROUGE quality) is recorded each epoch and the best
-    checkpoint is returned.
+    checkpoint is returned. A non-finite loss or parameter raises
+    ``NonFiniteError``.
     """
     config.validate()
     if not train or not validation:
@@ -366,8 +385,8 @@ def finetune_stage(
             loss = mle_loss(decoder_logprobs(params, enc_out, src_mask, tgt_in), gold)
             loss.backward()
             lr = warmup_schedule(config.learning_rate, optimizer.step + 1, warmup)
-            optimizer_step(params, optimizer, lr)
             losses.append(loss.item())
+            _checked_step(params, optimizer, lr, losses[-1], epoch)
         val = mean_greedy_rouge(params, validation, decode_config)
         history.append(
             {
@@ -392,7 +411,8 @@ def brio_train_stage(
     """Minimize the combined loss over candidate sets with Adafactor.
 
     Documents whose candidate set collapsed to fewer than two members
-    contribute only the MLE term; their count is logged.
+    contribute only the MLE term; their count is logged. A non-finite loss
+    or parameter raises ``NonFiniteError``.
     """
     config.validate()
     if not ranked_sets:
@@ -420,11 +440,12 @@ def brio_train_stage(
                 losses.append(total.item())
                 mles.append(mle_value)
                 ctrs.append(ctr_value)
-            optimizer_step(params, optimizer, config.learning_rate)
+            loss = float(np.mean(losses))
+            _checked_step(params, optimizer, config.learning_rate, loss, epoch)
             history.append(
                 {
                     "step": optimizer.step,
-                    "loss": float(np.mean(losses)),
+                    "loss": loss,
                     "mle": float(np.mean(mles)),
                     "ctr": float(np.mean(ctrs)),
                     "num_docs": len(batch),

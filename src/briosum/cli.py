@@ -30,6 +30,7 @@ from typing import Sequence
 from .brio import (
     BrioConfig,
     FinetuneConfig,
+    NonFiniteError,
     RankedCandidateSet,
     brio_loop,
     brio_train_stage,
@@ -668,6 +669,13 @@ _STAGE_FUNCS = {
 }
 
 
+def _run_stage(ctx: _Context, stage: str) -> str:
+    try:
+        return _STAGE_FUNCS[stage](ctx)
+    except NonFiniteError as exc:
+        raise StageError(stage, str(exc)) from exc
+
+
 def run_pipeline(
     config: ExperimentConfig,
     stages: Sequence[str],
@@ -689,7 +697,7 @@ def run_pipeline(
     ctx = _Context(config=config, out=out, force=force)
     for stage in stages:
         try:
-            note = "up to date" if _outputs_fresh(ctx, stage) else _STAGE_FUNCS[stage](ctx)
+            note = "up to date" if _outputs_fresh(ctx, stage) else _run_stage(ctx, stage)
         except StageError as exc:
             print(f"error in stage '{exc.stage}': {exc}", file=sys.stderr)
             return 1

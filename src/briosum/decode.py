@@ -6,6 +6,12 @@ each timestep; a token's log-prob in group g is reduced by
 that token at the same timestep (Hamming diversity). Beam search is the
 single-group special case, and greedy is a single beam.
 
+Each step scores the active hypotheses of all groups in one scorer call.
+The model scorer decodes incrementally: the encoder output and the
+cross-attention keys and values are computed once per source, and each
+step runs the decoder on one new position against the cached
+self-attention keys and values of the previous step's prefixes.
+
 All searches are deterministic: score ties break toward the lower token id,
 then the earlier hypothesis.
 """
@@ -19,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .corpus import BOS_ID, EOS_ID
-from .model import ModelParams, decoder_logprobs, encode_source
+from .model import DecoderCache, ModelParams, decoder_logprobs, encode_source
 
 Scorer = Callable[[Sequence[tuple[int, ...]]], np.ndarray]
 
@@ -82,19 +88,33 @@ class Hypothesis:
 
 
 def make_scorer(params: ModelParams, source_ids: Sequence[int]) -> Scorer:
-    """Next-token log-prob function with the encoder pass cached.
+    """Next-token log-prob function that decodes incrementally.
 
     The returned callable maps a batch of equal-length BOS-prefixed
-    prefixes to a (batch, vocab) array of next-token log-probs.
+    prefixes to a (batch, vocab) array of next-token log-probs. The encoder
+    pass and each layer's cross-attention K/V are computed once, here. The
+    scorer keeps the self-attention K/V of the prefixes of its previous
+    call, keyed by prefix: when every prefix extends one of them by a
+    token, the decoder runs that one new position; otherwise the batch runs
+    its whole length from an empty cache. Only the previous call's rows are
+    held.
     """
     src = np.asarray([source_ids], dtype=np.int64)
     with ad.no_grad():
         enc_out, src_mask = encode_source(params, src)
+        start = DecoderCache.start(params, enc_out)
+    held, held_rows = start, {}
 
     def step(prefixes: Sequence[tuple[int, ...]]) -> np.ndarray:
+        nonlocal held, held_rows
         tgt = np.asarray(prefixes, dtype=np.int64)
+        parents = [held_rows.get(p[:-1]) for p in prefixes]
+        cache = start
+        if None not in parents:
+            cache, tgt = held.rows(parents), tgt[:, -1:]
         with ad.no_grad():
-            table = decoder_logprobs(params, enc_out, src_mask, tgt)
+            table, held = decoder_logprobs(params, enc_out, src_mask, tgt, cache)
+        held_rows = {p: i for i, p in enumerate(prefixes)}
         return table.data[:, -1, :]
 
     return step
@@ -129,24 +149,33 @@ def group_beam_search(
     for _ in range(config.max_decode_len - 1):
         if not any(active):
             break
+        # One scorer call for every group: log-probs depend only on the
+        # prefixes, and the diversity penalty is applied per group below.
+        stacked = scorer([h.tokens for group in active for h in group])
         chosen_counts = np.zeros(vocab_size)
+        row = 0
         for g in range(config.num_beam_groups):
             if not active[g]:
                 continue
-            logps = scorer([h.tokens for h in active[g]])
+            logps = stacked[row : row + len(active[g])]
+            row += len(active[g])
             if config.diversity_penalty != 0.0:
                 logps = logps - config.diversity_penalty * chosen_counts
             budget = width - len(done[g])
-            # Token-major, so flat index order is (token, hypothesis): a stable
-            # sort on the negated sums breaks ties toward the lower token id,
-            # then the earlier hypothesis.
+            # Token-major, so flat index order is (token, hypothesis): the
+            # first maximum and a stable sort on the negated sums both break
+            # ties toward the lower token id, then the earlier hypothesis.
             sums = (np.array([h.log_prob for h in active[g]])[:, None] + logps).T.ravel()
-            kept = np.arange(sums.size)
-            if budget < sums.size:
-                cutoff = np.partition(sums, sums.size - budget)[sums.size - budget]
-                kept = np.flatnonzero(sums >= cutoff)
+            if budget == 1:
+                picked = [int(np.argmax(sums))]
+            else:
+                kept = np.arange(sums.size)
+                if budget < sums.size:
+                    cutoff = np.partition(sums, sums.size - budget)[sums.size - budget]
+                    kept = np.flatnonzero(sums >= cutoff)
+                picked = kept[np.argsort(-sums[kept], kind="stable")][:budget]
             next_active: list[Hypothesis] = []
-            for k in kept[np.argsort(-sums[kept], kind="stable")][:budget]:
+            for k in picked:
                 token, i = divmod(int(k), len(active[g]))
                 hyp = Hypothesis(
                     tokens=active[g][i].tokens + (token,),

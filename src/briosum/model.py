@@ -183,17 +183,25 @@ def _merge_heads(x: Tensor) -> Tensor:
     return ad.reshape(ad.transpose(x, (0, 2, 1, 3)), (b, t, h * hd))
 
 
-def _attention(
+def _project_kv(params: ModelParams, prefix: str, x: Tensor) -> tuple[Tensor, Tensor]:
+    """An attention layer's keys and values over ``x``, split into heads."""
+    heads = params.config.num_heads
+    k = _split_heads(_linear(x, params[f"{prefix}.wk"], params[f"{prefix}.bk"]), heads)
+    v = _split_heads(_linear(x, params[f"{prefix}.wv"], params[f"{prefix}.bv"]), heads)
+    return k, v
+
+
+def _attend(
     params: ModelParams,
     prefix: str,
     queries: Tensor,
-    keys_values: Tensor,
+    k: Tensor,
+    v: Tensor,
     mask: np.ndarray | None,
 ) -> Tensor:
+    """Attention of ``queries`` over the given heads-split keys and values."""
     cfg = params.config
     q = _split_heads(_linear(queries, params[f"{prefix}.wq"], params[f"{prefix}.bq"]), cfg.num_heads)
-    k = _split_heads(_linear(keys_values, params[f"{prefix}.wk"], params[f"{prefix}.bk"]), cfg.num_heads)
-    v = _split_heads(_linear(keys_values, params[f"{prefix}.wv"], params[f"{prefix}.bv"]), cfg.num_heads)
     scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(cfg.head_dim))
     if mask is not None:
         scores = scores + Tensor(mask)
@@ -222,8 +230,8 @@ def causal_mask(length: int) -> np.ndarray:
     return np.where(upper, _NEG_INF, 0.0)[None, None, :, :]
 
 
-def _embed(params: ModelParams, ids: np.ndarray, pos_table: str) -> Tensor:
-    positions = ad.embedding(params[pos_table], np.arange(ids.shape[1]))
+def _embed(params: ModelParams, ids: np.ndarray, pos_table: str, offset: int = 0) -> Tensor:
+    positions = ad.embedding(params[pos_table], np.arange(offset, offset + ids.shape[1]))
     return ad.embedding(params["tok_emb"], ids) + positions
 
 
@@ -234,9 +242,40 @@ def encode_source(params: ModelParams, src: np.ndarray) -> tuple[Tensor, np.ndar
     x = _embed(params, src, "pos_emb_src")
     for i in range(cfg.num_encoder_layers):
         normed = _norm(params, f"enc{i}.ln1", x)
-        x = x + _attention(params, f"enc{i}.attn", normed, normed, mask)
+        x = x + _attend(params, f"enc{i}.attn", normed, *_project_kv(params, f"enc{i}.attn", normed), mask)
         x = x + _ffn(params, f"enc{i}.ffn", _norm(params, f"enc{i}.ln2", x))
     return _norm(params, "enc_ln", x), mask
+
+
+@dataclass(frozen=True)
+class DecoderCache:
+    """Keys and values that incremental decoding reuses (inference only).
+
+    ``cross[i]`` is decoder layer i's cross-attention (K, V) over the
+    encoder output, (1, heads, Ts, head_dim) each, projected once per
+    source. ``past[i]`` is its self-attention (K, V) over the B prefixes
+    decoded so far, (B, heads, t, head_dim) each; it is empty before the
+    first position.
+    """
+
+    cross: tuple[tuple[Tensor, Tensor], ...]
+    past: tuple[tuple[Tensor, Tensor], ...] = ()
+
+    @classmethod
+    def start(cls, params: ModelParams, enc_out: Tensor) -> "DecoderCache":
+        """An empty-prefix cache over a one-row encoder output."""
+        layers = range(params.config.num_decoder_layers)
+        return cls(tuple(_project_kv(params, f"dec{i}.cross", enc_out) for i in layers))
+
+    @property
+    def length(self) -> int:
+        return self.past[0][0].shape[2] if self.past else 0
+
+    def rows(self, index: Sequence[int]) -> "DecoderCache":
+        """The cache of the prefixes at ``index``, in that order."""
+        return DecoderCache(
+            self.cross, tuple((Tensor(k.data[index]), Tensor(v.data[index])) for k, v in self.past)
+        )
 
 
 def decoder_logprobs(
@@ -244,22 +283,43 @@ def decoder_logprobs(
     enc_out: Tensor,
     src_mask: np.ndarray,
     tgt_in: np.ndarray,
-) -> Tensor:
-    """Decoder stack over ``tgt_in`` prefixes: (B, Tt, vocab) log-probs."""
+    cache: DecoderCache | None = None,
+) -> Tensor | tuple[Tensor, DecoderCache]:
+    """Decoder stack over ``tgt_in`` prefixes: (B, Tt, vocab) log-probs.
+
+    With a ``cache`` of t positions, ``tgt_in`` holds the next Tt tokens of
+    the cached prefixes (positions t..t+Tt-1): they attend to the cached
+    keys plus their own, cross-attention uses the cached encoder K/V, and
+    the result is the log-probs of the new positions with the extended
+    cache. The cache path records no gradient into cached K/V, so it runs
+    only under ``autodiff.no_grad()``.
+    """
     cfg = params.config
-    self_mask = causal_mask(tgt_in.shape[1])
-    x = _embed(params, tgt_in, "pos_emb_tgt")
+    if cache is not None and ad.grad_enabled():
+        raise ValueError("decoder_logprobs: a cache is for inference only; call it under no_grad()")
+    offset = 0 if cache is None else cache.length
+    self_mask = causal_mask(offset + tgt_in.shape[1])[:, :, offset:, :]
+    x = _embed(params, tgt_in, "pos_emb_tgt", offset)
+    past = []
     for i in range(cfg.num_decoder_layers):
         normed = _norm(params, f"dec{i}.ln1", x)
-        x = x + _attention(params, f"dec{i}.self", normed, normed, self_mask)
-        x = x + _attention(params, f"dec{i}.cross", _norm(params, f"dec{i}.ln2", x), enc_out, src_mask)
+        k, v = _project_kv(params, f"dec{i}.self", normed)
+        if cache is not None:
+            if cache.past:
+                k = Tensor(np.concatenate([cache.past[i][0].data, k.data], axis=2))
+                v = Tensor(np.concatenate([cache.past[i][1].data, v.data], axis=2))
+            past.append((k, v))
+        x = x + _attend(params, f"dec{i}.self", normed, k, v, self_mask)
+        cross = _project_kv(params, f"dec{i}.cross", enc_out) if cache is None else cache.cross[i]
+        x = x + _attend(params, f"dec{i}.cross", _norm(params, f"dec{i}.ln2", x), *cross, src_mask)
         x = x + _ffn(params, f"dec{i}.ffn", _norm(params, f"dec{i}.ln3", x))
     x = _norm(params, "dec_ln", x)
     if cfg.tie_embeddings:
         logits = ad.matmul(x, ad.transpose(params["tok_emb"], (1, 0))) + params["out.b"]
     else:
         logits = _linear(x, params["out.w"], params["out.b"])
-    return ad.log_softmax(logits, axis=-1)
+    logprobs = ad.log_softmax(logits, axis=-1)
+    return logprobs if cache is None else (logprobs, DecoderCache(cache.cross, tuple(past)))
 
 
 def _validate_ids(ids: Sequence[int], limit: int, max_len: int, label: str) -> None:

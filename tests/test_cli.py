@@ -525,3 +525,20 @@ def test_run_pipeline_requires_out_dir(mini_config, capsys):
     config = ExperimentConfig.load(mini_config)
     assert run_pipeline(config, ["split"]) == 2
     assert "output directory" in capsys.readouterr().err
+
+
+def test_non_finite_training_fails_the_stage_without_a_traceback(tmp_path, mini_corpus):
+    path = tmp_path / "diverge.ini"
+    path.write_text(
+        MINI_CONFIG.format(corpus=mini_corpus).replace("learning_rate = 1e-3", "learning_rate = 1e300"),
+        encoding="utf-8",
+    )
+    out = tmp_path / "run"
+    assert run_pipeline(ExperimentConfig.load(path, out_dir=str(out)), ["split"]) == 0
+    cmd = [sys.executable, "-m", "briosum", "finetune", "--config", str(path), "--out", str(out)]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 1
+    assert "error in stage 'finetune'" in proc.stderr
+    assert "epoch 1, step " in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (out / FINETUNE_CKPT).exists()

@@ -1,11 +1,13 @@
 """Decoding identities, fixed-logit fixtures, and the enumeration oracle."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
 
-from briosum.corpus import BOS_ID, EOS_ID
+from briosum import autodiff as ad
+from briosum.corpus import BOS_ID, EOS_ID, PAD_ID
 from briosum.decode import (
     DecodeConfig,
     DecodeConfigError,
@@ -15,6 +17,20 @@ from briosum.decode import (
     greedy_decode,
     group_beam_search,
     make_scorer,
+)
+from briosum.model import (
+    DecoderCache,
+    _ffn,
+    _linear,
+    _merge_heads,
+    _norm,
+    _split_heads,
+    causal_mask,
+    decoder_logprobs,
+    encode_source,
+    mle_loss,
+    pad_ids,
+    teacher_forcing,
 )
 
 from helpers import tiny_config, tiny_params
@@ -29,6 +45,49 @@ def fixed_scorer(table):
         return np.tile(row, (len(prefixes), 1))
 
     return step
+
+
+def reference_scorer(params, source_ids):
+    """The full-prefix scorer that incremental decoding replaced: every call
+    re-runs the decoder over whole prefixes and keeps the last position."""
+    with ad.no_grad():
+        enc_out, src_mask = encode_source(params, np.asarray([source_ids], dtype=np.int64))
+
+    def step(prefixes):
+        with ad.no_grad():
+            table = decoder_logprobs(params, enc_out, src_mask, np.asarray(prefixes, dtype=np.int64))
+        return table.data[:, -1, :]
+
+    return step
+
+
+def reference_decoder_logprobs(params, enc_out, src_mask, tgt_in):
+    """The decoder stack as written before the KV cache: each attention layer
+    projects its queries, then its keys and values, in one function."""
+
+    def attention(prefix, queries, keys_values, mask):
+        heads = params.config.num_heads
+        q = _split_heads(_linear(queries, params[f"{prefix}.wq"], params[f"{prefix}.bq"]), heads)
+        k = _split_heads(_linear(keys_values, params[f"{prefix}.wk"], params[f"{prefix}.bk"]), heads)
+        v = _split_heads(_linear(keys_values, params[f"{prefix}.wv"], params[f"{prefix}.bv"]), heads)
+        scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(params.config.head_dim))
+        scores = scores + ad.Tensor(mask)
+        ctx = _merge_heads(ad.matmul(ad.softmax(scores, axis=-1), v))
+        return _linear(ctx, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
+
+    positions = ad.embedding(params["pos_emb_tgt"], np.arange(tgt_in.shape[1]))
+    x = ad.embedding(params["tok_emb"], tgt_in) + positions
+    for i in range(params.config.num_decoder_layers):
+        normed = _norm(params, f"dec{i}.ln1", x)
+        x = x + attention(f"dec{i}.self", normed, normed, causal_mask(tgt_in.shape[1]))
+        x = x + attention(f"dec{i}.cross", _norm(params, f"dec{i}.ln2", x), enc_out, src_mask)
+        x = x + _ffn(params, f"dec{i}.ffn", _norm(params, f"dec{i}.ln3", x))
+    x = _norm(params, "dec_ln", x)
+    if params.config.tie_embeddings:
+        logits = ad.matmul(x, ad.transpose(params["tok_emb"], (1, 0))) + params["out.b"]
+    else:
+        logits = _linear(x, params["out.w"], params["out.b"])
+    return ad.log_softmax(logits, axis=-1)
 
 
 def log_dist(probs):
@@ -330,3 +389,120 @@ def test_determinism_fixed_params():
     b = diverse_beam_search(params, [BOS_ID, 7, EOS_ID], cfg)
     assert [h.tokens for h in a] == [h.tokens for h in b]
     assert [h.log_prob for h in a] == [h.log_prob for h in b]
+
+
+# -- incremental decoding against the full-prefix path -----------------------------------
+
+
+def prefix_tree(vocab_size, depth, seed):
+    """Every prefix of a few random BOS-rooted branches, shortest first."""
+    rng = random.Random(seed)
+    prefixes = {(BOS_ID,)}
+    for _ in range(6):
+        prefix = (BOS_ID,)
+        for _ in range(depth - 1):
+            prefix += (rng.randrange(vocab_size),)
+            prefixes.add(prefix)
+    return sorted(prefixes, key=lambda p: (len(p), p))
+
+
+def sequential_calls(tree, seed):
+    """Search-like order: each call holds some children of the previous call's
+    prefixes (a parent may repeat or drop out)."""
+    rng = random.Random(seed)
+    calls, current = [], [(BOS_ID,)]
+    while current:
+        calls.append(current)
+        children = [p for p in tree if p[:-1] in current]
+        current = [rng.choice(children) for _ in range(len(children))] if children else []
+    return calls
+
+
+def shuffled_calls(tree, seed):
+    """Equal-length batches of the tree's prefixes in random order, so many
+    calls hold prefixes whose parents the previous call did not score."""
+    prefixes = list(tree)
+    random.Random(seed).shuffle(prefixes)
+    calls = []
+    for prefix in prefixes:
+        if calls and len(calls[-1][0]) == len(prefix) and len(calls[-1]) < 3:
+            calls[-1].append(prefix)
+        else:
+            calls.append([prefix])
+    return calls
+
+
+def depth_first_calls(tree):
+    calls = []
+
+    def walk(prefix):
+        calls.append([prefix])
+        for child in (p for p in tree if p[:-1] == prefix):
+            walk(child)
+
+    walk((BOS_ID,))
+    return calls
+
+
+@pytest.mark.parametrize("tie_embeddings", [False, True])
+@pytest.mark.parametrize("order", ["sequential", "shuffled", "depth-first"])
+def test_cached_scorer_matches_full_prefix_scorer(tie_embeddings, order):
+    for seed in range(4):
+        params = tiny_params(seed=seed, tie_embeddings=tie_embeddings, num_decoder_layers=2)
+        tree = prefix_tree(params.config.vocab_size, params.config.max_target_len, seed)
+        calls = {
+            "sequential": sequential_calls(tree, seed),
+            "shuffled": shuffled_calls(tree, seed),
+            "depth-first": depth_first_calls(tree),
+        }[order]
+        for src in ([BOS_ID, 4 + seed, 5, EOS_ID], [BOS_ID, 6, EOS_ID, PAD_ID, PAD_ID]):
+            cached, reference = make_scorer(params, src), reference_scorer(params, src)
+            for prefixes in calls:
+                np.testing.assert_allclose(cached(prefixes), reference(prefixes), rtol=0, atol=1e-12)
+
+
+def test_decoder_cache_refuses_gradient_mode():
+    params = tiny_params(seed=2)
+    enc_out, src_mask = encode_source(params, np.array([[BOS_ID, 4, EOS_ID]]))
+    with ad.no_grad():
+        start = DecoderCache.start(params, enc_out)
+    with pytest.raises(ValueError, match="no_grad"):
+        decoder_logprobs(params, enc_out, src_mask, np.array([[BOS_ID]]), start)
+
+
+def test_searches_match_per_group_search_on_the_full_prefix_scorer():
+    for seed, groups, penalty in itertools.product(range(10), (1, 2, 3), (0.0, 0.5, 1.0)):
+        params = tiny_params(seed=seed)
+        src = [BOS_ID, 4 + seed % 5, 5, EOS_ID]
+        vocab_size = params.config.vocab_size
+        reference = reference_scorer(params, src)
+        diverse = config(
+            num_beams=2 * groups, num_beam_groups=groups, diversity_penalty=penalty, max_decode_len=8
+        )
+        runs = [(diverse_beam_search(params, src, diverse), diverse)]
+        if groups == 1:
+            runs.append((beam_search(params, src, diverse), diverse))
+            greedy = config(max_decode_len=8)
+            runs.append(([greedy_decode(params, src, greedy)], greedy))
+        for got, cfg in runs:
+            want = reference_group_beam_search(reference, vocab_size, cfg)
+            assert [(h.tokens, h.finished) for h in got] == [(h.tokens, h.finished) for h in want]
+            for h, w in zip(got, want):
+                assert h.log_prob == pytest.approx(w.log_prob, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("tie_embeddings", [False, True])
+def test_training_path_decoder_is_bitwise_unchanged(tie_embeddings):
+    params = tiny_params(seed=8, tie_embeddings=tie_embeddings, num_decoder_layers=2)
+    src = pad_ids([[BOS_ID, 4, 5, 6, EOS_ID], [BOS_ID, 7, EOS_ID]])
+    tgt_in, gold = teacher_forcing([[BOS_ID, 8, 9, 10, EOS_ID], [BOS_ID, 11, EOS_ID]])
+    results = []
+    for decoder in (decoder_logprobs, reference_decoder_logprobs):
+        params.zero_grads()
+        table = decoder(params, *encode_source(params, src), tgt_in)
+        mle_loss(table, gold).backward()
+        results.append((table.data.copy(), {name: t.grad.copy() for name, t in params.items()}))
+    (table, grads), (want_table, want_grads) = results
+    assert np.array_equal(table, want_table)
+    for name in want_grads:
+        assert np.array_equal(grads[name], want_grads[name]), name
