@@ -134,9 +134,6 @@ class Tensor:
     def __neg__(self):
         return mul(self, -1.0)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
         return getitem(self, key)
 
@@ -151,9 +148,6 @@ class Tensor:
 
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
 
 
 def _wrap(x) -> Tensor:
@@ -228,26 +222,6 @@ def relu(a: Tensor) -> Tensor:
     return _node(out, (a,), vjp)
 
 
-_GELU_C = np.sqrt(2.0 / np.pi)
-_GELU_A = 0.044715
-
-
-def gelu(a: Tensor) -> Tensor:
-    """tanh-approximation GELU (smooth, so finite differences stay clean)."""
-    a = _wrap(a)
-    x = a.data
-    inner = _GELU_C * (x + _GELU_A * x**3)
-    t = np.tanh(inner)
-    out = 0.5 * x * (1.0 + t)
-
-    def vjp(g):
-        dinner = _GELU_C * (1.0 + 3.0 * _GELU_A * x**2)
-        local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner
-        return (g * local,)
-
-    return _node(out, (a,), vjp)
-
-
 # -- shape ops -----------------------------------------------------------
 
 
@@ -285,21 +259,6 @@ def getitem(a: Tensor, key) -> Tensor:
     return _node(np.array(out, dtype=np.float64, copy=True), (a,), vjp)
 
 
-# -- linear algebra -------------------------------------------------------
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    out = a.data @ b.data
-
-    def vjp(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
-
-    return _node(out, (a, b), vjp)
-
-
 # -- reductions -----------------------------------------------------------
 
 
@@ -316,28 +275,7 @@ def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
     return _node(out, (a,), vjp)
 
 
-def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    a = _wrap(a)
-    count = a.data.size if axis is None else np.prod(
-        [a.data.shape[ax] for ax in np.atleast_1d(axis)]
-    )
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / float(count))
-
-
 # -- fused nonlinearities --------------------------------------------------
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    a = _wrap(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def vjp(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return ((g - dot) * out,)
-
-    return _node(out, (a,), vjp)
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -356,9 +294,10 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis, then scale and shift."""
     x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
-    mu = x.data.mean(axis=-1, keepdims=True)
+    n = x.data.shape[-1]
+    mu = x.data.sum(axis=-1, keepdims=True) / n
     centered = x.data - mu
-    var = (centered**2).mean(axis=-1, keepdims=True)
+    var = (centered**2).sum(axis=-1, keepdims=True) / n
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv_std
     out = xhat * gain.data + bias.data
@@ -367,8 +306,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         g_gain = _unbroadcast(g * xhat, gain.data.shape)
         g_bias = _unbroadcast(g, bias.data.shape)
         dxhat = g * gain.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        m1 = dxhat.sum(axis=-1, keepdims=True) / n
+        m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / n
         g_x = (dxhat - m1 - xhat * m2) * inv_std
         return g_x, g_gain, g_bias
 
@@ -392,16 +331,143 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     return _node(out, (table,), vjp)
 
 
-def gather_last(a: Tensor, idx: np.ndarray) -> Tensor:
-    """Pick one entry along the last axis: out[...] = a[..., idx[...]]."""
-    a = _wrap(a)
-    idx = np.asarray(idx, dtype=np.int64)
-    out = np.take_along_axis(a.data, idx[..., None], axis=-1)[..., 0]
+def gold_logprob_sum(logprobs: Tensor, gold: np.ndarray, keep: np.ndarray, axis=None) -> Tensor:
+    """Sum of the gold entries ``logprobs[..., gold[...]]`` where ``keep`` holds.
+
+    ``gold`` and ``keep`` have the shape of ``logprobs`` without its last
+    axis; the sum runs over ``axis`` of that shape (all of it by default).
+    """
+    a = _wrap(logprobs)
+    idx = np.where(keep, gold, 0)[..., None]
+    weight = keep.astype(np.float64)
+    out = (np.take_along_axis(a.data, idx, axis=-1)[..., 0] * weight).sum(axis=axis)
 
     def vjp(g):
+        g_picked = (g if axis is None else np.expand_dims(g, axis)) * weight
         full = np.zeros_like(a.data)
-        np.put_along_axis(full, idx[..., None], g[..., None], axis=-1)
+        np.put_along_axis(full, idx, g_picked[..., None], axis=-1)
         return (full,)
 
     return _node(out, (a,), vjp)
 
+
+# -- fused layers ----------------------------------------------------------
+#
+# Each op is one tape node with a hand-written vjp in place of a chain of
+# small ops: at these sizes a layer's cost is per-op Python overhead, not
+# arithmetic. Weight gradients contract all leading axes in one product.
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """(..., n) as (rows, n)."""
+    return a.reshape(-1, a.shape[-1])
+
+
+def _to_heads(a: np.ndarray, heads: int) -> np.ndarray:
+    """(B, T, d) -> (B, heads, T, d // heads), a view."""
+    b, t, d = a.shape
+    return a.reshape(b, t, heads, d // heads).transpose(0, 2, 1, 3)
+
+
+def _from_heads(a: np.ndarray) -> np.ndarray:
+    """(B, heads, T, head_dim) -> (B, T, heads * head_dim)."""
+    b, h, t, hd = a.shape
+    return a.transpose(0, 2, 1, 3).reshape(b, t, h * hd)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` over the last axis of ``x``."""
+    out = x.data @ w.data + b.data
+
+    def vjp(g):
+        g_rows = _rows(g)
+        return g @ w.data.T, _rows(x.data).T @ g_rows, g_rows.sum(axis=0)
+
+    return _node(out, (x, w, b), vjp)
+
+
+def attention(
+    queries: Tensor,
+    k: Tensor,
+    v: Tensor,
+    wq: Tensor,
+    bq: Tensor,
+    wo: Tensor,
+    bo: Tensor,
+    mask: np.ndarray | None,
+    heads: int,
+) -> Tensor:
+    """Multi-head attention from the query projection to the output projection.
+
+    ``queries`` is (B, Tq, d). ``k`` and ``v`` are projected keys and values
+    in the merged layout, (B, Tk, d) or (1, Tk, d); a one-row K/V serves all
+    B query rows. ``mask`` is an additive array broadcastable to
+    (B, heads, Tq, Tk), or None. Scores are scaled by 1/sqrt(d / heads). The
+    softmax probabilities are kept for the vjp rather than recomputed
+    (Dao et al. 2022 recompute them; at these sizes storing is cheaper).
+    """
+    x = queries.data
+    scale = 1.0 / np.sqrt(x.shape[-1] // heads)
+    q = _to_heads(x @ wq.data + bq.data, heads)
+    kh, vh = _to_heads(k.data, heads), _to_heads(v.data, heads)
+    scores = (q @ kh.transpose(0, 1, 3, 2)) * scale
+    if mask is not None:
+        scores = scores + mask
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    ctx = _from_heads(probs @ vh)
+    out = ctx @ wo.data + bo.data
+
+    def vjp(g):
+        g_rows = _rows(g)
+        g_ctx = _to_heads(g @ wo.data.T, heads)
+        g_probs = g_ctx @ vh.transpose(0, 1, 3, 2)
+        g_scores = (g_probs - (g_probs * probs).sum(axis=-1, keepdims=True)) * probs * scale
+        g_kh = g_scores.transpose(0, 1, 3, 2) @ q
+        g_vh = probs.transpose(0, 1, 3, 2) @ g_ctx
+        if k.data.shape[0] != x.shape[0]:
+            g_kh, g_vh = g_kh.sum(axis=0, keepdims=True), g_vh.sum(axis=0, keepdims=True)
+        g_q = _rows(_from_heads(g_scores @ kh))
+        return (
+            (g_q @ wq.data.T).reshape(x.shape),
+            _from_heads(g_kh),
+            _from_heads(g_vh),
+            _rows(x).T @ g_q,
+            g_q.sum(axis=0),
+            _rows(ctx).T @ g_rows,
+            g_rows.sum(axis=0),
+        )
+
+    return _node(out, (queries, k, v, wq, bq, wo, bo), vjp)
+
+
+_GELU_C = np.sqrt(2.0 / np.pi)
+_GELU_A = 0.044715
+
+
+def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """Position-wise feed-forward layer ``gelu(x @ w1 + b1) @ w2 + b2``.
+
+    GELU is the tanh approximation (smooth, so finite differences stay
+    clean). The cube is ``h * h * h``: numpy's ``h**3`` goes through ``pow``,
+    which is far slower on these arrays.
+    """
+    h = x.data @ w1.data + b1.data
+    t = np.tanh(_GELU_C * (h + _GELU_A * (h * h * h)))
+    act = 0.5 * h * (1.0 + t)
+    out = act @ w2.data + b2.data
+
+    def vjp(g):
+        g_rows = _rows(g)
+        dinner = _GELU_C * (1.0 + 3.0 * _GELU_A * (h * h))
+        g_h = (g @ w2.data.T) * (0.5 * (1.0 + t) + 0.5 * h * (1.0 - t * t) * dinner)
+        g_h_rows = _rows(g_h)
+        return (
+            g_h @ w1.data.T,
+            _rows(x.data).T @ g_h_rows,
+            g_h_rows.sum(axis=0),
+            _rows(act).T @ g_rows,
+            g_rows.sum(axis=0),
+        )
+
+    return _node(out, (x, w1, b1, w2, b2), vjp)

@@ -563,8 +563,6 @@ def _stage_finetune(ctx: _Context) -> str:
     prepared = _load_prepared(ctx)
     model_config = ctx.config.model_config(prepared.vocab.size)
     standard = init_params(model_config, ctx.config.seed)
-    meta = {"config_hash": ctx.hash}
-    save_checkpoint(standard, ctx.path(STANDARD_CKPT), meta | {"stage": "standard"})
     best, history = finetune_stage(
         standard,
         prepared.train,
@@ -573,6 +571,10 @@ def _stage_finetune(ctx: _Context) -> str:
         ctx.config.decode_config(),
         seed=ctx.config.seed,
     )
+    # Written only once training has succeeded, so a failed stage leaves no
+    # checkpoint for 'evaluate' to score alone; finetune_stage trains a copy.
+    meta = {"config_hash": ctx.hash}
+    save_checkpoint(standard, ctx.path(STANDARD_CKPT), meta | {"stage": "standard"})
     save_checkpoint(best, ctx.path(FINETUNE_CKPT), meta | {"stage": "finetune"})
     _write_json(ctx.path(FINETUNE_METRICS), {"config_hash": ctx.hash, "history": history})
     return f"{len(history)} epochs, best val quality {max(h['val_quality'] for h in history):.4f}"

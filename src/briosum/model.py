@@ -6,8 +6,9 @@ projection is a separate parameter (untied). Everything runs in float64;
 checkpoints store float32 on disk.
 
 Shape conventions: source batches are (B, Ts) int arrays, target batches
-(B, Tt); hidden activations are (B, T, model_dim); attention works on
-(B, heads, T, head_dim).
+(B, Tt); hidden activations, keys and values are (B, T, model_dim). The
+layers are the fused ops of ``autodiff`` (``linear``, ``attention``,
+``ffn``), one tape node each.
 """
 
 from __future__ import annotations
@@ -169,26 +170,12 @@ def init_params(config: ModelConfig, seed: int) -> ModelParams:
 # -- forward pieces --------------------------------------------------------
 
 
-def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return ad.matmul(x, w) + b
-
-
-def _split_heads(x: Tensor, num_heads: int) -> Tensor:
-    b, t, d = x.shape
-    return ad.transpose(ad.reshape(x, (b, t, num_heads, d // num_heads)), (0, 2, 1, 3))
-
-
-def _merge_heads(x: Tensor) -> Tensor:
-    b, h, t, hd = x.shape
-    return ad.reshape(ad.transpose(x, (0, 2, 1, 3)), (b, t, h * hd))
-
-
 def _project_kv(params: ModelParams, prefix: str, x: Tensor) -> tuple[Tensor, Tensor]:
-    """An attention layer's keys and values over ``x``, split into heads."""
-    heads = params.config.num_heads
-    k = _split_heads(_linear(x, params[f"{prefix}.wk"], params[f"{prefix}.bk"]), heads)
-    v = _split_heads(_linear(x, params[f"{prefix}.wv"], params[f"{prefix}.bv"]), heads)
-    return k, v
+    """An attention layer's keys and values over ``x``, (B, T, model_dim) each."""
+    return (
+        ad.linear(x, params[f"{prefix}.wk"], params[f"{prefix}.bk"]),
+        ad.linear(x, params[f"{prefix}.wv"], params[f"{prefix}.bv"]),
+    )
 
 
 def _attend(
@@ -199,19 +186,13 @@ def _attend(
     v: Tensor,
     mask: np.ndarray | None,
 ) -> Tensor:
-    """Attention of ``queries`` over the given heads-split keys and values."""
-    cfg = params.config
-    q = _split_heads(_linear(queries, params[f"{prefix}.wq"], params[f"{prefix}.bq"]), cfg.num_heads)
-    scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(cfg.head_dim))
-    if mask is not None:
-        scores = scores + Tensor(mask)
-    ctx = _merge_heads(ad.matmul(ad.softmax(scores, axis=-1), v))
-    return _linear(ctx, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
+    """Attention of ``queries`` over the given projected keys and values."""
+    weights = (params[f"{prefix}.{name}"] for name in ("wq", "bq", "wo", "bo"))
+    return ad.attention(queries, k, v, *weights, mask, params.config.num_heads)
 
 
 def _ffn(params: ModelParams, prefix: str, x: Tensor) -> Tensor:
-    hidden = ad.gelu(_linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]))
-    return _linear(hidden, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
+    return ad.ffn(x, *(params[f"{prefix}.{name}"] for name in ("w1", "b1", "w2", "b2")))
 
 
 def _norm(params: ModelParams, prefix: str, x: Tensor) -> Tensor:
@@ -252,10 +233,9 @@ class DecoderCache:
     """Keys and values that incremental decoding reuses (inference only).
 
     ``cross[i]`` is decoder layer i's cross-attention (K, V) over the
-    encoder output, (1, heads, Ts, head_dim) each, projected once per
-    source. ``past[i]`` is its self-attention (K, V) over the B prefixes
-    decoded so far, (B, heads, t, head_dim) each; it is empty before the
-    first position.
+    encoder output, (1, Ts, model_dim) each, projected once per source.
+    ``past[i]`` is its self-attention (K, V) over the B prefixes decoded so
+    far, (B, t, model_dim) each; it is empty before the first position.
     """
 
     cross: tuple[tuple[Tensor, Tensor], ...]
@@ -269,7 +249,7 @@ class DecoderCache:
 
     @property
     def length(self) -> int:
-        return self.past[0][0].shape[2] if self.past else 0
+        return self.past[0][0].shape[1] if self.past else 0
 
     def rows(self, index: Sequence[int]) -> "DecoderCache":
         """The cache of the prefixes at ``index``, in that order."""
@@ -306,19 +286,16 @@ def decoder_logprobs(
         k, v = _project_kv(params, f"dec{i}.self", normed)
         if cache is not None:
             if cache.past:
-                k = Tensor(np.concatenate([cache.past[i][0].data, k.data], axis=2))
-                v = Tensor(np.concatenate([cache.past[i][1].data, v.data], axis=2))
+                k = Tensor(np.concatenate([cache.past[i][0].data, k.data], axis=1))
+                v = Tensor(np.concatenate([cache.past[i][1].data, v.data], axis=1))
             past.append((k, v))
         x = x + _attend(params, f"dec{i}.self", normed, k, v, self_mask)
         cross = _project_kv(params, f"dec{i}.cross", enc_out) if cache is None else cache.cross[i]
         x = x + _attend(params, f"dec{i}.cross", _norm(params, f"dec{i}.ln2", x), *cross, src_mask)
         x = x + _ffn(params, f"dec{i}.ffn", _norm(params, f"dec{i}.ln3", x))
     x = _norm(params, "dec_ln", x)
-    if cfg.tie_embeddings:
-        logits = ad.matmul(x, ad.transpose(params["tok_emb"], (1, 0))) + params["out.b"]
-    else:
-        logits = _linear(x, params["out.w"], params["out.b"])
-    logprobs = ad.log_softmax(logits, axis=-1)
+    out_w = ad.transpose(params["tok_emb"], (1, 0)) if cfg.tie_embeddings else params["out.w"]
+    logprobs = ad.log_softmax(ad.linear(x, out_w, params["out.b"]), axis=-1)
     return logprobs if cache is None else (logprobs, DecoderCache(cache.cross, tuple(past)))
 
 
@@ -370,18 +347,15 @@ def mle_loss(logprobs: Tensor | np.ndarray, gold_ids: Sequence[int] | np.ndarray
     ``gold_ids`` has the shape of ``logprobs`` without its vocabulary axis:
     (T,) for one table, (B, T) for a batch (the mean is over all kept tokens).
     """
-    table = logprobs if isinstance(logprobs, Tensor) else Tensor(logprobs)
     gold = np.asarray(gold_ids, dtype=np.int64)
-    if gold.shape != table.shape[:-1]:
+    if gold.shape != logprobs.shape[:-1]:
         raise ValueError(
-            f"gold shape {gold.shape} does not match log-prob rows {table.shape[:-1]}"
+            f"gold shape {gold.shape} does not match log-prob rows {logprobs.shape[:-1]}"
         )
     keep = gold != PAD_ID
     if not keep.any():
         raise ValueError("no non-PAD positions to score")
-    picked = ad.gather_last(table, np.where(keep, gold, 0))
-    masked = picked * Tensor(keep.astype(np.float64))
-    return masked.sum() * (-1.0 / float(keep.sum()))
+    return ad.gold_logprob_sum(logprobs, gold, keep) * (-1.0 / float(keep.sum()))
 
 
 def check_candidates(config: ModelConfig, candidates: Sequence[Sequence[int]]) -> None:
@@ -405,9 +379,7 @@ def score_rows(
     enc_out, src_mask = encode_source(params, np.asarray([source_ids], dtype=np.int64))
     tgt_in, gold = teacher_forcing(rows)
     table = decoder_logprobs(params, enc_out, src_mask, tgt_in)
-    keep = gold != PAD_ID
-    picked = ad.gather_last(table, np.where(keep, gold, 0))
-    sums = (picked * Tensor(keep.astype(np.float64))).sum(axis=1)
+    sums = ad.gold_logprob_sum(table, gold, gold != PAD_ID, axis=1)
     return sums, np.array([len(row) - 1 for row in rows], dtype=np.float64)
 
 

@@ -60,17 +60,21 @@ def _adam_update(grad: np.ndarray, slot: dict[str, np.ndarray], step: int) -> np
     return m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
+# Means are written ``x.sum(axis) / n``: np.mean does the same reduction and
+# division, and its wrapper costs more than the arithmetic at these sizes.
+
+
 def _rms(x: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(x * x)))
+    return float(np.sqrt((x * x).sum() / x.size))
 
 
 def _adafactor_update(grad: np.ndarray, slot: dict[str, np.ndarray], step: int) -> np.ndarray:
     decay = 1.0 - step**ADAFACTOR_DECAY_POWER
     sq = grad * grad + ADAFACTOR_EPS1
     if "row" in slot:
-        slot["row"] = decay * slot["row"] + (1.0 - decay) * sq.mean(axis=-1)
-        slot["col"] = decay * slot["col"] + (1.0 - decay) * sq.mean(axis=-2)
-        row_mean = slot["row"].mean(axis=-1, keepdims=True)
+        slot["row"] = decay * slot["row"] + (1.0 - decay) * (sq.sum(axis=-1) / sq.shape[-1])
+        slot["col"] = decay * slot["col"] + (1.0 - decay) * (sq.sum(axis=-2) / sq.shape[-2])
+        row_mean = slot["row"].sum(axis=-1, keepdims=True) / slot["row"].shape[-1]
         row_factor = 1.0 / np.sqrt(slot["row"] / row_mean)
         col_factor = 1.0 / np.sqrt(slot["col"])
         update = grad * row_factor[..., None] * col_factor[..., None, :]

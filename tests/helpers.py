@@ -1,4 +1,5 @@
-"""Shared fixtures: tiny model factories and the finite-difference checker."""
+"""Shared fixtures: tiny model factories, the finite-difference checker, and
+the primitive ops and composed graphs that the fused autodiff ops replace."""
 
 from __future__ import annotations
 
@@ -12,6 +13,11 @@ GRADCHECK_EPS = 1e-4
 # Guarded relative error: |a - f| / max(|a|, |f|, floor). The floor keeps
 # near-zero gradients from amplifying finite-difference noise.
 GRADCHECK_FLOOR = 1e-4
+
+
+# Fused ops against the composed graphs they replace: their vjps sum in
+# another order, so values and gradients agree to this relative bound.
+RELATIVE_BOUND = 1e-10
 
 
 def tiny_config(vocab_size: int = 13, **overrides) -> ModelConfig:
@@ -107,3 +113,109 @@ def tensor_gradcheck(build_loss, leaves: dict[str, ad.Tensor], sample: int | Non
             fd = (up - down) / (2.0 * GRADCHECK_EPS)
             worst = max(worst, relative_error(gflat[i], fd))
     return worst
+
+
+def assert_relative_close(got: np.ndarray, want: np.ndarray, scale: float | None = None) -> None:
+    """``|got - want| <= RELATIVE_BOUND * scale`` entrywise, with ``scale``
+    the largest ``|want|`` unless given (e.g. over a whole gradient set,
+    where some entries are exactly zero in exact arithmetic)."""
+    scale = float(np.abs(want).max()) if scale is None else scale
+    np.testing.assert_allclose(got, want, rtol=RELATIVE_BOUND, atol=RELATIVE_BOUND * scale)
+
+
+# -- primitive ops -------------------------------------------------------------
+#
+# The composed graphs below are the references for the fused ops in
+# ``briosum.autodiff`` (``linear``, ``attention``, ``ffn`` and
+# ``gold_logprob_sum``). ``src/`` no longer uses the primitive ops they are
+# built from, so those live here.
+
+
+def matmul(a, b) -> ad.Tensor:
+    a, b = ad._wrap(a), ad._wrap(b)
+    out = a.data @ b.data
+
+    def vjp(g):
+        ga = g @ np.swapaxes(b.data, -1, -2)
+        gb = np.swapaxes(a.data, -1, -2) @ g
+        return ad._unbroadcast(ga, a.data.shape), ad._unbroadcast(gb, b.data.shape)
+
+    return ad._node(out, (a, b), vjp)
+
+
+def softmax(a, axis: int = -1) -> ad.Tensor:
+    a = ad._wrap(a)
+    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    out = e / e.sum(axis=axis, keepdims=True)
+
+    def vjp(g):
+        dot = (g * out).sum(axis=axis, keepdims=True)
+        return ((g - dot) * out,)
+
+    return ad._node(out, (a,), vjp)
+
+
+GELU_C = np.sqrt(2.0 / np.pi)
+GELU_A = 0.044715
+
+
+def gelu(a) -> ad.Tensor:
+    """tanh-approximation GELU; the cube is ``x * x * x`` as in ``ad.ffn``."""
+    a = ad._wrap(a)
+    x = a.data
+    t = np.tanh(GELU_C * (x + GELU_A * (x * x * x)))
+    out = 0.5 * x * (1.0 + t)
+
+    def vjp(g):
+        dinner = GELU_C * (1.0 + 3.0 * GELU_A * x**2)
+        return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner),)
+
+    return ad._node(out, (a,), vjp)
+
+
+def gather_last(a, idx: np.ndarray) -> ad.Tensor:
+    """Pick one entry along the last axis: out[...] = a[..., idx[...]]."""
+    a = ad._wrap(a)
+    idx = np.asarray(idx, dtype=np.int64)
+    out = np.take_along_axis(a.data, idx[..., None], axis=-1)[..., 0]
+
+    def vjp(g):
+        full = np.zeros_like(a.data)
+        np.put_along_axis(full, idx[..., None], g[..., None], axis=-1)
+        return (full,)
+
+    return ad._node(out, (a,), vjp)
+
+
+# -- composed graphs -------------------------------------------------------------
+
+
+def composed_linear(x, w, b) -> ad.Tensor:
+    return matmul(x, w) + b
+
+
+def composed_attention(queries, k, v, wq, bq, wo, bo, mask, heads) -> ad.Tensor:
+    """Head split, scaled and masked scores, softmax, weighted sum, head
+    merge and output projection, one primitive op at a time."""
+
+    def split(t):
+        b, n, d = t.shape
+        return ad.transpose(ad.reshape(t, (b, n, heads, d // heads)), (0, 2, 1, 3))
+
+    q = split(composed_linear(queries, wq, bq))
+    scores = matmul(q, ad.transpose(split(k), (0, 1, 3, 2))) * (1.0 / np.sqrt(queries.shape[-1] // heads))
+    if mask is not None:
+        scores = scores + ad.Tensor(mask)
+    ctx = matmul(softmax(scores, axis=-1), split(v))
+    b, h, n, hd = ctx.shape
+    return composed_linear(ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b, n, h * hd)), wo, bo)
+
+
+def composed_ffn(x, w1, b1, w2, b2) -> ad.Tensor:
+    return composed_linear(gelu(composed_linear(x, w1, b1)), w2, b2)
+
+
+def composed_gold_sum(logprobs, gold: np.ndarray, keep: np.ndarray, axis=None) -> ad.Tensor:
+    picked = gather_last(logprobs, np.where(keep, gold, 0))
+    return (picked * ad.Tensor(keep.astype(np.float64))).sum(axis=axis)

@@ -6,7 +6,18 @@ import pytest
 from briosum import autodiff as ad
 from briosum.autodiff import Tensor
 
-from helpers import tensor_gradcheck
+from helpers import (
+    assert_relative_close,
+    composed_attention,
+    composed_ffn,
+    composed_gold_sum,
+    composed_linear,
+    gather_last,
+    gelu,
+    matmul,
+    softmax,
+    tensor_gradcheck,
+)
 
 RNG = np.random.default_rng(42)
 
@@ -38,22 +49,22 @@ def test_broadcast_add_bias():
 
 def test_matmul_2d():
     a, b = leaf((3, 4)), leaf((4, 5))
-    err = tensor_gradcheck(lambda: ad.matmul(a, b).sum(), {"a": a, "b": b})
+    err = tensor_gradcheck(lambda: matmul(a, b).sum(), {"a": a, "b": b})
     assert err < 1e-6
 
 
 def test_matmul_batched_and_broadcast():
     a, b = leaf((2, 3, 4, 5)), leaf((2, 3, 5, 4))
-    err = tensor_gradcheck(lambda: (ad.matmul(a, b) * ad.matmul(a, b)).sum(), {"a": a, "b": b}, sample=40)
+    err = tensor_gradcheck(lambda: (matmul(a, b) * matmul(a, b)).sum(), {"a": a, "b": b}, sample=40)
     assert err < 1e-6
     # weights shared across leading dims
     x, w = leaf((2, 3, 4)), leaf((4, 6))
-    err = tensor_gradcheck(lambda: (ad.matmul(x, w) * ad.matmul(x, w)).sum(), {"x": x, "w": w})
+    err = tensor_gradcheck(lambda: (matmul(x, w) * matmul(x, w)).sum(), {"x": x, "w": w})
     assert err < 1e-6
     # leading-dim broadcast: (1, ...) against (N, ...)
     enc, q = leaf((1, 3, 4)), leaf((5, 3, 4))
     err = tensor_gradcheck(
-        lambda: ad.matmul(q, ad.transpose(enc, (0, 2, 1))).sum(), {"enc": enc, "q": q}
+        lambda: matmul(q, ad.transpose(enc, (0, 2, 1))).sum(), {"enc": enc, "q": q}
     )
     assert err < 1e-6
 
@@ -70,18 +81,17 @@ def test_reductions():
     a = leaf((3, 4))
     for build in (
         lambda: a.sum(),
-        lambda: a.mean(),
         lambda: (a.sum(axis=1) * a.sum(axis=1)).sum(),
-        lambda: (a.mean(axis=0) * a.mean(axis=0)).sum(),
+        lambda: (a.sum(axis=0) * a.sum(axis=0)).sum(),
     ):
         assert tensor_gradcheck(build, {"a": a}) < 1e-6
 
 
 def test_softmax_rows_normalize_and_grad():
     a = leaf((4, 7))
-    out = ad.softmax(a)
+    out = softmax(a)
     np.testing.assert_allclose(out.data.sum(axis=-1), 1.0, atol=1e-12)
-    err = tensor_gradcheck(lambda: (ad.softmax(a) * ad.softmax(a)).sum(), {"a": a})
+    err = tensor_gradcheck(lambda: (softmax(a) * softmax(a)).sum(), {"a": a})
     assert err < 1e-6
 
 
@@ -104,7 +114,7 @@ def test_layer_norm_grad():
 
 def test_gelu_and_relu_grads():
     a = leaf((5, 5))
-    assert tensor_gradcheck(lambda: ad.gelu(a).sum(), {"a": a}) < 1e-6
+    assert tensor_gradcheck(lambda: gelu(a).sum(), {"a": a}) < 1e-6
     # keep relu inputs away from the kink
     shifted = Tensor(np.where(np.abs(a.data) < 0.05, a.data + 0.2, a.data), requires_grad=True)
     assert tensor_gradcheck(lambda: ad.relu(shifted).sum(), {"a": shifted}) < 1e-6
@@ -126,8 +136,103 @@ def test_embedding_gather_with_repeats():
 def test_gather_last():
     a = leaf((4, 6))
     idx = np.array([0, 5, 2, 2])
-    err = tensor_gradcheck(lambda: (ad.gather_last(a, idx) * ad.gather_last(a, idx)).sum(), {"a": a})
+    err = tensor_gradcheck(lambda: (gather_last(a, idx) * gather_last(a, idx)).sum(), {"a": a})
     assert err < 1e-6
+
+
+def layer_norm_with_np_mean(x, gain, bias, upstream, eps=1e-5):
+    """``ad.layer_norm``'s output and input gradient as written with ``np.mean``."""
+    centered = x - x.mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt((centered**2).mean(axis=-1, keepdims=True) + eps)
+    xhat = centered * inv_std
+    dxhat = upstream * gain
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    return xhat * gain + bias, (dxhat - m1 - xhat * m2) * inv_std
+
+
+@pytest.mark.parametrize("shape", [(3, 8), (200, 32), (7, 16, 64)])
+def test_layer_norm_equals_np_mean_form(shape):
+    x, g, b = leaf(shape), leaf(shape[-1:]), leaf(shape[-1:])
+    upstream = RNG.normal(size=shape)
+    out = ad.layer_norm(x, g, b)
+    (out * Tensor(upstream)).sum().backward()
+    want, want_grad = layer_norm_with_np_mean(x.data, g.data, b.data, upstream)
+    assert np.array_equal(out.data, want)
+    assert np.array_equal(x.grad, want_grad)
+
+
+# -- fused ops against the composed graphs they replace -----------------------------
+
+
+def check_fused_op(fused, composed, leaves, fixed=(), sample=None):
+    """Equal values and input gradients within the relative bound, and a
+    passing gradcheck. ``fused`` and ``composed`` take ``*leaves, *fixed``."""
+    upstream = None
+    results = []
+    for op in (fused, composed):
+        for t in leaves:
+            t.zero_grad()
+        out = op(*leaves, *fixed)
+        if upstream is None:
+            upstream = Tensor(RNG.normal(size=out.shape))
+        (out * upstream).sum().backward()
+        results.append((out.data.copy(), [t.grad.copy() for t in leaves]))
+    (got, got_grads), (want, want_grads) = results
+    assert_relative_close(got, want)
+    for got_grad, want_grad in zip(got_grads, want_grads):
+        assert_relative_close(got_grad, want_grad)
+    named = {str(i): t for i, t in enumerate(leaves)}
+    return tensor_gradcheck(lambda: (fused(*leaves, *fixed) * upstream).sum(), named, sample=sample)
+
+
+@pytest.mark.parametrize("x_shape", [(3, 4), (2, 3, 4)])
+def test_linear_matches_composed_graph(x_shape):
+    leaves = [leaf(x_shape), leaf((4, 5)), leaf((5,))]
+    assert check_fused_op(ad.linear, composed_linear, leaves) < 1e-6
+
+
+def causal(n):
+    return np.where(np.triu(np.ones((n, n), dtype=bool), k=1), -1e9, 0.0)[None, None]
+
+
+ATTENTION_CASES = {
+    # case: (query rows, K/V rows, key positions, additive mask)
+    "self-causal": (2, 2, 4, causal(4)),
+    # one K/V row shared by 3 query rows, its last 2 key positions PAD
+    "cross-broadcast-pad": (3, 1, 5, np.array([0.0, 0.0, 0.0, -1e9, -1e9])[None, None, None]),
+    "unmasked": (2, 2, 3, None),
+}
+
+
+@pytest.mark.parametrize("case", list(ATTENTION_CASES))
+def test_attention_matches_composed_graph(case):
+    q_rows, kv_rows, tk, mask = ATTENTION_CASES[case]
+    d, heads = 8, 2
+    leaves = [leaf((q_rows, 4, d)), leaf((kv_rows, tk, d)), leaf((kv_rows, tk, d))]
+    leaves += [leaf((d, d), 0.5), leaf((d,)), leaf((d, d), 0.5), leaf((d,))]
+    err = check_fused_op(ad.attention, composed_attention, leaves, fixed=(mask, heads), sample=24)
+    assert err < 1e-6
+    if case == "cross-broadcast-pad":
+        k, v = leaves[1], leaves[2]
+        assert not k.grad[:, 3:].any() and not v.grad[:, 3:].any()
+
+
+def test_ffn_matches_composed_graph():
+    leaves = [leaf((2, 3, 4)), leaf((4, 6)), leaf((6,)), leaf((6, 4)), leaf((4,))]
+    assert check_fused_op(ad.ffn, composed_ffn, leaves) < 1e-6
+
+
+@pytest.mark.parametrize("axis", [None, 1])
+def test_gold_logprob_sum_matches_composed_graph(axis):
+    gold = np.array([[1, 4, 2, 0], [0, 0, 0, 0], [5, 5, 3, 0]])
+    keep = gold != 0  # row 1 is all PAD, beside two real rows
+    table = leaf((3, 4, 6))
+    err = check_fused_op(ad.gold_logprob_sum, composed_gold_sum, [table], fixed=(gold, keep, axis))
+    assert err < 1e-6
+    if axis is not None:
+        assert ad.gold_logprob_sum(table, gold, keep, axis).data[1] == 0.0
+    assert not table.grad[1].any()
 
 
 def test_backward_accumulates_on_second_call():

@@ -542,3 +542,11 @@ def test_non_finite_training_fails_the_stage_without_a_traceback(tmp_path, mini_
     assert "epoch 1, step " in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (out / FINETUNE_CKPT).exists()
+    assert not (out / STANDARD_CKPT).exists()
+    # With no checkpoint left behind, evaluate names the failed stage.
+    cmd[3] = "evaluate"
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 1
+    assert "error in stage 'finetune'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (out / EVAL_FILE).exists()

@@ -20,11 +20,6 @@ from briosum.decode import (
 )
 from briosum.model import (
     DecoderCache,
-    _ffn,
-    _linear,
-    _merge_heads,
-    _norm,
-    _split_heads,
     causal_mask,
     decoder_logprobs,
     encode_source,
@@ -33,7 +28,14 @@ from briosum.model import (
     teacher_forcing,
 )
 
-from helpers import tiny_config, tiny_params
+from helpers import (
+    assert_relative_close,
+    composed_attention,
+    composed_ffn,
+    composed_linear,
+    tiny_config,
+    tiny_params,
+)
 
 
 def fixed_scorer(table):
@@ -62,32 +64,30 @@ def reference_scorer(params, source_ids):
 
 
 def reference_decoder_logprobs(params, enc_out, src_mask, tgt_in):
-    """The decoder stack as written before the KV cache: each attention layer
-    projects its queries, then its keys and values, in one function."""
+    """The decoder stack composed from primitive ops, one tape node per
+    matmul, reshape, softmax and bias add, with no KV cache."""
+    heads = params.config.num_heads
 
     def attention(prefix, queries, keys_values, mask):
-        heads = params.config.num_heads
-        q = _split_heads(_linear(queries, params[f"{prefix}.wq"], params[f"{prefix}.bq"]), heads)
-        k = _split_heads(_linear(keys_values, params[f"{prefix}.wk"], params[f"{prefix}.bk"]), heads)
-        v = _split_heads(_linear(keys_values, params[f"{prefix}.wv"], params[f"{prefix}.bv"]), heads)
-        scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(params.config.head_dim))
-        scores = scores + ad.Tensor(mask)
-        ctx = _merge_heads(ad.matmul(ad.softmax(scores, axis=-1), v))
-        return _linear(ctx, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
+        p = lambda name: params[f"{prefix}.{name}"]  # noqa: E731
+        k = composed_linear(keys_values, p("wk"), p("bk"))
+        v = composed_linear(keys_values, p("wv"), p("bv"))
+        return composed_attention(queries, k, v, p("wq"), p("bq"), p("wo"), p("bo"), mask, heads)
+
+    def norm(prefix, x):
+        return ad.layer_norm(x, params[f"{prefix}.g"], params[f"{prefix}.b"])
 
     positions = ad.embedding(params["pos_emb_tgt"], np.arange(tgt_in.shape[1]))
     x = ad.embedding(params["tok_emb"], tgt_in) + positions
     for i in range(params.config.num_decoder_layers):
-        normed = _norm(params, f"dec{i}.ln1", x)
+        normed = norm(f"dec{i}.ln1", x)
         x = x + attention(f"dec{i}.self", normed, normed, causal_mask(tgt_in.shape[1]))
-        x = x + attention(f"dec{i}.cross", _norm(params, f"dec{i}.ln2", x), enc_out, src_mask)
-        x = x + _ffn(params, f"dec{i}.ffn", _norm(params, f"dec{i}.ln3", x))
-    x = _norm(params, "dec_ln", x)
-    if params.config.tie_embeddings:
-        logits = ad.matmul(x, ad.transpose(params["tok_emb"], (1, 0))) + params["out.b"]
-    else:
-        logits = _linear(x, params["out.w"], params["out.b"])
-    return ad.log_softmax(logits, axis=-1)
+        x = x + attention(f"dec{i}.cross", norm(f"dec{i}.ln2", x), enc_out, src_mask)
+        ffn = [params[f"dec{i}.ffn.{name}"] for name in ("w1", "b1", "w2", "b2")]
+        x = x + composed_ffn(norm(f"dec{i}.ln3", x), *ffn)
+    x = norm("dec_ln", x)
+    out_w = ad.transpose(params["tok_emb"], (1, 0)) if params.config.tie_embeddings else params["out.w"]
+    return ad.log_softmax(composed_linear(x, out_w, params["out.b"]), axis=-1)
 
 
 def log_dist(probs):
@@ -492,7 +492,9 @@ def test_searches_match_per_group_search_on_the_full_prefix_scorer():
 
 
 @pytest.mark.parametrize("tie_embeddings", [False, True])
-def test_training_path_decoder_is_bitwise_unchanged(tie_embeddings):
+def test_training_path_decoder_matches_composed_reference(tie_embeddings):
+    # The fused ops compute the same forward floats as the composed graph;
+    # their vjps sum in another order, so gradients agree to the bound.
     params = tiny_params(seed=8, tie_embeddings=tie_embeddings, num_decoder_layers=2)
     src = pad_ids([[BOS_ID, 4, 5, 6, EOS_ID], [BOS_ID, 7, EOS_ID]])
     tgt_in, gold = teacher_forcing([[BOS_ID, 8, 9, 10, EOS_ID], [BOS_ID, 11, EOS_ID]])
@@ -504,5 +506,6 @@ def test_training_path_decoder_is_bitwise_unchanged(tie_embeddings):
         results.append((table.data.copy(), {name: t.grad.copy() for name, t in params.items()}))
     (table, grads), (want_table, want_grads) = results
     assert np.array_equal(table, want_table)
+    scale = max(float(np.abs(g).max()) for g in want_grads.values())
     for name in want_grads:
-        assert np.array_equal(grads[name], want_grads[name]), name
+        assert_relative_close(grads[name], want_grads[name], scale)

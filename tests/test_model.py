@@ -11,6 +11,8 @@ from briosum.corpus import BOS_ID, EOS_ID, PAD_ID
 from briosum.model import (
     CheckpointError,
     ModelConfig,
+    _attend,
+    _project_kv,
     decoder_logprobs,
     encode_source,
     forward,
@@ -19,11 +21,20 @@ from briosum.model import (
     mle_loss,
     pad_ids,
     save_checkpoint,
+    score_rows,
     sequence_log_prob,
     teacher_forcing,
 )
 
-from helpers import max_gradcheck_error, tiny_config, tiny_params
+from helpers import (
+    assert_relative_close,
+    composed_attention,
+    composed_gold_sum,
+    composed_linear,
+    max_gradcheck_error,
+    tiny_config,
+    tiny_params,
+)
 
 
 # -- config and init ------------------------------------------------------------
@@ -283,6 +294,74 @@ def test_mle_batch_matches_single():
             weights.append(len(t) - 1)
     expected = float(np.average(singles, weights=weights))
     assert batched == pytest.approx(expected, rel=1e-9)
+
+
+# -- fused layers against composed graphs ------------------------------------------------
+
+
+def run_with_grads(build, leaves):
+    """Value of ``build()`` and the gradients of ``leaves`` under a fixed upstream."""
+    for t in leaves:
+        t.zero_grad()
+    out = build()
+    upstream = np.random.default_rng(11).normal(size=out.shape)
+    (out * Tensor(upstream)).sum().backward()
+    return out.data.copy(), [t.grad.copy() for t in leaves]
+
+
+def test_cross_attention_shares_one_source_row_across_query_rows():
+    params = tiny_params(seed=3)
+    src = np.array([[BOS_ID, 4, 5, EOS_ID, PAD_ID, PAD_ID]])
+    enc_out, src_mask = encode_source(params, src)
+    enc = Tensor(enc_out.data.copy(), requires_grad=True)
+    queries = Tensor(np.random.default_rng(3).normal(size=(3, 4, 8)), requires_grad=True)
+    prefix = "dec0.cross"
+    p = {n: params[f"{prefix}.{n}"] for n in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")}
+    leaves = [enc, queries, *p.values()]
+
+    def fused():
+        return _attend(params, prefix, queries, *_project_kv(params, prefix, enc), src_mask)
+
+    def composed():
+        k = composed_linear(enc, p["wk"], p["bk"])
+        v = composed_linear(enc, p["wv"], p["bv"])
+        return composed_attention(queries, k, v, p["wq"], p["bq"], p["wo"], p["bo"], src_mask, 2)
+
+    got, got_grads = run_with_grads(fused, leaves)
+    want, want_grads = run_with_grads(composed, leaves)
+    assert got.shape == (3, 4, 8)
+    assert_relative_close(got, want)
+    scale = max(float(np.abs(g).max()) for g in want_grads)
+    for got_grad, want_grad in zip(got_grads, want_grads):
+        assert_relative_close(got_grad, want_grad, scale)
+    assert not enc.grad[0, 4:].any()  # PAD source positions get no attention
+
+
+@pytest.mark.parametrize("tie_embeddings", [False, True])
+def test_gold_sums_match_composed_graph_beside_all_pad_rows(tie_embeddings):
+    params = tiny_params(seed=5, tie_embeddings=tie_embeddings)
+    src = [BOS_ID, 4, 5, 6, EOS_ID]
+    rows = [[BOS_ID, 7, 8, EOS_ID], [BOS_ID], [BOS_ID, 9, EOS_ID]]  # row 1 scores no token
+    tgt_in, gold = teacher_forcing(rows)
+    keep = gold != PAD_ID
+    assert not keep[1].any()
+    leaves = [t for _, t in params.items()]
+
+    def table():
+        return decoder_logprobs(params, *encode_source(params, np.array([src])), tgt_in)
+
+    cases = [
+        (lambda: score_rows(params, src, rows)[0], lambda: composed_gold_sum(table(), gold, keep, axis=1)),
+        (lambda: mle_loss(table(), gold), lambda: composed_gold_sum(table(), gold, keep) * (-1.0 / keep.sum())),
+    ]
+    for fused, composed in cases:
+        got, got_grads = run_with_grads(fused, leaves)
+        want, want_grads = run_with_grads(composed, leaves)
+        assert_relative_close(got, want)
+        scale = max(float(np.abs(g).max()) for g in want_grads)
+        for got_grad, want_grad in zip(got_grads, want_grads):
+            assert_relative_close(got_grad, want_grad, scale)
+    assert score_rows(params, src, rows)[0].data[1] == 0.0
 
 
 # -- checkpoints -----------------------------------------------------------------------

@@ -131,6 +131,38 @@ def test_adafactor_rank_one_structure():
     np.testing.assert_allclose(update, expected, rtol=1e-10)
 
 
+def adafactor_update_with_np_mean(grad, slot, step):
+    """The Adafactor update as written with ``np.mean``."""
+    decay = 1.0 - step**-0.8
+    sq = grad * grad + 1e-30
+    if "row" in slot:
+        slot["row"] = decay * slot["row"] + (1.0 - decay) * sq.mean(axis=-1)
+        slot["col"] = decay * slot["col"] + (1.0 - decay) * sq.mean(axis=-2)
+        row_factor = 1.0 / np.sqrt(slot["row"] / slot["row"].mean(axis=-1, keepdims=True))
+        update = grad * row_factor[..., None] * (1.0 / np.sqrt(slot["col"]))[..., None, :]
+    else:
+        slot["v"] = decay * slot["v"] + (1.0 - decay) * sq
+        update = grad / np.sqrt(slot["v"])
+    update /= max(1.0, float(np.sqrt(np.mean(update * update))))
+    return update
+
+
+def test_adafactor_updates_equal_np_mean_form():
+    # (200, 32) embeddings, (32, 64) / (64, 32) FFN weights, (32,) vectors
+    params = init_params(ModelConfig(vocab_size=200, model_dim=32, num_heads=4, ffn_dim=64), seed=3)
+    state = init_optimizer("adafactor", params)
+    want = {name: t.data.copy() for name, t in params.items()}
+    slots = {name: {k: v.copy() for k, v in slot.items()} for name, slot in state.slots.items()}
+    rng = np.random.default_rng(5)
+    for step in range(1, 4):
+        for name, t in params.items():
+            t.grad[...] = rng.normal(size=t.data.shape) * 10.0 ** rng.integers(-3, 2)
+            want[name] -= 0.01 * adafactor_update_with_np_mean(t.grad.copy(), slots[name], step)
+        optimizer_step(params, state, 0.01)
+        for name, t in params.items():
+            assert np.array_equal(t.data, want[name]), (step, name)
+
+
 # -- shared behavior --------------------------------------------------------------------
 
 
