@@ -105,11 +105,10 @@ class Tensor:
             for parent, contrib in zip(node._parents, node._vjp(out_grad)):
                 if contrib is None or not parent._in_graph():
                     continue
+                # Never add in place: a vjp may hand the same array to two
+                # parents (add's g), so ``held`` can alias another flow.
                 held = flow.get(id(parent))
-                if held is None:
-                    flow[id(parent)] = contrib
-                else:
-                    held += contrib
+                flow[id(parent)] = contrib if held is None else held + contrib
 
     # -- operator sugar --------------------------------------------------
 
@@ -239,10 +238,9 @@ def transpose(a: Tensor, axes) -> Tensor:
     a = _wrap(a)
     axes = tuple(axes)
     out = np.transpose(a.data, axes)
-    inverse = tuple(np.argsort(axes))
 
     def vjp(g):
-        return (np.transpose(g, inverse),)
+        return (np.transpose(g, np.argsort(axes)),)
 
     return _node(out, (a,), vjp)
 
@@ -283,10 +281,9 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     out = shifted - lse
-    probs = np.exp(out)
 
     def vjp(g):
-        return (g - probs * g.sum(axis=axis, keepdims=True),)
+        return (g - np.exp(out) * g.sum(axis=axis, keepdims=True),)
 
     return _node(out, (a,), vjp)
 

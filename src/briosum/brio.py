@@ -386,6 +386,8 @@ def finetune_stage(
             loss.backward()
             lr = warmup_schedule(config.learning_rate, optimizer.step + 1, warmup)
             losses.append(loss.item())
+            # Free this batch's graph before the next one is built.
+            del loss, enc_out
             _checked_step(params, optimizer, lr, losses[-1], epoch)
         val = mean_greedy_rouge(params, validation, decode_config)
         history.append(
@@ -440,6 +442,8 @@ def brio_train_stage(
                 losses.append(total.item())
                 mles.append(mle_value)
                 ctrs.append(ctr_value)
+                # Free this document's graph before the next one is built.
+                del total
             loss = float(np.mean(losses))
             _checked_step(params, optimizer, config.learning_rate, loss, epoch)
             history.append(
@@ -456,7 +460,7 @@ def brio_train_stage(
 
 def brio_loop(
     params: ModelParams,
-    ranked_sets: Sequence[RankedCandidateSet],
+    train: Sequence[TokenizedExample],
     validation: Sequence[TokenizedExample],
     test: Sequence[TokenizedExample],
     config: BrioConfig,
@@ -464,20 +468,19 @@ def brio_loop(
     seed: int = 0,
     candidate_sink: Callable[[int, list[RankedCandidateSet]], None] | None = None,
 ) -> tuple[ModelParams, list[dict]]:
-    """Alternate contrastive training and candidate generation.
+    """Alternate candidate generation and contrastive training (BRIO-Loop).
 
-    ``ranked_sets`` are ``params``' own candidates for the training
-    documents; iteration 1 trains on them. Each later iteration
-    regenerates every set from its ``doc_id``, ``source_ids`` and
-    ``reference_ids`` with the current model (not an accumulated pool) and
-    hands the new sets to ``candidate_sink``. After training, each
-    iteration records test ROUGE and validation quality. Returns the
-    best-by-validation-quality checkpoint across iterations (never a
-    later, worse one) and the per-iteration report.
+    ``params`` is the model after one contrastive training stage: iteration
+    1 evaluates it and trains no further. Each later iteration regenerates
+    the candidate set of every ``train`` document with the current model
+    (not an accumulated pool), hands the new sets to ``candidate_sink`` and
+    trains on them. Each iteration records test ROUGE (as ``evaluate``
+    reports it) and validation quality. Returns the best-by-validation-
+    quality checkpoint across iterations (never a later, worse one) and the
+    per-iteration report.
     """
     config.validate()
     current = params.copy()
-    train = [TokenizedExample(rs.doc_id, rs.source_ids, rs.reference_ids) for rs in ranked_sets]
     report: list[dict] = []
     best_params = current
     best_quality = -1.0
@@ -486,20 +489,12 @@ def brio_loop(
             ranked_sets = [generate_candidates(current, ex, config, vocab) for ex in train]
             if candidate_sink is not None:
                 candidate_sink(iteration, ranked_sets)
-        current, _ = brio_train_stage(current, ranked_sets, config, seed=seed * 1009 + iteration)
-        test_rouge = mean_greedy_rouge(current, test, config.decode)
-        val_rouge = mean_greedy_rouge(current, validation, config.decode)
-        report.append(
-            {
-                "iteration": iteration,
-                "r1": 100.0 * test_rouge["rouge1"],
-                "r2": 100.0 * test_rouge["rouge2"],
-                "rl": 100.0 * test_rouge["rougeL"],
-                "val_quality": val_rouge["quality"],
-            }
-        )
-        if val_rouge["quality"] > best_quality:
-            best_quality = val_rouge["quality"]
+            current, _ = brio_train_stage(current, ranked_sets, config, seed=seed * 1009 + iteration)
+        _, test_means = evaluate(current, test, config.decode)
+        val_quality = mean_greedy_rouge(current, validation, config.decode)["quality"]
+        report.append({"iteration": iteration, **test_means, "val_quality": val_quality})
+        if val_quality > best_quality:
+            best_quality = val_quality
             best_params = current
     return best_params, report
 

@@ -601,16 +601,15 @@ def _stage_brio(ctx: _Context) -> str:
 
 
 def _stage_loop(ctx: _Context) -> str:
-    params = _load_checkpoint(ctx, FINETUNE_CKPT)
+    params = _load_checkpoint(ctx, BRIO_CKPT)
     prepared = _load_prepared(ctx)
-    ranked = _load_candidates(ctx, FINETUNE_CANDIDATES, prepared)
 
     def sink(iteration: int, ranked_sets: list[RankedCandidateSet]) -> None:
         write_candidate_cache(ctx.path(LOOP_CANDIDATES.format(iteration)), ranked_sets, ctx.hash)
 
     best, report = brio_loop(
         params,
-        ranked,
+        prepared.train,
         prepared.validation,
         prepared.test,
         ctx.config.brio_config(),

@@ -1,11 +1,13 @@
-"""Shared fixtures: tiny model factories, the finite-difference checker, and
-the primitive ops and composed graphs that the fused autodiff ops replace."""
+"""Shared fixtures: tiny model factories, the finite-difference checker, a
+counter of BRIO training-stage calls, and the primitive ops and composed
+graphs that the fused autodiff ops replace."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from briosum import autodiff as ad
+from briosum import brio
 from briosum.corpus import Vocabulary
 from briosum.model import ModelConfig, ModelParams, init_params
 
@@ -42,6 +44,19 @@ def tiny_params(seed: int = 0, **overrides) -> ModelParams:
 def tiny_vocab(size: int = 13) -> Vocabulary:
     tokens = ["<pad>", "<bos>", "<eos>", "<unk>"] + [f"w{i}" for i in range(4, size)]
     return Vocabulary(token_to_id={t: i for i, t in enumerate(tokens)}, id_to_token=tokens)
+
+
+def count_train_stages(monkeypatch) -> list[int]:
+    """Record the seed of every ``brio.brio_train_stage`` call from now on."""
+    seeds: list[int] = []
+    real = brio.brio_train_stage
+
+    def counting(*args, **kwargs):
+        seeds.append(kwargs["seed"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(brio, "brio_train_stage", counting)
+    return seeds
 
 
 def relative_error(analytic: float, numeric: float) -> float:

@@ -257,6 +257,20 @@ def test_shared_subgraph_fans_in():
     np.testing.assert_allclose(a.grad, np.full(3, 4.0))
 
 
+def test_fan_in_through_add_does_not_alias_gradients():
+    # add's vjp hands one array to both parents; accumulating into it in
+    # place would also change the other parent's pending gradient.
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+
+    def build():
+        a, b = x * 2.0, x * 3.0
+        return ((a + b) + a * b).sum()
+
+    build().backward()
+    np.testing.assert_allclose(x.grad, 5.0 + 12.0 * x.data)
+    assert tensor_gradcheck(build, {"x": x}) < 1e-6
+
+
 def test_no_grad_blocks_graph():
     a = leaf((3,))
     with ad.no_grad():

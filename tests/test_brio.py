@@ -16,6 +16,7 @@ from briosum.brio import (
     brio_loss,
     brio_train_stage,
     contrastive_loss,
+    evaluate,
     finetune_stage,
     generate_candidates,
     kendall_tau,
@@ -31,7 +32,7 @@ from briosum.model import candidate_scores, forward, mle_loss, sequence_log_prob
 from briosum.optim import init_optimizer, optimizer_step
 from briosum.rouge import RougeScore, RougeTriple, quality_score, score_pair
 
-from helpers import max_gradcheck_error, tiny_params, tiny_vocab
+from helpers import count_train_stages, max_gradcheck_error, tiny_params, tiny_vocab
 
 
 def dummy_ranked(num_candidates, doc_id="d0"):
@@ -560,62 +561,71 @@ def test_loop_zero_iterations_identity():
     params = tiny_params(seed=20)
     examples = copy_task_examples(n=4, seed=9)
     config = brio_cfg(loop_iterations=0)
-    ranked = own_candidates(params, examples, config)
-    out, report = brio_loop(params, ranked, examples, examples, config, tiny_vocab(), seed=1)
+    out, report = brio_loop(params, examples, examples, examples, config, tiny_vocab(), seed=1)
     assert report == []
+    assert out is not params
     for name, t in params.items():
         np.testing.assert_array_equal(out[name].data, t.data)
 
 
-def test_loop_report_rows_and_candidate_regeneration():
+def test_loop_report_rows_and_candidate_regeneration(monkeypatch):
     params = tiny_params(seed=21)
     examples = copy_task_examples(n=5, seed=10)
     config = brio_cfg(loop_iterations=2, learning_rate=5e-3)
-    ranked = own_candidates(params, examples, config)
+    seeds = count_train_stages(monkeypatch)
     seen = {}
 
     def sink(iteration, ranked_sets):
-        seen[iteration] = ranked_sets
+        seen[iteration] = (ranked_sets, list(seeds))
 
     _, report = brio_loop(
-        params, ranked, examples, examples, config, tiny_vocab(), seed=2, candidate_sink=sink
+        params, examples, examples, examples, config, tiny_vocab(), seed=2, candidate_sink=sink
     )
     assert [row["iteration"] for row in report] == [1, 2]
     for row in report:
         for key in ("r1", "r2", "rl"):
             assert 0.0 <= row[key] <= 100.0
-    # iteration 1 trains on the given sets; only iteration 2 generates
+    # iteration 1 evaluates the given model and trains nothing
+    _, means = evaluate(params, examples, config.decode)
+    assert report[0] == {
+        "iteration": 1,
+        **means,
+        "val_quality": mean_greedy_rouge(params, examples, config.decode)["quality"],
+    }
+    # only iteration 2 generates, from that model, and then trains once
     assert set(seen) == {2}
-    assert [(rs.doc_id, rs.source_ids, rs.reference_ids) for rs in seen[2]] == [
+    regenerated, seeds_before = seen[2]
+    assert seeds_before == []
+    assert seeds == [2 * 1009 + 2]
+    assert [(rs.doc_id, rs.source_ids, rs.reference_ids) for rs in regenerated] == [
         (ex.doc_id, ex.source_ids, ex.target_ids) for ex in examples
     ]
-    first = [tuple(c.token_ids for c in rs.candidates) for rs in ranked]
-    second = [tuple(c.token_ids for c in rs.candidates) for rs in seen[2]]
-    assert second != first  # params changed, so candidates must change
+    assert [[c.token_ids for c in rs.candidates] for rs in regenerated] == [
+        [c.token_ids for c in rs.candidates] for rs in own_candidates(params, examples, config)
+    ]
 
 
-def test_loop_on_cached_candidates_matches_loop_on_generated_ones(tmp_path):
+def test_loop_round_two_trains_the_round_one_model_on_its_own_candidates():
     params = tiny_params(seed=24)
     examples = copy_task_examples(n=4, seed=13)
     config = brio_cfg(loop_iterations=2, learning_rate=5e-3)
-    generated = own_candidates(params, examples, config)
-    write_candidate_cache(tmp_path / "cands.jsonl", generated)
-    cached, _ = load_candidate_cache(tmp_path / "cands.jsonl", examples)
-    runs = [
-        brio_loop(params, ranked, examples, examples, config, tiny_vocab(), seed=5)
-        for ranked in (generated, cached)
-    ]
-    assert runs[0][1] == runs[1][1]
-    for name, t in runs[0][0].items():
-        np.testing.assert_array_equal(runs[1][0][name].data, t.data)
+    _, report = brio_loop(params, examples, examples, examples, config, tiny_vocab(), seed=5)
+    trained, _ = brio_train_stage(
+        params, own_candidates(params, examples, config), config, seed=5 * 1009 + 2
+    )
+    _, means = evaluate(trained, examples, config.decode)
+    assert report[1] == {
+        "iteration": 2,
+        **means,
+        "val_quality": mean_greedy_rouge(trained, examples, config.decode)["quality"],
+    }
 
 
 def test_loop_keeps_best_validation_checkpoint():
     params = tiny_params(seed=22)
     examples = copy_task_examples(n=5, seed=11)
     config = brio_cfg(loop_iterations=2, learning_rate=5e-3)
-    ranked = own_candidates(params, examples, config)
-    best, report = brio_loop(params, ranked, examples, examples, config, tiny_vocab(), seed=3)
+    best, report = brio_loop(params, examples, examples, examples, config, tiny_vocab(), seed=3)
     best_quality = max(row["val_quality"] for row in report)
     got = mean_greedy_rouge(best, examples, config.decode)["quality"]
     assert got == pytest.approx(best_quality, abs=1e-12)

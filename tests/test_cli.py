@@ -36,7 +36,7 @@ from briosum.corpus import BOS_ID, EOS_ID, TokenizedExample
 from briosum.decode import DecodeConfig
 from briosum.synthetic import make_toy_corpus, write_corpus_jsonl
 
-from helpers import tiny_params
+from helpers import count_train_stages, tiny_params
 
 MINI_CONFIG = """
 [experiment]
@@ -347,22 +347,46 @@ def test_checkpoint_with_unknown_config_key_fails_the_finetune_stage(mini_cands_
     assert "Traceback" not in err
 
 
-def test_loop_stage_reuses_the_gen_cands_cache(mini_cands_run, monkeypatch):
-    import briosum.brio as brio_module
+def _payload(ckpt):
+    """A checkpoint's weights: everything after its header line."""
+    return ckpt.read_bytes().split(b"\n", 1)[1]
 
-    config, out = mini_cands_run
-    assert config.brio_config().loop_iterations == 1
-    calls = []
-    real = brio_module.generate_candidates
 
-    def counting(*args, **kwargs):
-        calls.append(args[1].doc_id)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(brio_module, "generate_candidates", counting)
+@pytest.mark.parametrize("iterations", [1, 2])
+def test_loop_stage_continues_from_the_brio_checkpoint(mini_config, tmp_path, monkeypatch, iterations):
+    ini = tmp_path / "loop.ini"
+    ini.write_text(
+        mini_config.read_text().replace("loop_iterations = 1", f"loop_iterations = {iterations}"),
+        encoding="utf-8",
+    )
+    out = tmp_path / "run"
+    config = ExperimentConfig.load(ini, out_dir=str(out))
+    assert run_pipeline(config, ["split", "finetune", "gen-cands", "brio"]) == 0
+    # The loop reads brio.ckpt, not the gen-cands cache.
+    (out / FINETUNE_CANDIDATES).unlink()
+    seeds = count_train_stages(monkeypatch)
     assert run_pipeline(config, ["loop"]) == 0
-    assert calls == []
-    assert not list(out.glob("candidates_loop*.jsonl"))
+    assert seeds == [config.seed * 1009 + i for i in range(2, iterations + 1)]
+    if iterations == 1:
+        assert _payload(out / LOOP_CKPT) == _payload(out / BRIO_CKPT)
+
+
+@pytest.mark.parametrize("how", ["missing", "cut"])
+def test_loop_without_a_whole_brio_checkpoint_fails_the_brio_stage(mini_config, mini_cands_run, how):
+    config, out = mini_cands_run
+    assert run_pipeline(config, ["brio"]) == 0
+    ckpt = out / BRIO_CKPT
+    if how == "missing":
+        ckpt.unlink()
+    else:
+        ckpt.write_bytes(ckpt.read_bytes()[:-100])
+    cmd = [sys.executable, "-m", "briosum", "loop", "--config", str(mini_config), "--out", str(out)]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 1
+    assert "error in stage 'brio'" in proc.stderr
+    assert BRIO_CKPT in proc.stderr
+    assert "Traceback" not in proc.stderr + proc.stdout
+    assert not (out / LOOP_CKPT).exists()
 
 
 def test_cut_candidate_cache_fails_the_gen_cands_stage(mini_cands_run, capsys):
