@@ -115,38 +115,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
     def __mul__(self, other):
         return mul(self, other)
 
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __getitem__(self, key):
-        return getitem(self, key)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def transpose(self, axes):
-        return transpose(self, axes)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
 
 
 def _wrap(x) -> Tensor:
@@ -187,16 +160,6 @@ def add(a, b) -> Tensor:
     return _node(out, (a, b), vjp)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    out = a.data - b.data
-
-    def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
-
-    return _node(out, (a, b), vjp)
-
-
 def mul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     out = a.data * b.data
@@ -208,17 +171,6 @@ def mul(a, b) -> Tensor:
         )
 
     return _node(out, (a, b), vjp)
-
-
-def relu(a: Tensor) -> Tensor:
-    a = _wrap(a)
-    keep = a.data > 0.0
-    out = np.where(keep, a.data, 0.0)
-
-    def vjp(g):
-        return (g * keep,)
-
-    return _node(out, (a,), vjp)
 
 
 # -- shape ops -----------------------------------------------------------
@@ -241,34 +193,6 @@ def transpose(a: Tensor, axes) -> Tensor:
 
     def vjp(g):
         return (np.transpose(g, np.argsort(axes)),)
-
-    return _node(out, (a,), vjp)
-
-
-def getitem(a: Tensor, key) -> Tensor:
-    a = _wrap(a)
-    out = a.data[key]
-
-    def vjp(g):
-        full = np.zeros_like(a.data)
-        np.add.at(full, key, g)
-        return (full,)
-
-    return _node(np.array(out, dtype=np.float64, copy=True), (a,), vjp)
-
-
-# -- reductions -----------------------------------------------------------
-
-
-def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    a = _wrap(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.data.shape).copy(),)
-        g_exp = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(g_exp, a.data.shape).copy(),)
 
     return _node(out, (a,), vjp)
 
@@ -468,3 +392,59 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
         )
 
     return _node(out, (x, w1, b1, w2, b2), vjp)
+
+
+# -- the BRIO objective ----------------------------------------------------
+
+
+def pairwise_hinge(scores: np.ndarray, margin: float) -> tuple[np.float64, np.ndarray]:
+    """Pairwise margin ranking loss over ``scores`` in quality order.
+
+    Returns the sum over pairs i < j of max(0, s_j - s_i + (j-i)*margin) and
+    the (n, n) mask of the pairs whose argument is strictly positive (the
+    active hinges; at the kink the subgradient taken is 0).
+    """
+    n = scores.shape[0]
+    idx = np.arange(n, dtype=np.float64)
+    diffs = scores[None, :] - scores[:, None] + margin * (idx[None, :] - idx[:, None])
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    return np.where(upper, np.maximum(0.0, diffs), 0.0).sum(), upper & (diffs > 0.0)
+
+
+def brio_objective(
+    sums: Tensor,
+    lengths: np.ndarray,
+    mle_weight: float,
+    ctr_weight: float,
+    margin: float,
+    length_penalty: float,
+) -> tuple[Tensor, float, float]:
+    """One document's BRIO loss from its (N+1,) per-row log-prob sums.
+
+    Row 0 is the reference: ``mle = sums[0] * (-1 / lengths[0])``. Rows
+    1..N, if given, are the candidates in quality order, scored
+    ``sums[k] * lengths[k] ** -length_penalty`` and ranked by
+    ``pairwise_hinge``. Returns the scalar ``mle * mle_weight + ctr *
+    ctr_weight`` (the ranking term only when candidate rows are given)
+    together with the values of ``mle`` and ``ctr``.
+    """
+    s = sums.data
+    inv_len0 = -1.0 / lengths[0]
+    mle = s[0] * inv_len0
+    out = mle * mle_weight
+    ctr, active, scale = 0.0, None, None
+    if s.shape[0] > 1:
+        scale = lengths[1:] ** -length_penalty
+        ctr, active = pairwise_hinge(s[1:] * scale, margin)
+        out = out + ctr * ctr_weight
+
+    def vjp(g):
+        grad = np.zeros_like(s)
+        grad[0] = g * (mle_weight * inv_len0)
+        if active is not None:
+            # A candidate gains +1 from every active pair in which it is the
+            # lower-ranked one and -1 from every one in which it is higher.
+            grad[1:] = g * ctr_weight * (active.sum(axis=0) - active.sum(axis=1)) * scale
+        return (grad,)
+
+    return _node(out, (sums,), vjp), float(mle), float(ctr)

@@ -225,13 +225,6 @@ def generate_candidates(
 # -- losses -------------------------------------------------------------------
 
 
-def _hinge_grid(n: int, margin: float) -> tuple[np.ndarray, np.ndarray]:
-    idx = np.arange(n, dtype=np.float64)
-    margins = margin * (idx[None, :] - idx[:, None])
-    upper = np.triu(np.ones((n, n)), k=1)
-    return margins, upper
-
-
 def contrastive_loss(
     ranked: RankedCandidateSet, model_scores: Sequence[float], margin: float
 ) -> float:
@@ -244,17 +237,7 @@ def contrastive_loss(
         raise ValueError(
             f"got {len(model_scores)} scores for {len(ranked.candidates)} candidates"
         )
-    scores = np.asarray(model_scores, dtype=np.float64)
-    margins, upper = _hinge_grid(len(scores), margin)
-    hinge = np.maximum(0.0, scores[None, :] - scores[:, None] + margins)
-    return float((hinge * upper).sum())
-
-
-def _contrastive_loss_graph(scores: Tensor, margin: float) -> Tensor:
-    n = scores.shape[0]
-    margins, upper = _hinge_grid(n, margin)
-    diffs = ad.reshape(scores, (1, n)) - ad.reshape(scores, (n, 1)) + Tensor(margins)
-    return (ad.relu(diffs) * Tensor(upper)).sum()
+    return float(ad.pairwise_hinge(np.asarray(model_scores, dtype=np.float64), margin)[0])
 
 
 def _brio_terms(
@@ -265,18 +248,13 @@ def _brio_terms(
     One decoder pass scores the gold summary as row 0 and the candidates as
     rows 1..N; row 0 alone is scored when the ranking term is off.
     """
-    ranking = config.ctr_weight > 0.0 and len(ranked.candidates) >= 2
     rows = [ranked.reference_ids]
-    if ranking:
+    if config.ctr_weight > 0.0 and len(ranked.candidates) >= 2:
         rows += [list(c.token_ids) for c in ranked.candidates]
     sums, lengths = score_rows(params, ranked.source_ids, rows)
-    mle = sums[0] * (-1.0 / lengths[0])
-    total = mle * config.mle_weight
-    if not ranking:
-        return total, mle.item(), 0.0
-    scores = sums[1:] * Tensor(lengths[1:] ** -config.length_penalty)
-    ctr = _contrastive_loss_graph(scores, config.margin)
-    return total + ctr * config.ctr_weight, mle.item(), ctr.item()
+    return ad.brio_objective(
+        sums, lengths, config.mle_weight, config.ctr_weight, config.margin, config.length_penalty
+    )
 
 
 def brio_loss(

@@ -280,9 +280,14 @@ class ExperimentConfig:
             raise ConfigError(f"corpus file not found: {self.corpus_path}")
         if self.max_documents < 0:
             raise ConfigError("experiment.max_documents must be >= 0")
-        self.model_config(vocab_size=5).validate()
-        self.finetune_config().validate()
-        self.brio_config().validate()
+        if self.seed < 0:
+            raise ConfigError(f"experiment.seed must be >= 0, got {self.seed}")
+        try:
+            self.model_config(vocab_size=5).validate()
+            self.finetune_config().validate()
+            self.brio_config().validate()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def canonical(self) -> str:
         lines = [

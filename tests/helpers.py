@@ -141,9 +141,55 @@ def assert_relative_close(got: np.ndarray, want: np.ndarray, scale: float | None
 # -- primitive ops -------------------------------------------------------------
 #
 # The composed graphs below are the references for the fused ops in
-# ``briosum.autodiff`` (``linear``, ``attention``, ``ffn`` and
-# ``gold_logprob_sum``). ``src/`` no longer uses the primitive ops they are
-# built from, so those live here.
+# ``briosum.autodiff`` (``linear``, ``attention``, ``ffn``,
+# ``gold_logprob_sum`` and ``brio_objective``). ``src/`` no longer uses the
+# primitive ops they are built from, so those live here.
+
+
+def sub(a, b) -> ad.Tensor:
+    a, b = ad._wrap(a), ad._wrap(b)
+    out = a.data - b.data
+
+    def vjp(g):
+        return ad._unbroadcast(g, a.data.shape), ad._unbroadcast(-g, b.data.shape)
+
+    return ad._node(out, (a, b), vjp)
+
+
+def relu(a) -> ad.Tensor:
+    a = ad._wrap(a)
+    keep = a.data > 0.0
+    out = np.where(keep, a.data, 0.0)
+
+    def vjp(g):
+        return (g * keep,)
+
+    return ad._node(out, (a,), vjp)
+
+
+def getitem(a, key) -> ad.Tensor:
+    a = ad._wrap(a)
+    out = a.data[key]
+
+    def vjp(g):
+        full = np.zeros_like(a.data)
+        np.add.at(full, key, g)
+        return (full,)
+
+    return ad._node(np.array(out, dtype=np.float64, copy=True), (a,), vjp)
+
+
+def tsum(a, axis=None, keepdims=False) -> ad.Tensor:
+    a = ad._wrap(a)
+    out = a.data.sum(axis=axis, keepdims=keepdims)
+
+    def vjp(g):
+        if axis is None:
+            return (np.broadcast_to(g, a.data.shape).copy(),)
+        g_exp = g if keepdims else np.expand_dims(g, axis)
+        return (np.broadcast_to(g_exp, a.data.shape).copy(),)
+
+    return ad._node(out, (a,), vjp)
 
 
 def matmul(a, b) -> ad.Tensor:
@@ -233,4 +279,21 @@ def composed_ffn(x, w1, b1, w2, b2) -> ad.Tensor:
 
 def composed_gold_sum(logprobs, gold: np.ndarray, keep: np.ndarray, axis=None) -> ad.Tensor:
     picked = gather_last(logprobs, np.where(keep, gold, 0))
-    return (picked * ad.Tensor(keep.astype(np.float64))).sum(axis=axis)
+    return tsum(picked * ad.Tensor(keep.astype(np.float64)), axis=axis)
+
+
+def composed_brio_objective(sums, lengths, mle_weight, ctr_weight, margin, length_penalty):
+    """The BRIO loss from per-row sums, one primitive op at a time: row 0's
+    MLE term, plus the pairwise ranking hinge when candidate rows are given.
+    Returns the loss and the values of the MLE and ranking terms."""
+    mle = getitem(sums, 0) * (-1.0 / lengths[0])
+    total = mle * mle_weight
+    if sums.shape[0] == 1:
+        return total, mle.item(), 0.0
+    scores = getitem(sums, slice(1, None)) * ad.Tensor(lengths[1:] ** -length_penalty)
+    n = scores.shape[0]
+    idx = np.arange(n, dtype=np.float64)
+    margins = ad.Tensor(margin * (idx[None, :] - idx[:, None]))
+    diffs = sub(ad.reshape(scores, (1, n)), ad.reshape(scores, (n, 1))) + margins
+    ctr = tsum(relu(diffs) * ad.Tensor(np.triu(np.ones((n, n)), k=1)))
+    return total + ctr * ctr_weight, mle.item(), ctr.item()

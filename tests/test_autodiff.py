@@ -9,14 +9,19 @@ from briosum.autodiff import Tensor
 from helpers import (
     assert_relative_close,
     composed_attention,
+    composed_brio_objective,
     composed_ffn,
     composed_gold_sum,
     composed_linear,
     gather_last,
     gelu,
+    getitem,
     matmul,
+    relu,
     softmax,
+    sub,
     tensor_gradcheck,
+    tsum,
 )
 
 RNG = np.random.default_rng(42)
@@ -29,10 +34,10 @@ def leaf(shape, scale=1.0):
 @pytest.mark.parametrize(
     "name,build",
     [
-        ("add", lambda a, b: (a + b).sum()),
-        ("sub", lambda a, b: (a - b).sum()),
-        ("mul", lambda a, b: (a * b).sum()),
-        ("mul_then_add", lambda a, b: ((a * b + a) * 0.5).sum()),
+        ("add", lambda a, b: tsum(a + b)),
+        ("sub", lambda a, b: tsum(sub(a, b))),
+        ("mul", lambda a, b: tsum(a * b)),
+        ("mul_then_add", lambda a, b: tsum((a * b + a) * 0.5)),
     ],
 )
 def test_elementwise_ops(name, build):
@@ -43,28 +48,28 @@ def test_elementwise_ops(name, build):
 
 def test_broadcast_add_bias():
     x, b = leaf((2, 5, 4)), leaf((4,))
-    err = tensor_gradcheck(lambda: ((x + b) * (x + b)).sum(), {"x": x, "b": b})
+    err = tensor_gradcheck(lambda: tsum((x + b) * (x + b)), {"x": x, "b": b})
     assert err < 1e-6
 
 
 def test_matmul_2d():
     a, b = leaf((3, 4)), leaf((4, 5))
-    err = tensor_gradcheck(lambda: matmul(a, b).sum(), {"a": a, "b": b})
+    err = tensor_gradcheck(lambda: tsum(matmul(a, b)), {"a": a, "b": b})
     assert err < 1e-6
 
 
 def test_matmul_batched_and_broadcast():
     a, b = leaf((2, 3, 4, 5)), leaf((2, 3, 5, 4))
-    err = tensor_gradcheck(lambda: (matmul(a, b) * matmul(a, b)).sum(), {"a": a, "b": b}, sample=40)
+    err = tensor_gradcheck(lambda: tsum(matmul(a, b) * matmul(a, b)), {"a": a, "b": b}, sample=40)
     assert err < 1e-6
     # weights shared across leading dims
     x, w = leaf((2, 3, 4)), leaf((4, 6))
-    err = tensor_gradcheck(lambda: (matmul(x, w) * matmul(x, w)).sum(), {"x": x, "w": w})
+    err = tensor_gradcheck(lambda: tsum(matmul(x, w) * matmul(x, w)), {"x": x, "w": w})
     assert err < 1e-6
     # leading-dim broadcast: (1, ...) against (N, ...)
     enc, q = leaf((1, 3, 4)), leaf((5, 3, 4))
     err = tensor_gradcheck(
-        lambda: matmul(q, ad.transpose(enc, (0, 2, 1))).sum(), {"enc": enc, "q": q}
+        lambda: tsum(matmul(q, ad.transpose(enc, (0, 2, 1)))), {"enc": enc, "q": q}
     )
     assert err < 1e-6
 
@@ -72,7 +77,7 @@ def test_matmul_batched_and_broadcast():
 def test_reshape_transpose_getitem():
     a = leaf((2, 3, 4))
     err = tensor_gradcheck(
-        lambda: (ad.transpose(ad.reshape(a, (2, 12)), (1, 0))[3:7] * 2.0).sum(), {"a": a}
+        lambda: tsum(getitem(ad.transpose(ad.reshape(a, (2, 12)), (1, 0)), slice(3, 7)) * 2.0), {"a": a}
     )
     assert err < 1e-6
 
@@ -80,9 +85,9 @@ def test_reshape_transpose_getitem():
 def test_reductions():
     a = leaf((3, 4))
     for build in (
-        lambda: a.sum(),
-        lambda: (a.sum(axis=1) * a.sum(axis=1)).sum(),
-        lambda: (a.sum(axis=0) * a.sum(axis=0)).sum(),
+        lambda: tsum(a),
+        lambda: tsum(tsum(a, axis=1) * tsum(a, axis=1)),
+        lambda: tsum(tsum(a, axis=0) * tsum(a, axis=0)),
     ):
         assert tensor_gradcheck(build, {"a": a}) < 1e-6
 
@@ -91,7 +96,7 @@ def test_softmax_rows_normalize_and_grad():
     a = leaf((4, 7))
     out = softmax(a)
     np.testing.assert_allclose(out.data.sum(axis=-1), 1.0, atol=1e-12)
-    err = tensor_gradcheck(lambda: (softmax(a) * softmax(a)).sum(), {"a": a})
+    err = tensor_gradcheck(lambda: tsum(softmax(a) * softmax(a)), {"a": a})
     assert err < 1e-6
 
 
@@ -99,7 +104,7 @@ def test_log_softmax_grad():
     a = leaf((4, 7))
     np.testing.assert_allclose(np.exp(ad.log_softmax(a).data).sum(axis=-1), 1.0, atol=1e-12)
     weights = Tensor(RNG.normal(size=(4, 7)))
-    err = tensor_gradcheck(lambda: (ad.log_softmax(a) * weights).sum(), {"a": a})
+    err = tensor_gradcheck(lambda: tsum(ad.log_softmax(a) * weights), {"a": a})
     assert err < 1e-6
 
 
@@ -107,27 +112,27 @@ def test_layer_norm_grad():
     x, g, b = leaf((3, 8)), leaf((8,)), leaf((8,))
     weights = Tensor(RNG.normal(size=(3, 8)))
     err = tensor_gradcheck(
-        lambda: (ad.layer_norm(x, g, b) * weights).sum(), {"x": x, "g": g, "b": b}
+        lambda: tsum(ad.layer_norm(x, g, b) * weights), {"x": x, "g": g, "b": b}
     )
     assert err < 1e-5
 
 
 def test_gelu_and_relu_grads():
     a = leaf((5, 5))
-    assert tensor_gradcheck(lambda: gelu(a).sum(), {"a": a}) < 1e-6
+    assert tensor_gradcheck(lambda: tsum(gelu(a)), {"a": a}) < 1e-6
     # keep relu inputs away from the kink
     shifted = Tensor(np.where(np.abs(a.data) < 0.05, a.data + 0.2, a.data), requires_grad=True)
-    assert tensor_gradcheck(lambda: ad.relu(shifted).sum(), {"a": shifted}) < 1e-6
+    assert tensor_gradcheck(lambda: tsum(relu(shifted)), {"a": shifted}) < 1e-6
 
 
 def test_embedding_gather_with_repeats():
     table = leaf((6, 3))
     ids = np.array([[0, 2, 2], [5, 0, 1]])
     weights = Tensor(RNG.normal(size=(2, 3, 3)))
-    err = tensor_gradcheck(lambda: (ad.embedding(table, ids) * weights).sum(), {"t": table})
+    err = tensor_gradcheck(lambda: tsum(ad.embedding(table, ids) * weights), {"t": table})
     assert err < 1e-6
     # repeated rows accumulate
-    out = ad.embedding(table, ids).sum()
+    out = tsum(ad.embedding(table, ids))
     table.zero_grad()
     out.backward()
     assert table.grad[2].sum() == pytest.approx(2 * 3)
@@ -136,7 +141,7 @@ def test_embedding_gather_with_repeats():
 def test_gather_last():
     a = leaf((4, 6))
     idx = np.array([0, 5, 2, 2])
-    err = tensor_gradcheck(lambda: (gather_last(a, idx) * gather_last(a, idx)).sum(), {"a": a})
+    err = tensor_gradcheck(lambda: tsum(gather_last(a, idx) * gather_last(a, idx)), {"a": a})
     assert err < 1e-6
 
 
@@ -156,7 +161,7 @@ def test_layer_norm_equals_np_mean_form(shape):
     x, g, b = leaf(shape), leaf(shape[-1:]), leaf(shape[-1:])
     upstream = RNG.normal(size=shape)
     out = ad.layer_norm(x, g, b)
-    (out * Tensor(upstream)).sum().backward()
+    tsum(out * Tensor(upstream)).backward()
     want, want_grad = layer_norm_with_np_mean(x.data, g.data, b.data, upstream)
     assert np.array_equal(out.data, want)
     assert np.array_equal(x.grad, want_grad)
@@ -176,14 +181,14 @@ def check_fused_op(fused, composed, leaves, fixed=(), sample=None):
         out = op(*leaves, *fixed)
         if upstream is None:
             upstream = Tensor(RNG.normal(size=out.shape))
-        (out * upstream).sum().backward()
+        tsum(out * upstream).backward()
         results.append((out.data.copy(), [t.grad.copy() for t in leaves]))
     (got, got_grads), (want, want_grads) = results
     assert_relative_close(got, want)
     for got_grad, want_grad in zip(got_grads, want_grads):
         assert_relative_close(got_grad, want_grad)
     named = {str(i): t for i, t in enumerate(leaves)}
-    return tensor_gradcheck(lambda: (fused(*leaves, *fixed) * upstream).sum(), named, sample=sample)
+    return tensor_gradcheck(lambda: tsum(fused(*leaves, *fixed) * upstream), named, sample=sample)
 
 
 @pytest.mark.parametrize("x_shape", [(3, 4), (2, 3, 4)])
@@ -235,9 +240,61 @@ def test_gold_logprob_sum_matches_composed_graph(axis):
     assert not table.grad[1].any()
 
 
+
+# Candidate scores in quality order: some hinges active, some not.
+MIXED = [-1.0, -0.7, -1.9, -1.6, -2.5]
+LENGTHS = [5.0, 3.0, 6.0, 4.0, 2.0, 7.0]
+
+# case: (candidate scores, or None for the reference row alone, row lengths,
+# mle_weight, ctr_weight, margin, length_penalty)
+OBJECTIVE_CASES = {
+    "mle-only": (None, [5.0], 1.5, 2.0, 0.1, 1.0),
+    "one-candidate": ([-1.2], [5.0, 3.0], 1.5, 2.0, 0.1, 1.0),
+    "ctr-weight-0": (MIXED, LENGTHS, 1.5, 0.0, 0.1, 1.0),
+    "mle-weight-0": (MIXED, LENGTHS, 0.0, 2.0, 0.1, 1.0),
+    "all-inactive": ([-1.0, -1.5, -2.1, -2.8, -3.6], LENGTHS, 1.5, 2.0, 0.1, 1.0),
+    "mixed": (MIXED + [-0.4], LENGTHS + [9.0], 1.5, 2.0, 0.1, 1.0),
+    "length-penalty-0.5": (MIXED, LENGTHS, 1.5, 2.0, 0.1, 0.5),
+    # hinge arguments exactly at the kink, where the subgradient taken is 0
+    "kink": ([-1.0, -1.0, -1.5, -1.5], [5.0, 2.0, 4.0, 8.0, 2.0], 1.5, 2.0, 0.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("case", list(OBJECTIVE_CASES))
+def test_brio_objective_matches_composed_graph(case):
+    scores, lengths, *weights = OBJECTIVE_CASES[case]
+    lengths = np.array(lengths)
+    margin, length_penalty = weights[2], weights[3]
+    ref_sum = -4.3  # the reference row's log-prob sum
+    rows = [ref_sum] if scores is None else [ref_sum, *(np.array(scores) * lengths[1:] ** length_penalty)]
+    sums = Tensor(np.array(rows), requires_grad=True)
+    results = []
+    for op in (ad.brio_objective, composed_brio_objective):
+        sums.zero_grad()
+        out, mle, ctr = op(sums, lengths, *weights)
+        (out * 1.7).backward()
+        results.append((out.item(), mle, ctr, sums.grad.copy()))
+    (got, got_mle, got_ctr, got_grad), (want, want_mle, want_ctr, want_grad) = results
+    assert (got, got_mle, got_ctr) == (want, want_mle, want_ctr)
+    assert_relative_close(got_grad, want_grad)
+    if case in ("all-inactive", "kink"):
+        assert got_ctr == 0.0 and not got_grad[1:].any()
+    n, idx = len(rows) - 1, np.arange(len(rows) - 1)
+    s = sums.data[1:] * lengths[1:] ** -length_penalty
+    args = (s[None, :] - s[:, None] + margin * (idx[None, :] - idx[:, None]))[np.triu_indices(n, k=1)]
+    if case == "mixed":
+        assert (args > 0.0).any() and (args < 0.0).any()
+    if case == "kink":
+        assert (args == 0.0).any()
+        return
+    # finite differences must not step across a kink
+    assert n < 2 or np.abs(args).min() > 0.05
+    assert tensor_gradcheck(lambda: ad.brio_objective(sums, lengths, *weights)[0], {"sums": sums}) < 1e-6
+
+
 def test_backward_accumulates_on_second_call():
     a = leaf((3,))
-    loss = (a * a).sum()
+    loss = tsum(a * a)
     loss.backward()
     once = a.grad.copy()
     loss.backward()
@@ -246,14 +303,14 @@ def test_backward_accumulates_on_second_call():
 
 def test_grad_zero_for_unused_parameter():
     a, unused = leaf((3,)), leaf((3,))
-    (a * 2.0).sum().backward()
+    tsum(a * 2.0).backward()
     assert np.all(unused.grad == 0.0)
 
 
 def test_shared_subgraph_fans_in():
     a = leaf((3,))
     shared = a * 2.0
-    ((shared + shared) * 1.0).sum().backward()
+    tsum((shared + shared) * 1.0).backward()
     np.testing.assert_allclose(a.grad, np.full(3, 4.0))
 
 
@@ -264,7 +321,7 @@ def test_fan_in_through_add_does_not_alias_gradients():
 
     def build():
         a, b = x * 2.0, x * 3.0
-        return ((a + b) + a * b).sum()
+        return tsum((a + b) + a * b)
 
     build().backward()
     np.testing.assert_allclose(x.grad, 5.0 + 12.0 * x.data)
@@ -274,7 +331,7 @@ def test_fan_in_through_add_does_not_alias_gradients():
 def test_no_grad_blocks_graph():
     a = leaf((3,))
     with ad.no_grad():
-        out = (a * a).sum()
+        out = tsum(a * a)
     assert out._vjp is None
     with pytest.raises(RuntimeError):
         out.backward()

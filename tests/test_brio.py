@@ -32,7 +32,7 @@ from briosum.model import candidate_scores, forward, mle_loss, sequence_log_prob
 from briosum.optim import init_optimizer, optimizer_step
 from briosum.rouge import RougeScore, RougeTriple, quality_score, score_pair
 
-from helpers import count_train_stages, max_gradcheck_error, tiny_params, tiny_vocab
+from helpers import count_train_stages, max_gradcheck_error, relu, sub, tiny_params, tiny_vocab, tsum
 
 
 def dummy_ranked(num_candidates, doc_id="d0"):
@@ -190,8 +190,8 @@ def two_pass_brio_loss(params, ranked, config):
     n = len(tokens)
     idx = np.arange(n)
     margins = config.margin * (idx[None, :] - idx[:, None])
-    diffs = ad.reshape(scores, (1, n)) - ad.reshape(scores, (n, 1)) + ad.Tensor(margins)
-    hinge = (ad.relu(diffs) * ad.Tensor(np.triu(np.ones((n, n)), k=1))).sum()
+    diffs = sub(ad.reshape(scores, (1, n)), ad.reshape(scores, (n, 1))) + ad.Tensor(margins)
+    hinge = tsum(relu(diffs) * ad.Tensor(np.triu(np.ones((n, n)), k=1)))
     return total + hinge * config.ctr_weight
 
 

@@ -545,6 +545,33 @@ def test_cli_error_paths(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "edit,argv,name",
+    [
+        (("num_candidates = 4", "num_candidates = 1"), [], "num_candidates"),
+        (("model_dim = 16", "model_dim = 0"), [], "model_dim"),
+        (("num_beams = 4", "num_beams = 5"), [], "num_beams"),
+        (("epochs = 2", "epochs = 0"), [], "epochs"),
+        (("[brio]\n", "[brio]\nmargin = nan\n"), [], "margin"),
+        (("seed = 11", "seed = -1"), [], "seed"),
+        (None, ["--seed", "-1"], "seed"),
+    ],
+    ids=["num_candidates", "model_dim", "num_beams", "epochs", "margin", "seed", "seed-flag"],
+)
+def test_out_of_range_settings_exit_2_without_a_traceback(tmp_path, mini_corpus, edit, argv, name):
+    text = MINI_CONFIG.format(corpus=mini_corpus)
+    if edit is not None:
+        assert edit[0] in text
+        text = text.replace(edit[0], edit[1], 1)
+    path = tmp_path / "bad.ini"
+    path.write_text(text, encoding="utf-8")
+    cmd = [sys.executable, "-m", "briosum", "split", "--config", str(path), "--out", str(tmp_path / "run"), *argv]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and name in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_run_pipeline_requires_out_dir(mini_config, capsys):
     config = ExperimentConfig.load(mini_config)
     assert run_pipeline(config, ["split"]) == 2

@@ -34,6 +34,7 @@ from helpers import (
     max_gradcheck_error,
     tiny_config,
     tiny_params,
+    tsum,
 )
 
 
@@ -305,7 +306,7 @@ def run_with_grads(build, leaves):
         t.zero_grad()
     out = build()
     upstream = np.random.default_rng(11).normal(size=out.shape)
-    (out * Tensor(upstream)).sum().backward()
+    tsum(out * Tensor(upstream)).backward()
     return out.data.copy(), [t.grad.copy() for t in leaves]
 
 
