@@ -296,15 +296,16 @@ def _from_heads(a: np.ndarray) -> np.ndarray:
     return a.transpose(0, 2, 1, 3).reshape(b, t, h * hd)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w + b`` over the last axis of ``x``."""
-    out = x.data @ w.data + b.data
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """``x @ w + b`` over the last axis of ``x``, or ``x @ w`` without ``b``."""
+    out = x.data @ w.data if b is None else x.data @ w.data + b.data
 
     def vjp(g):
         g_rows = _rows(g)
-        return g @ w.data.T, _rows(x.data).T @ g_rows, g_rows.sum(axis=0)
+        grads = (g @ w.data.T, _rows(x.data).T @ g_rows)
+        return grads if b is None else (*grads, g_rows.sum(axis=0))
 
-    return _node(out, (x, w, b), vjp)
+    return _node(out, (x, w) if b is None else (x, w, b), vjp)
 
 
 def attention(

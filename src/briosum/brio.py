@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .corpus import BOS_ID, EOS_ID, PAD_ID, TokenizedExample, Vocabulary, decode_tokens
+from .corpus import EOS_ID, TokenizedExample, Vocabulary, decode_tokens, strip_special_ids
 from .decode import DecodeConfig, diverse_beam_search, greedy_decode
 from .model import (
     ModelParams,
@@ -95,8 +95,8 @@ class BrioConfig:
             value = getattr(self, name)
             if not np.isfinite(value) or value < 0.0:
                 raise ValueError(f"BrioConfig.{name} must be finite and >= 0, got {value}")
-        if self.learning_rate <= 0.0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.loop_iterations < 0:
@@ -117,8 +117,8 @@ class FinetuneConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.learning_rate <= 0.0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.warmup_steps < 0:
             raise ValueError(f"warmup_steps must be >= 0, got {self.warmup_steps}")
 
@@ -138,18 +138,6 @@ def _checked_step(
     optimizer_step(params, optimizer, learning_rate)
     if not params.all_finite():
         raise NonFiniteError(f"non-finite parameters after the update at {where}")
-
-
-def strip_special_ids(ids: Sequence[int]) -> list[int]:
-    """Content tokens only: drop PAD and BOS, stop at the first EOS."""
-    out: list[int] = []
-    for token_id in ids:
-        if token_id == EOS_ID:
-            break
-        if token_id in (PAD_ID, BOS_ID):
-            continue
-        out.append(token_id)
-    return out
 
 
 # -- candidate generation ----------------------------------------------------
@@ -204,7 +192,7 @@ def generate_candidates(
             CandSum(
                 doc_id=example.doc_id,
                 token_ids=tokens,
-                text=decode_tokens(list(tokens), vocab),
+                text=decode_tokens(tokens, vocab),
                 model_score=float(model_score),
                 rouge=triple,
                 quality=quality_score(triple),
@@ -538,8 +526,8 @@ def write_candidate_cache(
     path: str | Path, ranked_sets: Sequence[RankedCandidateSet], config_hash: str = ""
 ) -> None:
     """Persist candidate sets as JSONL: a header line, then one record per
-    document with per-candidate text, token ids, model score, ROUGE F1s,
-    and quality."""
+    document with per-candidate text, token ids, model score, ROUGE-1/2/L
+    as [precision, recall, F1] triples, and quality."""
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
         fh.write(json.dumps({"kind": CANDIDATE_CACHE_KIND, "config_hash": config_hash}))
@@ -552,9 +540,10 @@ def write_candidate_cache(
                         "text": c.text,
                         "token_ids": list(c.token_ids),
                         "model_score": c.model_score,
-                        "r1": c.rouge.rouge1.f1,
-                        "r2": c.rouge.rouge2.f1,
-                        "rl": c.rouge.rougeL.f1,
+                        "rouge": [
+                            (s.precision, s.recall, s.f1)
+                            for s in (c.rouge.rouge1, c.rouge.rouge2, c.rouge.rougeL)
+                        ],
                         "quality": c.quality,
                     }
                     for c in ranked.candidates
@@ -568,8 +557,7 @@ def load_candidate_cache(
     path: str | Path, examples: Sequence[TokenizedExample]
 ) -> tuple[list[RankedCandidateSet], str]:
     """Rebuild candidate sets from a cache file, joining each record with
-    its tokenized document. Cached ROUGE triples carry the stored F1 in all
-    three slots; only F1 and quality are consumed downstream."""
+    its tokenized document."""
     path = Path(path)
     by_id = {ex.doc_id: ex for ex in examples}
     ranked_sets: list[RankedCandidateSet] = []
@@ -591,11 +579,7 @@ def load_candidate_cache(
                     token_ids=tuple(c["token_ids"]),
                     text=c["text"],
                     model_score=c["model_score"],
-                    rouge=RougeTriple(
-                        rouge1=RougeScore(c["r1"], c["r1"], c["r1"]),
-                        rouge2=RougeScore(c["r2"], c["r2"], c["r2"]),
-                        rougeL=RougeScore(c["rl"], c["rl"], c["rl"]),
-                    ),
+                    rouge=RougeTriple(*(RougeScore(*score) for score in c["rouge"])),
                     quality=c["quality"],
                 )
                 for c in record["candidates"]

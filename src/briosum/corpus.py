@@ -14,6 +14,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 PAD_ID = 0
 BOS_ID = 1
@@ -209,16 +210,23 @@ def encode(
     return ids[:max_len]
 
 
-def decode_tokens(ids: list[int], vocab: Vocabulary) -> str:
-    """Inverse of encode: strip specials, stop at the first EOS."""
-    words: list[str] = []
+def strip_special_ids(ids: Sequence[int]) -> list[int]:
+    """Content tokens only: drop PAD and BOS, stop at the first EOS."""
+    out: list[int] = []
     for token_id in ids:
-        if token_id < 0 or token_id >= vocab.size:
-            raise CorpusError(f"token id {token_id} out of range for vocab of size {vocab.size}")
         if token_id == EOS_ID:
             break
-        if token_id in (PAD_ID, BOS_ID):
-            continue
+        if token_id not in (PAD_ID, BOS_ID):
+            out.append(token_id)
+    return out
+
+
+def decode_tokens(ids: Sequence[int], vocab: Vocabulary) -> str:
+    """Inverse of encode: strip specials, stop at the first EOS."""
+    words: list[str] = []
+    for token_id in strip_special_ids(ids):
+        if not 0 <= token_id < vocab.size:
+            raise CorpusError(f"token id {token_id} out of range for vocab of size {vocab.size}")
         words.append(vocab.id_to_token[token_id])
     return " ".join(words)
 

@@ -59,15 +59,15 @@ class DecodeConfig:
                 f"num_beams ({self.num_beams}) must be divisible by "
                 f"num_beam_groups ({self.num_beam_groups})"
             )
-        if self.diversity_penalty < 0.0:
+        if not 0.0 <= self.diversity_penalty < np.inf:
             raise DecodeConfigError(
-                f"diversity_penalty must be >= 0, got {self.diversity_penalty}"
+                f"diversity_penalty must be finite and >= 0, got {self.diversity_penalty}"
             )
         if self.max_decode_len < 2:
             raise DecodeConfigError(f"max_decode_len must be >= 2, got {self.max_decode_len}")
-        if self.length_penalty < 0.0:
+        if not 0.0 <= self.length_penalty < np.inf:
             raise DecodeConfigError(
-                f"length_penalty must be >= 0, got {self.length_penalty}"
+                f"length_penalty must be finite and >= 0, got {self.length_penalty}"
             )
 
 

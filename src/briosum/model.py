@@ -1,9 +1,10 @@
 """A small trainable encoder-decoder transformer over the autodiff tape.
 
 Pre-layer-norm architecture with learned positional embeddings and a token
-embedding table shared by the encoder and decoder inputs. The output
-projection is a separate parameter (untied). Everything runs in float64;
-checkpoints store float32 on disk.
+embedding table shared by the encoder and decoder inputs (and, with
+``tie_embeddings``, the output projection). Keys have no bias: it would
+shift a query row's scores alike, which the softmax cancels. Everything
+runs in float64; checkpoints store the float64 values bit for bit.
 
 Shape conventions: source batches are (B, Ts) int arrays, target batches
 (B, Tt); hidden activations, keys and values are (B, T, model_dim). The
@@ -25,7 +26,7 @@ from .autodiff import Tensor
 from .corpus import BOS_ID, EOS_ID, PAD_ID
 
 _NEG_INF = -1e9
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 
 class CheckpointError(RuntimeError):
@@ -120,7 +121,8 @@ def _param_specs(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
         out = []
         for proj in ("q", "k", "v", "o"):
             out.append((f"{prefix}.w{proj}", (d, d), "weight"))
-            out.append((f"{prefix}.b{proj}", (d,), "zero"))
+            if proj != "k":  # no key bias: see the module docstring
+                out.append((f"{prefix}.b{proj}", (d,), "zero"))
         return out
 
     def norm(prefix: str) -> list[tuple[str, tuple[int, ...], str]]:
@@ -173,7 +175,7 @@ def init_params(config: ModelConfig, seed: int) -> ModelParams:
 def _project_kv(params: ModelParams, prefix: str, x: Tensor) -> tuple[Tensor, Tensor]:
     """An attention layer's keys and values over ``x``, (B, T, model_dim) each."""
     return (
-        ad.linear(x, params[f"{prefix}.wk"], params[f"{prefix}.bk"]),
+        ad.linear(x, params[f"{prefix}.wk"]),
         ad.linear(x, params[f"{prefix}.wv"], params[f"{prefix}.bv"]),
     )
 
@@ -415,7 +417,7 @@ def sequence_log_prob(
 
 
 def save_checkpoint(params: ModelParams, path: str | Path, meta: dict | None = None) -> None:
-    """Write a manifest header line plus raw little-endian float32 payload."""
+    """Write a manifest header line plus the raw little-endian float64 payload."""
     manifest = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "config": asdict(params.config),
@@ -430,7 +432,7 @@ def save_checkpoint(params: ModelParams, path: str | Path, meta: dict | None = N
         fh.write(json.dumps(manifest, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
         for _, t in params.items():
-            fh.write(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
+            fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
@@ -456,9 +458,9 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
     meta = manifest.get("meta", {})
     if not isinstance(meta, dict):
         raise CheckpointError(f"{path}: manifest meta is not an object")
-    if (len(raw) - sep - 1) % 4:
+    if (len(raw) - sep - 1) % 8:
         raise CheckpointError(f"{path}: payload of {len(raw) - sep - 1} bytes is not whole floats")
-    payload = np.frombuffer(raw[sep + 1 :], dtype="<f4")
+    payload = np.frombuffer(raw[sep + 1 :], dtype="<f8")
     expected = sum(count for _, _, count in entries)
     if payload.size != expected:
         raise CheckpointError(

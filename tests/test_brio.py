@@ -226,12 +226,9 @@ def test_brio_loss_gradients_match_two_pass_reference(num_candidates):
     reference = grads(two_pass_brio_loss)
     checked = 0
     for name, ref in reference.items():
-        scale = np.abs(ref).max()
-        if scale < 1e-12:
-            continue  # e.g. attention key biases: exactly 0 by softmax shift-invariance
-        assert np.abs(got[name] - ref).max() <= 1e-10 * scale, name
+        assert np.abs(got[name] - ref).max() <= 1e-10 * np.abs(ref).max(), name
         checked += 1
-    assert checked > len(reference) // 2
+    assert checked == len(reference) == len(got)
 
 
 def test_brio_loss_zero_when_both_terms_vanish():
@@ -411,6 +408,7 @@ def test_candidate_cache_round_trip(tmp_path):
         assert [c.model_score for c in back.candidates] == [c.model_score for c in orig.candidates]
         assert [c.quality for c in back.candidates] == [c.quality for c in orig.candidates]
         assert [c.text for c in back.candidates] == [c.text for c in orig.candidates]
+        assert back.candidates == orig.candidates
 
 
 def test_candidate_cache_unknown_doc(tmp_path):

@@ -32,8 +32,18 @@ from briosum.cli import (
     parse_report_csv,
     run_pipeline,
 )
-from briosum.corpus import BOS_ID, EOS_ID, TokenizedExample
+from briosum.brio import brio_train_stage, finetune_stage, generate_candidates, load_candidate_cache
+from briosum.corpus import (
+    BOS_ID,
+    EOS_ID,
+    TokenizedExample,
+    build_vocab,
+    load_corpus,
+    split_corpus,
+    tokenize_documents,
+)
 from briosum.decode import DecodeConfig
+from briosum.model import init_params, load_checkpoint
 from briosum.synthetic import make_toy_corpus, write_corpus_jsonl
 
 from helpers import count_train_stages, tiny_params
@@ -347,6 +357,46 @@ def test_checkpoint_with_unknown_config_key_fails_the_finetune_stage(mini_cands_
     assert "Traceback" not in err
 
 
+def test_format_1_checkpoint_fails_the_finetune_stage(mini_cands_run, capsys):
+    config, out = mini_cands_run
+    ckpt = out / FINETUNE_CKPT
+    header, payload = ckpt.read_bytes().split(b"\n", 1)
+    manifest = json.loads(header)
+    manifest["format_version"] = 1
+    float32 = np.frombuffer(payload, dtype="<f8").astype("<f4").tobytes()
+    ckpt.write_bytes(json.dumps(manifest).encode("utf-8") + b"\n" + float32)
+    capsys.readouterr()
+    assert run_pipeline(config, ["brio"]) == 1
+    err = capsys.readouterr().err
+    assert "error in stage 'finetune'" in err
+    assert "unsupported format version 1; use --force to rebuild" in err
+    assert not (out / BRIO_CKPT).exists()
+
+
+def test_cli_artifacts_equal_the_library_stages(mini_cands_run):
+    """The CLI stores exactly what the library stages return in memory."""
+    config, out = mini_cands_run
+    assert run_pipeline(config, ["brio"]) == 0
+    split = split_corpus(load_corpus(config.corpus_path), config.seed)
+    vocab = build_vocab(split.train, config.max_vocab_size, config.min_count)
+    model_config = config.model_config(vocab.size)
+    train, validation = (
+        tokenize_documents(docs, vocab, model_config.max_source_len, model_config.max_target_len)
+        for docs in (split.train, split.validation)
+    )
+    standard = init_params(model_config, config.seed)
+    finetuned, _ = finetune_stage(
+        standard, train, validation, config.finetune_config(), config.decode_config(), seed=config.seed
+    )
+    ranked = [generate_candidates(finetuned, ex, config.brio_config(), vocab) for ex in train]
+    trained, _ = brio_train_stage(finetuned, ranked, config.brio_config(), seed=config.seed)
+    assert load_candidate_cache(out / FINETUNE_CANDIDATES, train)[0] == ranked
+    for name, params in ((STANDARD_CKPT, standard), (FINETUNE_CKPT, finetuned), (BRIO_CKPT, trained)):
+        loaded, _ = load_checkpoint(out / name)
+        assert loaded.names() == params.names()
+        assert all(np.array_equal(loaded[key].data, t.data) for key, t in params.items()), name
+
+
 def _payload(ckpt):
     """A checkpoint's weights: everything after its header line."""
     return ckpt.read_bytes().split(b"\n", 1)[1]
@@ -555,8 +605,19 @@ def test_cli_error_paths(tmp_path, capsys):
         (("[brio]\n", "[brio]\nmargin = nan\n"), [], "margin"),
         (("seed = 11", "seed = -1"), [], "seed"),
         (None, ["--seed", "-1"], "seed"),
+        (("learning_rate = 1e-3", "learning_rate = nan"), [], "learning_rate"),
+        (("learning_rate = 1e-3", "learning_rate = inf"), [], "learning_rate"),
+        (("[brio]\n", "[brio]\nlearning_rate = nan\n"), [], "learning_rate"),
+        (("[brio]\n", "[brio]\nlearning_rate = inf\n"), [], "learning_rate"),
+        (("[decode]\n", "[decode]\ndiversity_penalty = nan\n"), [], "diversity_penalty"),
+        (("[decode]\n", "[decode]\nlength_penalty = nan\n"), [], "length_penalty"),
+        (("[decode]\n", "[decode]\nlength_penalty = inf\n"), [], "length_penalty"),
     ],
-    ids=["num_candidates", "model_dim", "num_beams", "epochs", "margin", "seed", "seed-flag"],
+    ids=[
+        "num_candidates", "model_dim", "num_beams", "epochs", "margin", "seed", "seed-flag",
+        "finetune-lr-nan", "finetune-lr-inf", "brio-lr-nan", "brio-lr-inf",
+        "diversity-penalty-nan", "length-penalty-nan", "length-penalty-inf",
+    ],
 )
 def test_out_of_range_settings_exit_2_without_a_traceback(tmp_path, mini_corpus, edit, argv, name):
     text = MINI_CONFIG.format(corpus=mini_corpus)

@@ -31,6 +31,7 @@ from helpers import (
     composed_attention,
     composed_gold_sum,
     composed_linear,
+    matmul,
     max_gradcheck_error,
     tiny_config,
     tiny_params,
@@ -317,14 +318,14 @@ def test_cross_attention_shares_one_source_row_across_query_rows():
     enc = Tensor(enc_out.data.copy(), requires_grad=True)
     queries = Tensor(np.random.default_rng(3).normal(size=(3, 4, 8)), requires_grad=True)
     prefix = "dec0.cross"
-    p = {n: params[f"{prefix}.{n}"] for n in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")}
+    p = {n: params[f"{prefix}.{n}"] for n in ("wq", "bq", "wk", "wv", "bv", "wo", "bo")}
     leaves = [enc, queries, *p.values()]
 
     def fused():
         return _attend(params, prefix, queries, *_project_kv(params, prefix, enc), src_mask)
 
     def composed():
-        k = composed_linear(enc, p["wk"], p["bk"])
+        k = matmul(enc, p["wk"])
         v = composed_linear(enc, p["wv"], p["bv"])
         return composed_attention(queries, k, v, p["wq"], p["bq"], p["wo"], p["bo"], src_mask, 2)
 
@@ -332,9 +333,8 @@ def test_cross_attention_shares_one_source_row_across_query_rows():
     want, want_grads = run_with_grads(composed, leaves)
     assert got.shape == (3, 4, 8)
     assert_relative_close(got, want)
-    scale = max(float(np.abs(g).max()) for g in want_grads)
     for got_grad, want_grad in zip(got_grads, want_grads):
-        assert_relative_close(got_grad, want_grad, scale)
+        assert_relative_close(got_grad, want_grad)
     assert not enc.grad[0, 4:].any()  # PAD source positions get no attention
 
 
@@ -375,10 +375,9 @@ def test_checkpoint_round_trip_values(tmp_path):
     loaded, meta = load_checkpoint(path)
     assert meta["config_hash"] == "abc"
     assert loaded.config == params.config
+    assert loaded.names() == params.names()
     for name, t in params.items():
-        np.testing.assert_array_equal(
-            loaded[name].data, t.data.astype(np.float32).astype(np.float64)
-        )
+        np.testing.assert_array_equal(loaded[name].data, t.data)
 
 
 def test_checkpoint_file_round_trip_bit_exact(tmp_path):
@@ -414,7 +413,8 @@ def test_checkpoint_rejects_bad_manifest(tmp_path):
     unknown_key = {**manifest, "config": {**manifest["config"], "dropout_rate": 0.1}}
     no_count = {**manifest, "params": [{k: v for k, v in e.items() if k != "count"}
                                        for e in manifest["params"]]}
-    for bad in ([], unknown_key, no_count):
+    format_1 = {**manifest, "format_version": 1}
+    for bad in ([], unknown_key, no_count, format_1):
         path.write_bytes(json.dumps(bad).encode("utf-8") + b"\n" + payload)
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
