@@ -678,7 +678,7 @@ _STAGE_FUNCS = {
 def _run_stage(ctx: _Context, stage: str) -> str:
     try:
         return _STAGE_FUNCS[stage](ctx)
-    except NonFiniteError as exc:
+    except (NonFiniteError, OSError) as exc:
         raise StageError(stage, str(exc)) from exc
 
 
@@ -696,10 +696,10 @@ def run_pipeline(
             return 2
     try:
         out = config.out_dir
-    except ConfigError as exc:
+        out.mkdir(parents=True, exist_ok=True)
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out.mkdir(parents=True, exist_ok=True)
     ctx = _Context(config=config, out=out, force=force)
     for stage in stages:
         try:

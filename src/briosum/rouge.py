@@ -1,17 +1,20 @@
 """ROUGE-1 / ROUGE-2 / ROUGE-L and the scalar quality score for ranking.
 
-All scores operate on token sequences (any hashable items). ROUGE-n uses
-clipped n-gram counts: each reference n-gram is credited at most as many
-times as it occurs in the reference. ROUGE-L uses the longest common
-subsequence over the full sequences. F1 is the reported quantity and the
-quality score is the arithmetic mean of the three F1 values.
+All scores operate on token sequences (any hashable items) and report F1;
+the quality score is the arithmetic mean of the three F1 values. Both
+overlaps are exact integer kernels. ROUGE-n clips n-gram counts: each
+candidate n-gram spends one credit of its count in the reference, in
+O(|c| + |r|) dict operations. ROUGE-L is the longest common subsequence,
+computed bit-parallel (Allison and Dix 1986; Hyyro 2004): bit j of ``v`` is
+set while reference position j is unmatched, and each candidate token costs
+five operations on an |r|-bit int, O(|c| * ceil(|r| / 64)) word operations
+where the dynamic program takes O(|c| * |r|) Python steps.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 
 @dataclass(frozen=True)
@@ -28,61 +31,58 @@ class RougeTriple:
     rougeL: RougeScore
 
 
-def _f1(precision: float, recall: float) -> float:
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
-
-
 def _score(overlap: int, cand_total: int, ref_total: int) -> RougeScore:
     if cand_total == 0 or ref_total == 0:
         return RougeScore(0.0, 0.0, 0.0)
     precision = overlap / cand_total
     recall = overlap / ref_total
-    return RougeScore(precision, recall, _f1(precision, recall))
+    f1 = 0.0 if precision + recall == 0.0 else 2.0 * precision * recall / (precision + recall)
+    return RougeScore(precision, recall, f1)
 
 
-def _ngrams(tokens: Sequence[Hashable], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+def _grams(tokens: Sequence[Hashable], n: int) -> Iterable[Hashable]:
+    # Unigrams and bigrams, all that score_pair asks for, build no comprehension.
+    if n == 1:
+        return tokens
+    if n == 2:
+        return zip(tokens, tokens[1:])
+    return zip(*[tokens[i:] for i in range(n)])
 
 
 def rouge_n(candidate: Sequence[Hashable], reference: Sequence[Hashable], n: int) -> RougeScore:
     """Clipped n-gram overlap between candidate and reference."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    cand_counts = _ngrams(candidate, n)
-    ref_counts = _ngrams(reference, n)
-    overlap = sum((cand_counts & ref_counts).values())
-    return _score(overlap, sum(cand_counts.values()), sum(ref_counts.values()))
-
-
-def _lcs_length(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        cur = [0] * (len(b) + 1)
-        for j, y in enumerate(b, start=1):
-            if x == y:
-                cur[j] = prev[j - 1] + 1
-            else:
-                cur[j] = max(prev[j], cur[j - 1])
-        prev = cur
-    return prev[-1]
+    credits: dict = {}
+    for gram in _grams(reference, n):
+        credits[gram] = credits.get(gram, 0) + 1
+    overlap = 0
+    for gram in _grams(candidate, n):
+        left = credits.get(gram)
+        if left:
+            credits[gram] = left - 1
+            overlap += 1
+    return _score(overlap, max(len(candidate) - n + 1, 0), max(len(reference) - n + 1, 0))
 
 
 def rouge_l(candidate: Sequence[Hashable], reference: Sequence[Hashable]) -> RougeScore:
     """Longest-common-subsequence overlap over the full sequences."""
-    lcs = _lcs_length(candidate, reference)
-    return _score(lcs, len(candidate), len(reference))
+    masks: dict = {}
+    for j, token in enumerate(reference):
+        masks[token] = masks.get(token, 0) | (1 << j)
+    v = full = (1 << len(reference)) - 1
+    for token in candidate:
+        m = masks.get(token)
+        if m is not None:
+            u = v & m
+            v = ((v + u) | (v - u)) & full
+    return _score(len(reference) - v.bit_count(), len(candidate), len(reference))
 
 
 def score_pair(candidate: Sequence[Hashable], reference: Sequence[Hashable]) -> RougeTriple:
     """The full ROUGE-1/2/L bundle for one candidate-reference pair."""
     return RougeTriple(
-        rouge1=rouge_n(candidate, reference, 1),
-        rouge2=rouge_n(candidate, reference, 2),
-        rougeL=rouge_l(candidate, reference),
+        rouge_n(candidate, reference, 1), rouge_n(candidate, reference, 2), rouge_l(candidate, reference)
     )
 
 

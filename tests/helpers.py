@@ -1,6 +1,7 @@
 """Shared fixtures: tiny model factories, the finite-difference checker, a
-counter of BRIO training-stage calls, and the primitive ops and composed
-graphs that the fused autodiff ops replace."""
+counter of BRIO training-stage calls, the primitive ops and composed
+graphs that the fused autodiff ops replace, and the dynamic-programming
+LCS that the bit-parallel ROUGE-L kernel replaces."""
 
 from __future__ import annotations
 
@@ -297,3 +298,19 @@ def composed_brio_objective(sums, lengths, mle_weight, ctr_weight, margin, lengt
     diffs = sub(ad.reshape(scores, (1, n)), ad.reshape(scores, (n, 1))) + margins
     ctr = tsum(relu(diffs) * ad.Tensor(np.triu(np.ones((n, n)), k=1)))
     return total + ctr * ctr_weight, mle.item(), ctr.item()
+
+
+def dp_lcs_length(a, b) -> int:
+    """Longest common subsequence by the O(|a| * |b|) dynamic program."""
+    if not a or not b:
+        return 0
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0] * (len(b) + 1)
+        for j, y in enumerate(b, start=1):
+            if x == y:
+                cur[j] = prev[j - 1] + 1
+            else:
+                cur[j] = max(prev[j], cur[j - 1])
+        prev = cur
+    return prev[-1]

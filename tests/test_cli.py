@@ -662,3 +662,24 @@ def test_non_finite_training_fails_the_stage_without_a_traceback(tmp_path, mini_
     assert "error in stage 'finetune'" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (out / EVAL_FILE).exists()
+
+
+@pytest.mark.parametrize("out", ["afile", "afile/sub"], ids=["regular-file", "under-a-file"])
+def test_uncreatable_output_directory_exits_2_without_a_traceback(tmp_path, mini_config, out):
+    (tmp_path / "afile").write_text("not a directory", encoding="utf-8")
+    cmd = [sys.executable, "-m", "briosum", "split", "--config", str(mini_config), "--out", str(tmp_path / out)]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert str(tmp_path / out) in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_unwritable_stage_output_fails_the_stage_without_a_traceback(tmp_path, mini_config):
+    out = tmp_path / "run"
+    (out / SPLIT_FILE).mkdir(parents=True)
+    cmd = [sys.executable, "-m", "briosum", "split", "--config", str(mini_config), "--out", str(out)]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error in stage 'split': ") and SPLIT_FILE in proc.stderr
+    assert "Traceback" not in proc.stderr

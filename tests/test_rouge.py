@@ -1,7 +1,7 @@
 """ROUGE fixtures and oracle equivalence.
 
-The oracles are deliberately naive: multiset intersection for n-grams and
-exhaustive subsequence enumeration for the LCS.
+The oracles are deliberately naive: multiset intersection for n-grams, and
+exhaustive subsequence enumeration or the dynamic program for the LCS.
 """
 
 import itertools
@@ -11,6 +11,7 @@ from collections import Counter
 import pytest
 
 from briosum.rouge import RougeScore, RougeTriple, quality_score, rouge_l, rouge_n, score_pair
+from helpers import dp_lcs_length
 
 
 def naive_rouge_n_overlap(cand, ref, n):
@@ -162,3 +163,35 @@ def test_self_similarity_is_one():
         for n in (1, 2):
             if len(seq) >= n:
                 assert rouge_n(seq, seq, n).f1 == pytest.approx(1.0, abs=1e-12)
+
+
+def reference_score(overlap, cand_total, ref_total):
+    if cand_total == 0 or ref_total == 0:
+        return RougeScore(0.0, 0.0, 0.0)
+    p, r = overlap / cand_total, overlap / ref_total
+    return RougeScore(p, r, 0.0 if p + r == 0.0 else 2.0 * p * r / (p + r))
+
+
+def test_kernels_equal_dp_and_counting_references_on_random_pairs():
+    """20k pairs up to 130 tokens (past one 64-bit word), alphabets of 1 to
+    50, int and str tokens, list and tuple inputs: every score is == the
+    score built from the references' integers."""
+    rng = random.Random(2024)
+    for i in range(20_000):
+        max_len = rng.choice((3, 10, 10, 30, 30, 70, 130))
+        alphabet = rng.randint(1, 50)
+        words = [f"w{k}" for k in range(alphabet)] if i % 2 else list(range(alphabet))
+        pair = [[rng.choice(words) for _ in range(rng.randint(0, max_len))] for _ in range(2)]
+        cand, ref = (tuple(seq) for seq in pair) if i % 4 >= 2 else pair
+        for n in (1, 2, 3):
+            want = reference_score(
+                naive_rouge_n_overlap(cand, ref, n),
+                max(len(cand) - n + 1, 0),
+                max(len(ref) - n + 1, 0),
+            )
+            assert rouge_n(cand, ref, n) == want, (cand, ref, n)
+        want_l = reference_score(dp_lcs_length(cand, ref), len(cand), len(ref))
+        assert rouge_l(cand, ref) == want_l, (cand, ref)
+        assert score_pair(cand, ref) == RougeTriple(
+            rouge_n(cand, ref, 1), rouge_n(cand, ref, 2), want_l
+        ), (cand, ref)
