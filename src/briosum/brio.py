@@ -39,6 +39,8 @@ from .rouge import RougeScore, RougeTriple, quality_score, score_pair
 logger = logging.getLogger(__name__)
 
 CANDIDATE_CACHE_KIND = "candidate_cache"
+# Version 1, the unversioned layout, stored only the F1 of each ROUGE variant.
+CANDIDATE_CACHE_FORMAT_VERSION = 2
 
 
 @dataclass
@@ -530,7 +532,12 @@ def write_candidate_cache(
     as [precision, recall, F1] triples, and quality."""
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"kind": CANDIDATE_CACHE_KIND, "config_hash": config_hash}))
+        header = {
+            "kind": CANDIDATE_CACHE_KIND,
+            "format_version": CANDIDATE_CACHE_FORMAT_VERSION,
+            "config_hash": config_hash,
+        }
+        fh.write(json.dumps(header))
         fh.write("\n")
         for ranked in ranked_sets:
             record = {
@@ -565,6 +572,9 @@ def load_candidate_cache(
         header = json.loads(fh.readline())
         if not isinstance(header, dict) or header.get("kind") != CANDIDATE_CACHE_KIND:
             raise ValueError(f"{path}: not a candidate cache file")
+        version = header.get("format_version", 1)
+        if version != CANDIDATE_CACHE_FORMAT_VERSION:
+            raise ValueError(f"{path}: unsupported format version {version}")
         for line in fh:
             if not line.strip():
                 continue

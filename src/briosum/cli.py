@@ -8,9 +8,10 @@ artifacts from a different configuration is refused. An artifact counts as
 complete only when it loads whole through the loader its consumers use;
 one that exists but does not load ends in an error naming its stage.
 
-Configuration files are INI: one section per subsystem, flat keys. The
-``--seed`` and ``--out`` flags override ``experiment.seed`` and
-``experiment.out_dir``.
+Configuration files are INI: one section per subsystem, flat keys. The keys
+and defaults of [model], [finetune], [decode] and [brio] are the fields of
+ModelConfig, FinetuneConfig, DecodeConfig and BrioConfig. The ``--seed`` and
+``--out`` flags override ``experiment.seed`` and ``experiment.out_dir``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import io
 import json
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -84,51 +85,21 @@ _REPORT_SYSTEMS = (
     ("BRIO-Loop", LOOP_CKPT),
 )
 
-_DEFAULTS: dict[str, dict[str, str]] = {
-    "experiment": {
-        "corpus": "",
-        "seed": "7",
-        "out_dir": "",
-        "max_documents": "0",
-    },
-    "corpus": {
-        "max_vocab_size": "2000",
-        "min_count": "1",
-    },
-    "model": {
-        "model_dim": "64",
-        "num_heads": "4",
-        "ffn_dim": "128",
-        "num_encoder_layers": "2",
-        "num_decoder_layers": "2",
-        "max_source_len": "256",
-        "max_target_len": "64",
-        "tie_embeddings": "false",
-    },
-    "finetune": {
-        "batch_size": "4",
-        "epochs": "5",
-        "learning_rate": "1e-5",
-        "warmup_steps": "20000",
-    },
-    "decode": {
-        "num_beams": "6",
-        "num_beam_groups": "6",
-        "diversity_penalty": "1.0",
-        "max_decode_len": "32",
-        "length_penalty": "1.0",
-    },
-    "brio": {
-        "num_candidates": "6",
-        "margin": "0.001",
-        "length_penalty": "1.0",
-        "ctr_weight": "10.0",
-        "mle_weight": "1.0",
-        "learning_rate": "1e-3",
-        "epochs": "1",
-        "batch_size": "4",
-        "loop_iterations": "2",
-    },
+
+def _keys(config_class) -> dict[str, object]:
+    """A config class's INI keys: its fields with a plain default."""
+    return {f.name: f.default for f in fields(config_class) if f.default is not MISSING}
+
+
+# Each section's keys and typed defaults. The type of a default picks the
+# parser of the key's value; the config classes hold the recipe's defaults.
+_SECTIONS: dict[str, dict[str, object]] = {
+    "experiment": {"corpus": "", "seed": 7, "out_dir": "", "max_documents": 0},
+    "corpus": {"max_vocab_size": 2000, "min_count": 1},
+    "model": _keys(ModelConfig),
+    "finetune": _keys(FinetuneConfig),
+    "decode": _keys(DecodeConfig),
+    "brio": _keys(BrioConfig),
 }
 
 # Location-only keys stay out of the config hash.
@@ -147,15 +118,6 @@ class StageError(RuntimeError):
         self.stage = stage
 
 
-def _parse_bool(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {raw!r}")
-
-
 @dataclass
 class ExperimentConfig:
     """The resolved flat configuration plus typed views of each section."""
@@ -172,12 +134,16 @@ class ExperimentConfig:
             parser.read(path, encoding="utf-8")
         except configparser.Error as exc:
             raise ConfigError(f"{path}: {exc}") from exc
-        values = {section: dict(keys) for section, keys in _DEFAULTS.items()}
+        # Defaults as raw values; bools in lower case, as INI files write them.
+        values = {
+            section: {k: str(v).lower() if isinstance(v, bool) else str(v) for k, v in keys.items()}
+            for section, keys in _SECTIONS.items()
+        }
         for section in parser.sections():
-            if section not in _DEFAULTS:
+            if section not in _SECTIONS:
                 raise ConfigError(f"{path}: unknown section [{section}]")
             for key, raw in parser.items(section):
-                if key not in _DEFAULTS[section]:
+                if key not in _SECTIONS[section]:
                     raise ConfigError(f"{path}: unknown key {section}.{key}")
                 values[section][key] = raw.strip()
         config = ExperimentConfig(values)
@@ -188,19 +154,21 @@ class ExperimentConfig:
         config.validate()
         return config
 
-    def _int(self, section: str, key: str) -> int:
+    def _parse(self, section: str, key: str):
         raw = self.values[section][key]
+        default = _SECTIONS[section][key]
+        if isinstance(default, bool):
+            if raw.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
+                raise ConfigError(f"{section}.{key}: expected a boolean, got {raw!r}")
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
         try:
-            return int(raw)
+            return type(default)(raw)
         except ValueError as exc:
-            raise ConfigError(f"{section}.{key} must be an integer, got {raw!r}") from exc
+            kind = "an integer" if isinstance(default, int) else "a number"
+            raise ConfigError(f"{section}.{key} must be {kind}, got {raw!r}") from exc
 
-    def _float(self, section: str, key: str) -> float:
-        raw = self.values[section][key]
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{section}.{key} must be a number, got {raw!r}") from exc
+    def _section(self, section: str) -> dict[str, object]:
+        return {key: self._parse(section, key) for key in _SECTIONS[section]}
 
     @property
     def corpus_path(self) -> Path:
@@ -208,7 +176,7 @@ class ExperimentConfig:
 
     @property
     def seed(self) -> int:
-        return self._int("experiment", "seed")
+        return self._parse("experiment", "seed")
 
     @property
     def out_dir(self) -> Path:
@@ -219,61 +187,31 @@ class ExperimentConfig:
 
     @property
     def max_documents(self) -> int:
-        return self._int("experiment", "max_documents")
+        return self._parse("experiment", "max_documents")
 
     @property
     def max_vocab_size(self) -> int:
-        return self._int("corpus", "max_vocab_size")
+        return self._parse("corpus", "max_vocab_size")
 
     @property
     def min_count(self) -> int:
-        return self._int("corpus", "min_count")
+        return self._parse("corpus", "min_count")
 
     def model_config(self, vocab_size: int) -> ModelConfig:
-        return ModelConfig(
-            vocab_size=vocab_size,
-            model_dim=self._int("model", "model_dim"),
-            num_heads=self._int("model", "num_heads"),
-            ffn_dim=self._int("model", "ffn_dim"),
-            num_encoder_layers=self._int("model", "num_encoder_layers"),
-            num_decoder_layers=self._int("model", "num_decoder_layers"),
-            max_source_len=self._int("model", "max_source_len"),
-            max_target_len=self._int("model", "max_target_len"),
-            tie_embeddings=_parse_bool(self.values["model"]["tie_embeddings"]),
-        )
+        return ModelConfig(vocab_size=vocab_size, **self._section("model"))
 
     def finetune_config(self) -> FinetuneConfig:
-        return FinetuneConfig(
-            batch_size=self._int("finetune", "batch_size"),
-            epochs=self._int("finetune", "epochs"),
-            learning_rate=self._float("finetune", "learning_rate"),
-            warmup_steps=self._int("finetune", "warmup_steps"),
-        )
+        return FinetuneConfig(**self._section("finetune"))
 
     def decode_config(self) -> DecodeConfig:
-        return DecodeConfig(
-            num_beams=self._int("decode", "num_beams"),
-            num_beam_groups=self._int("decode", "num_beam_groups"),
-            diversity_penalty=self._float("decode", "diversity_penalty"),
-            max_decode_len=self._int("decode", "max_decode_len"),
-            length_penalty=self._float("decode", "length_penalty"),
-        )
+        return DecodeConfig(**self._section("decode"))
 
     def brio_config(self) -> BrioConfig:
-        return BrioConfig(
-            num_candidates=self._int("brio", "num_candidates"),
-            decode=self.decode_config(),
-            margin=self._float("brio", "margin"),
-            length_penalty=self._float("brio", "length_penalty"),
-            ctr_weight=self._float("brio", "ctr_weight"),
-            mle_weight=self._float("brio", "mle_weight"),
-            learning_rate=self._float("brio", "learning_rate"),
-            epochs=self._int("brio", "epochs"),
-            batch_size=self._int("brio", "batch_size"),
-            loop_iterations=self._int("brio", "loop_iterations"),
-        )
+        return BrioConfig(decode=self.decode_config(), **self._section("brio"))
 
     def validate(self) -> None:
+        for section in _SECTIONS:
+            self._section(section)
         if not self.values["experiment"]["corpus"]:
             raise ConfigError("experiment.corpus is required")
         if not self.corpus_path.exists():

@@ -1,9 +1,12 @@
 """Harness behavior: config files, stage dependencies, reports, end to end."""
 
 import json
+import re
 import shutil
 import subprocess
 import sys
+from dataclasses import MISSING, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +35,14 @@ from briosum.cli import (
     parse_report_csv,
     run_pipeline,
 )
-from briosum.brio import brio_train_stage, finetune_stage, generate_candidates, load_candidate_cache
+from briosum.brio import (
+    BrioConfig,
+    FinetuneConfig,
+    brio_train_stage,
+    finetune_stage,
+    generate_candidates,
+    load_candidate_cache,
+)
 from briosum.corpus import (
     BOS_ID,
     EOS_ID,
@@ -43,10 +53,11 @@ from briosum.corpus import (
     tokenize_documents,
 )
 from briosum.decode import DecodeConfig
-from briosum.model import init_params, load_checkpoint
+from briosum.model import ModelConfig, init_params, load_checkpoint
 from briosum.synthetic import make_toy_corpus, write_corpus_jsonl
 
 from helpers import count_train_stages, tiny_params
+from test_acceptance import TOY_PIPELINE_INI
 
 MINI_CONFIG = """
 [experiment]
@@ -116,6 +127,60 @@ def test_config_hash_changes_with_seed_not_out_dir(mini_config):
     c = ExperimentConfig.load(mini_config, seed=12, out_dir="/tmp/a")
     assert a.config_hash() == b.config_hash()
     assert a.config_hash() != c.config_hash()
+
+
+def _readme_ini() -> str:
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    ini = re.search(r"cat > /tmp/toy\.ini <<'EOF'\n(.*?)\nEOF\n", readme, re.S).group(1)
+    return ini.replace("/tmp/toy.jsonl", "{corpus}")
+
+
+# Every INI key, by section: the pin below fails on a key added or lost.
+CONFIG_KEYS = {
+    "experiment": "corpus seed out_dir max_documents",
+    "corpus": "max_vocab_size min_count",
+    "model": "model_dim num_heads ffn_dim num_encoder_layers num_decoder_layers "
+    "max_source_len max_target_len tie_embeddings",
+    "finetune": "batch_size epochs learning_rate warmup_steps",
+    "decode": "num_beams num_beam_groups diversity_penalty max_decode_len length_penalty",
+    "brio": "num_candidates margin length_penalty ctr_weight mle_weight learning_rate "
+    "epochs batch_size loop_iterations",
+}
+
+
+# A changed hash makes every existing output directory refuse to resume, so
+# each change to these values must be recorded for users (README, CHANGES.md).
+# The last two leave a learning rate at its default, rendered from the config
+# class: 0.001 and 1e-05 (they read 5ecd77bc3714409e and 3d54cd6ac9b1a79c when
+# the defaults were written out as 1e-3 and 1e-5).
+@pytest.mark.parametrize(
+    "ini,expected",
+    [
+        (TOY_PIPELINE_INI, "e878586f8f5dce91"),
+        (_readme_ini(), "833825ab06e1adc9"),
+        (MINI_CONFIG, "82582178827d2ae2"),
+        ("[experiment]\ncorpus = {corpus}\n", "b71695fbfc881302"),
+    ],
+    ids=["toy-pipeline", "readme", "mini", "corpus-only"],
+)
+def test_config_hash_and_keys_are_pinned(tmp_path, monkeypatch, ini, expected):
+    monkeypatch.chdir(tmp_path)
+    Path("c.jsonl").touch()
+    Path("config.ini").write_text(ini.format(corpus="c.jsonl"), encoding="utf-8")
+    config = ExperimentConfig.load("config.ini")
+    assert config.config_hash() == expected
+    keys = {(section, key) for section, values in config.values.items() for key in values}
+    assert keys == {(section, key) for section, names in CONFIG_KEYS.items() for key in names.split()}
+    assert len(keys) == 32
+
+
+@pytest.mark.parametrize("config_class", [ModelConfig, FinetuneConfig, DecodeConfig, BrioConfig])
+def test_config_defaults_have_their_annotated_types(config_class):
+    """The type of a default picks its INI key's parser, so a float field
+    with the default 0 would refuse 0.5."""
+    for field in fields(config_class):
+        if field.default is not MISSING:
+            assert type(field.default).__name__ == field.type, field.name
 
 
 def test_config_unknown_key_rejected(tmp_path, mini_corpus):
@@ -373,6 +438,27 @@ def test_format_1_checkpoint_fails_the_finetune_stage(mini_cands_run, capsys):
     assert not (out / BRIO_CKPT).exists()
 
 
+def test_unversioned_candidate_cache_fails_the_gen_cands_stage(mini_cands_run, capsys):
+    """A cache in the layout before format versions: no version in its
+    header, and one F1 per ROUGE variant instead of the full triples."""
+    config, out = mini_cands_run
+    cache = out / FINETUNE_CANDIDATES
+    header, *records = (json.loads(line) for line in cache.read_text(encoding="utf-8").splitlines())
+    header.pop("format_version", None)
+    for record in records:
+        for cand in record["candidates"]:
+            r1, r2, rl = (f1 for _, _, f1 in cand.pop("rouge"))
+            cand.update(r1=r1, r2=r2, rl=rl)
+    cache.write_text("".join(json.dumps(line) + "\n" for line in [header, *records]), encoding="utf-8")
+    capsys.readouterr()
+    assert run_pipeline(config, ["brio"]) == 1
+    err = capsys.readouterr().err
+    assert "error in stage 'gen-cands'" in err
+    assert "unsupported format version 1" in err and err.rstrip().endswith("use --force to rebuild")
+    assert "KeyError" not in err
+    assert not (out / BRIO_CKPT).exists()
+
+
 def test_cli_artifacts_equal_the_library_stages(mini_cands_run):
     """The CLI stores exactly what the library stages return in memory."""
     config, out = mini_cands_run
@@ -612,11 +698,14 @@ def test_cli_error_paths(tmp_path, capsys):
         (("[decode]\n", "[decode]\ndiversity_penalty = nan\n"), [], "diversity_penalty"),
         (("[decode]\n", "[decode]\nlength_penalty = nan\n"), [], "length_penalty"),
         (("[decode]\n", "[decode]\nlength_penalty = inf\n"), [], "length_penalty"),
+        (("max_vocab_size = 120", "max_vocab_size = abc"), [], "max_vocab_size"),
+        (("[model]\n", "[model]\ntie_embeddings = maybe\n"), [], "tie_embeddings"),
     ],
     ids=[
         "num_candidates", "model_dim", "num_beams", "epochs", "margin", "seed", "seed-flag",
         "finetune-lr-nan", "finetune-lr-inf", "brio-lr-nan", "brio-lr-inf",
         "diversity-penalty-nan", "length-penalty-nan", "length-penalty-inf",
+        "corpus-not-an-integer", "model-not-a-boolean",
     ],
 )
 def test_out_of_range_settings_exit_2_without_a_traceback(tmp_path, mini_corpus, edit, argv, name):
