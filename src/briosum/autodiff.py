@@ -58,10 +58,6 @@ class Tensor:
     def _in_graph(self) -> bool:
         return self.requires_grad or self._vjp is not None
 
-    def zero_grad(self) -> None:
-        if self.grad is not None:
-            self.grad[...] = 0.0
-
     def item(self) -> float:
         return float(self.data)
 

@@ -220,6 +220,10 @@ class ExperimentConfig:
             raise ConfigError("experiment.max_documents must be >= 0")
         if self.seed < 0:
             raise ConfigError(f"experiment.seed must be >= 0, got {self.seed}")
+        if self.max_vocab_size < 5:  # the 4 special tokens plus one word
+            raise ConfigError(f"corpus.max_vocab_size must be >= 5, got {self.max_vocab_size}")
+        if self.min_count < 1:
+            raise ConfigError(f"corpus.min_count must be >= 1, got {self.min_count}")
         try:
             self.model_config(vocab_size=5).validate()
             self.finetune_config().validate()

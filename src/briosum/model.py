@@ -4,7 +4,8 @@ Pre-layer-norm architecture with learned positional embeddings and a token
 embedding table shared by the encoder and decoder inputs (and, with
 ``tie_embeddings``, the output projection). Keys have no bias: it would
 shift a query row's scores alike, which the softmax cancels. Everything
-runs in float64; checkpoints store the float64 values bit for bit.
+runs in float64, with all parameters in one vector that the named tensors
+view (``ModelParams``); checkpoints store it bit for bit.
 
 Shape conventions: source batches are (B, Ts) int arrays, target batches
 (B, Tt); hidden activations, keys and values are (B, T, model_dim). The
@@ -15,6 +16,7 @@ layers are the fused ops of ``autodiff`` (``linear``, ``attention``,
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
@@ -74,11 +76,25 @@ class ModelConfig:
 
 
 class ModelParams:
-    """Named parameter tensors with paired gradient buffers."""
+    """All parameters in one float64 vector, ``flat``, in ``_param_specs``
+    order, and their gradients in ``grad``. Each named tensor's ``data`` and
+    ``grad`` are views into the two, so ``backward()`` accumulates into
+    ``grad`` and copying, zeroing or checking the model is one array op."""
 
-    def __init__(self, config: ModelConfig, tensors: dict[str, Tensor]):
+    def __init__(self, config: ModelConfig, flat: np.ndarray):
         self.config = config
-        self.tensors = tensors
+        self.flat = flat
+        self.grad = np.zeros_like(flat)
+        self.tensors: dict[str, Tensor] = {}
+        offset = 0
+        for name, shape, _ in _param_specs(config):
+            end = offset + math.prod(shape)
+            tensor = Tensor(flat[offset:end].reshape(shape))
+            tensor.requires_grad, tensor.grad = True, self.grad[offset:end].reshape(shape)
+            self.tensors[name] = tensor
+            offset = end
+        if flat.shape != (offset,) or flat.dtype != np.float64:
+            raise ValueError(f"expected {offset} float64 parameters, got {flat.dtype} {flat.shape}")
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
@@ -91,21 +107,16 @@ class ModelParams:
 
     @property
     def num_params(self) -> int:
-        return sum(t.data.size for t in self.tensors.values())
+        return self.flat.size
 
     def zero_grads(self) -> None:
-        for t in self.tensors.values():
-            t.zero_grad()
+        self.grad[...] = 0.0
 
     def copy(self) -> "ModelParams":
-        fresh = {}
-        for name, t in self.tensors.items():
-            nt = Tensor(t.data.copy(), requires_grad=True)
-            fresh[name] = nt
-        return ModelParams(self.config, fresh)
+        return ModelParams(self.config, self.flat.copy())
 
     def all_finite(self) -> bool:
-        return all(np.isfinite(t.data).all() for t in self.tensors.values())
+        return bool(np.isfinite(self.flat).all())
 
 
 def _param_specs(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
@@ -157,16 +168,13 @@ def init_params(config: ModelConfig, seed: int) -> ModelParams:
     config.validate()
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(config.model_dim)
-    tensors: dict[str, Tensor] = {}
-    for name, shape, kind in _param_specs(config):
+    draws = []
+    for _, shape, kind in _param_specs(config):
         if kind == "weight":
-            data = rng.normal(0.0, scale, size=shape)
-        elif kind == "one":
-            data = np.ones(shape)
+            draws.append(rng.normal(0.0, scale, size=shape).ravel())
         else:
-            data = np.zeros(shape)
-        tensors[name] = Tensor(data, requires_grad=True)
-    return ModelParams(config, tensors)
+            draws.append(np.full(math.prod(shape), 1.0 if kind == "one" else 0.0))
+    return ModelParams(config, np.concatenate(draws))
 
 
 # -- forward pieces --------------------------------------------------------
@@ -417,22 +425,20 @@ def sequence_log_prob(
 
 
 def save_checkpoint(params: ModelParams, path: str | Path, meta: dict | None = None) -> None:
-    """Write a manifest header line plus the raw little-endian float64 payload."""
+    """Write a manifest header line, then the parameter vector as raw
+    little-endian float64: the tensors in ``_param_specs`` order."""
     manifest = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "config": asdict(params.config),
-        "params": [
-            {"name": name, "shape": list(t.data.shape), "count": int(t.data.size)}
-            for name, t in params.items()
-        ],
+        "params": [{"name": name, "shape": list(shape), "count": math.prod(shape)}
+                   for name, shape, _ in _param_specs(params.config)],
         "meta": meta or {},
     }
     path = Path(path)
     with path.open("wb") as fh:
         fh.write(json.dumps(manifest, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
-        for _, t in params.items():
-            fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(params.flat, dtype="<f8"))
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
@@ -458,25 +464,14 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
     meta = manifest.get("meta", {})
     if not isinstance(meta, dict):
         raise CheckpointError(f"{path}: manifest meta is not an object")
+    specs = [(name, shape, math.prod(shape)) for name, shape, _ in _param_specs(config)]
+    if entries != specs:
+        raise CheckpointError(f"{path}: manifest parameters are not the {len(specs)} "
+                              "tensors the config implies, in their order")
     if (len(raw) - sep - 1) % 8:
         raise CheckpointError(f"{path}: payload of {len(raw) - sep - 1} bytes is not whole floats")
     payload = np.frombuffer(raw[sep + 1 :], dtype="<f8")
-    expected = sum(count for _, _, count in entries)
+    expected = sum(count for _, _, count in specs)
     if payload.size != expected:
-        raise CheckpointError(
-            f"{path}: payload holds {payload.size} floats, manifest expects {expected}"
-        )
-    spec_shapes = {name: shape for name, shape, _ in _param_specs(config)}
-    tensors: dict[str, Tensor] = {}
-    offset = 0
-    for name, shape, count in entries:
-        if spec_shapes.get(name) != shape or count != int(np.prod(shape)):
-            raise CheckpointError(f"{path}: parameter '{name}' has shape {shape} and count "
-                                  f"{count}, config implies {spec_shapes.get(name)}")
-        block = payload[offset : offset + count].reshape(shape)
-        tensors[name] = Tensor(block.astype(np.float64), requires_grad=True)
-        offset += count
-    if set(tensors) != set(spec_shapes):
-        raise CheckpointError(f"{path}: manifest does not cover the full parameter set")
-    ordered = {name: tensors[name] for name, _, _ in _param_specs(config)}
-    return ModelParams(config, ordered), meta
+        raise CheckpointError(f"{path}: payload holds {payload.size} floats, manifest expects {expected}")
+    return ModelParams(config, payload.astype(np.float64)), meta

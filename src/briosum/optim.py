@@ -33,31 +33,26 @@ class OptimizerError(RuntimeError):
 class OptimizerState:
     kind: str  # "adam" | "adafactor"
     step: int = 0
+    # Adam: one slot, "flat", whose moments m and v match ModelParams.flat.
+    # Adafactor: one slot per named tensor.
     slots: dict[str, dict[str, np.ndarray]] = field(default_factory=dict)
 
 
 def init_optimizer(kind: str, params: ModelParams) -> OptimizerState:
-    """Allocate per-parameter accumulators matching the parameter shapes."""
+    """Allocate zero accumulators for every parameter."""
     if kind not in ("adam", "adafactor"):
         raise OptimizerError(f"unknown optimizer kind '{kind}'")
+    if kind == "adam":
+        moments = {"m": np.zeros_like(params.flat), "v": np.zeros_like(params.flat)}
+        return OptimizerState(kind=kind, slots={"flat": moments})
     slots: dict[str, dict[str, np.ndarray]] = {}
     for name, tensor in params.items():
         shape = tensor.data.shape
-        if kind == "adam":
-            slots[name] = {"m": np.zeros(shape), "v": np.zeros(shape)}
-        elif len(shape) >= 2:
+        if len(shape) >= 2:
             slots[name] = {"row": np.zeros(shape[:-1]), "col": np.zeros(shape[:-2] + shape[-1:])}
         else:
             slots[name] = {"v": np.zeros(shape)}
     return OptimizerState(kind=kind, slots=slots)
-
-
-def _adam_update(grad: np.ndarray, slot: dict[str, np.ndarray], step: int) -> np.ndarray:
-    slot["m"] = ADAM_BETA1 * slot["m"] + (1.0 - ADAM_BETA1) * grad
-    slot["v"] = ADAM_BETA2 * slot["v"] + (1.0 - ADAM_BETA2) * grad * grad
-    m_hat = slot["m"] / (1.0 - ADAM_BETA1**step)
-    v_hat = slot["v"] / (1.0 - ADAM_BETA2**step)
-    return m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 # Means are written ``x.sum(axis) / n``: np.mean does the same reduction and
@@ -92,16 +87,25 @@ def optimizer_step(params: ModelParams, state: OptimizerState, learning_rate: fl
     if state.step == 0 and not state.slots:
         raise OptimizerError("optimizer state is uninitialized; call init_optimizer first")
     state.step += 1
-    for name, tensor in params.items():
-        slot = state.slots.get(name)
-        if slot is None:
-            raise OptimizerError(f"optimizer state missing slot for parameter '{name}'")
-        grad = tensor.grad
-        if state.kind == "adam":
-            update = _adam_update(grad, slot, state.step)
-        else:
-            update = _adafactor_update(grad, slot, state.step)
-        tensor.data -= learning_rate * update
+    if state.kind == "adam":
+        slot = state.slots.get("flat")
+        if slot is None or any(slot[k].shape != params.flat.shape for k in ("m", "v")):
+            raise OptimizerError(f"Adam state does not hold moments for {params.num_params} parameters")
+        # The moments update in place: fewer temporaries of arena size per step.
+        grad, m, v = params.grad, slot["m"], slot["v"]
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * grad
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * grad * grad
+        m_hat = m / (1.0 - ADAM_BETA1**state.step)
+        v_hat = v / (1.0 - ADAM_BETA2**state.step)
+        params.flat -= learning_rate * (m_hat / (np.sqrt(v_hat) + ADAM_EPS))
+    else:
+        for name, tensor in params.items():
+            slot = state.slots.get(name)
+            if slot is None:
+                raise OptimizerError(f"optimizer state missing slot for parameter '{name}'")
+            tensor.data -= learning_rate * _adafactor_update(tensor.grad, slot, state.step)
     params.zero_grads()
 
 

@@ -6,9 +6,11 @@ For every artifact a pipeline writes (each name in ``cli._PRODUCERS``, the
 loop's later candidate caches, and the two reports) it prints one of:
 
 - ``byte-equal``;
-- ``equal but for config_hash``: equal once the configuration stamp is set
-  aside (it hashes the corpus path, so two runs of one config in two places
-  differ there and nowhere else);
+- ``equal but for config_hash``: the configuration stamps differ and all
+  else is equal once loaded (the stamp hashes the corpus path, so two runs
+  of one config in two places differ there and nowhere else);
+- ``equal when loaded``: the stamps are equal and the bytes differ, but the
+  loaded content is equal (say, a header that gained a field);
 - ``differs``, with detail by kind: per checkpoint tensor the count of
   differing entries and the largest absolute and relative difference; per
   metrics history the first differing step and the largest relative
@@ -21,8 +23,8 @@ An artifact that either side cannot load differs, with the loader's error.
 
 Artifacts absent from both directories are skipped. Checkpoints and
 candidate caches are read through the package's own loaders. The last line
-is one JSON summary. Exit status: 0 when every artifact is equal (bytes or
-but for ``config_hash``), 1 otherwise.
+is one JSON summary. Exit status: 0 when every artifact is equal (in any
+of the three ways above), 1 otherwise.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from briosum.model import CheckpointError, load_checkpoint  # noqa: E402
 
 BYTE_EQUAL = "byte-equal"
 HASH_ONLY = "equal but for config_hash"
+LOADED_EQUAL = "equal when loaded"
 DIFFERS = "differs"
 
 # The list fields that hold a per-step history, by JSON artifact.
@@ -73,6 +76,15 @@ def _rel_gap(a, b) -> float:
 
 def _without_hash(payload: dict) -> dict:
     return {k: v for k, v in payload.items() if k != "config_hash"}
+
+
+def _stamp(path: Path):
+    """An artifact's config_hash: in a checkpoint's manifest meta, a
+    candidate cache's header line or a JSON payload."""
+    if path.suffix == ".json":
+        return json.loads(path.read_text(encoding="utf-8")).get("config_hash")
+    header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+    return (header["meta"] if path.suffix == ".ckpt" else header).get("config_hash")
 
 
 def _compare_checkpoint(path_a: Path, path_b: Path) -> tuple[bool, dict]:
@@ -236,9 +248,11 @@ def compare_artifact(name: str, dir_a: Path, dir_b: Path) -> tuple[str, dict]:
             equal, detail = _compare_cache(path_a, path_b)
         else:
             equal, detail = _compare_json(name, path_a, path_b)
+        if equal:
+            return (HASH_ONLY if _stamp(path_a) != _stamp(path_b) else LOADED_EQUAL), {}
     except (CheckpointError, OSError, ValueError, KeyError, TypeError) as exc:
         return DIFFERS, {"unreadable": repr(exc)}
-    return (HASH_ONLY, {}) if equal else (DIFFERS, detail)
+    return DIFFERS, detail
 
 
 def compare_dirs(dir_a: str | Path, dir_b: str | Path) -> dict:
@@ -248,7 +262,7 @@ def compare_dirs(dir_a: str | Path, dir_b: str | Path) -> dict:
     for name in artifact_names(dir_a, dir_b):
         status, detail = compare_artifact(name, dir_a, dir_b)
         summary["status"][name] = status
-        if status not in (BYTE_EQUAL, HASH_ONLY):
+        if status not in (BYTE_EQUAL, HASH_ONLY, LOADED_EQUAL):
             summary["all_equal"] = False
             summary["differs"][name] = detail
     return summary

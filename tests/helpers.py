@@ -1,5 +1,6 @@
 """Shared fixtures: tiny model factories, the finite-difference checker, a
-counter of BRIO training-stage calls, the primitive ops and composed
+counter of BRIO training-stage calls, the per-tensor optimizer step that
+the step on the parameter vector replaces, the primitive ops and composed
 graphs that the fused autodiff ops replace, and the dynamic-programming
 LCS that the bit-parallel ROUGE-L kernel replaces."""
 
@@ -8,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from briosum import autodiff as ad
-from briosum import brio
+from briosum import brio, optim
 from briosum.corpus import Vocabulary
 from briosum.model import ModelConfig, ModelParams, init_params
 
@@ -16,6 +17,44 @@ GRADCHECK_EPS = 1e-4
 # Guarded relative error: |a - f| / max(|a|, |f|, floor). The floor keeps
 # near-zero gradients from amplifying finite-difference noise.
 GRADCHECK_FLOOR = 1e-4
+
+
+# The optimizer step as one update per named tensor, each with its own
+# arrays and accumulators: the reference for ``optim.optimizer_step``,
+# which updates Adam's whole parameter vector at once.
+
+
+def per_tensor_slots(kind: str, leaves: dict[str, ad.Tensor]) -> dict[str, dict[str, np.ndarray]]:
+    slots = {}
+    for name, tensor in leaves.items():
+        shape = tensor.data.shape
+        if kind == "adam":
+            slots[name] = {"m": np.zeros(shape), "v": np.zeros(shape)}
+        elif len(shape) >= 2:
+            slots[name] = {"row": np.zeros(shape[:-1]), "col": np.zeros(shape[:-2] + shape[-1:])}
+        else:
+            slots[name] = {"v": np.zeros(shape)}
+    return slots
+
+
+def _adam_update(grad: np.ndarray, slot: dict[str, np.ndarray], step: int) -> np.ndarray:
+    slot["m"] = optim.ADAM_BETA1 * slot["m"] + (1.0 - optim.ADAM_BETA1) * grad
+    slot["v"] = optim.ADAM_BETA2 * slot["v"] + (1.0 - optim.ADAM_BETA2) * grad * grad
+    m_hat = slot["m"] / (1.0 - optim.ADAM_BETA1**step)
+    v_hat = slot["v"] / (1.0 - optim.ADAM_BETA2**step)
+    return m_hat / (np.sqrt(v_hat) + optim.ADAM_EPS)
+
+
+def per_tensor_optimizer_step(
+    kind: str, leaves: dict[str, ad.Tensor], slots: dict, step: int, learning_rate: float
+) -> None:
+    for name, tensor in leaves.items():
+        if kind == "adam":
+            update = _adam_update(tensor.grad, slots[name], step)
+        else:
+            update = optim._adafactor_update(tensor.grad, slots[name], step)
+        tensor.data -= learning_rate * update
+        tensor.grad[...] = 0.0
 
 
 # Fused ops against the composed graphs they replace: their vjps sum in
@@ -105,7 +144,7 @@ def max_gradcheck_error(params: ModelParams, loss_fn, sample: int | None = None,
 def tensor_gradcheck(build_loss, leaves: dict[str, ad.Tensor], sample: int | None = None) -> float:
     """Same as max_gradcheck_error but over standalone leaf tensors."""
     for leaf in leaves.values():
-        leaf.zero_grad()
+        leaf.grad[...] = 0.0
     build_loss().backward()
 
     def value() -> float:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from artifact_diff import BYTE_EQUAL, DIFFERS, HASH_ONLY, compare_dirs
+from artifact_diff import BYTE_EQUAL, DIFFERS, HASH_ONLY, LOADED_EQUAL, compare_dirs
 from briosum.cli import (
     BRIO_METRICS,
     EVAL_FILE,
@@ -62,6 +62,18 @@ def test_second_corpus_path_differs_only_in_the_hash(two_runs):
     stamped = {name for name in status if name not in (REPORT_TXT, REPORT_CSV)}
     assert len(stamped) == 12
     assert {status[name] for name in stamped} == {HASH_ONLY}
+
+
+def test_header_field_under_the_same_hash_is_equal_when_loaded(two_runs, tmp_path):
+    changed = tmp_path / "changed"
+    shutil.copytree(two_runs[0], changed)
+    header, records = (changed / FINETUNE_CANDIDATES).read_text(encoding="utf-8").split("\n", 1)
+    header = json.dumps({**json.loads(header), "note": "a new field"})
+    (changed / FINETUNE_CANDIDATES).write_text(header + "\n" + records, encoding="utf-8")
+    summary = compare_dirs(two_runs[0], changed)
+    assert summary["all_equal"] and summary["differs"] == {}
+    assert summary["status"].pop(FINETUNE_CANDIDATES) == LOADED_EQUAL
+    assert set(summary["status"].values()) == {BYTE_EQUAL}
 
 
 def test_flipped_checkpoint_entry_is_reported(two_runs, tmp_path):

@@ -133,7 +133,7 @@ def test_embedding_gather_with_repeats():
     assert err < 1e-6
     # repeated rows accumulate
     out = tsum(ad.embedding(table, ids))
-    table.zero_grad()
+    table.grad[...] = 0.0
     out.backward()
     assert table.grad[2].sum() == pytest.approx(2 * 3)
 
@@ -177,7 +177,7 @@ def check_fused_op(fused, composed, leaves, fixed=(), sample=None):
     results = []
     for op in (fused, composed):
         for t in leaves:
-            t.zero_grad()
+            t.grad[...] = 0.0
         out = op(*leaves, *fixed)
         if upstream is None:
             upstream = Tensor(RNG.normal(size=out.shape))
@@ -270,7 +270,7 @@ def test_brio_objective_matches_composed_graph(case):
     sums = Tensor(np.array(rows), requires_grad=True)
     results = []
     for op in (ad.brio_objective, composed_brio_objective):
-        sums.zero_grad()
+        sums.grad[...] = 0.0
         out, mle, ctr = op(sums, lengths, *weights)
         (out * 1.7).backward()
         results.append((out.item(), mle, ctr, sums.grad.copy()))

@@ -699,13 +699,15 @@ def test_cli_error_paths(tmp_path, capsys):
         (("[decode]\n", "[decode]\nlength_penalty = nan\n"), [], "length_penalty"),
         (("[decode]\n", "[decode]\nlength_penalty = inf\n"), [], "length_penalty"),
         (("max_vocab_size = 120", "max_vocab_size = abc"), [], "max_vocab_size"),
+        (("max_vocab_size = 120", "max_vocab_size = 0"), [], "max_vocab_size"),
+        (("[corpus]\n", "[corpus]\nmin_count = -1\n"), [], "min_count"),
         (("[model]\n", "[model]\ntie_embeddings = maybe\n"), [], "tie_embeddings"),
     ],
     ids=[
         "num_candidates", "model_dim", "num_beams", "epochs", "margin", "seed", "seed-flag",
         "finetune-lr-nan", "finetune-lr-inf", "brio-lr-nan", "brio-lr-inf",
         "diversity-penalty-nan", "length-penalty-nan", "length-penalty-inf",
-        "corpus-not-an-integer", "model-not-a-boolean",
+        "corpus-not-an-integer", "vocab-size-0", "min-count-negative", "model-not-a-boolean",
     ],
 )
 def test_out_of_range_settings_exit_2_without_a_traceback(tmp_path, mini_corpus, edit, argv, name):

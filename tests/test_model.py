@@ -11,6 +11,7 @@ from briosum.corpus import BOS_ID, EOS_ID, PAD_ID
 from briosum.model import (
     CheckpointError,
     ModelConfig,
+    ModelParams,
     _attend,
     _project_kv,
     decoder_logprobs,
@@ -75,6 +76,43 @@ def test_every_param_has_matching_grad_buffer():
         assert t.grad is not None
         assert t.grad.shape == t.data.shape
         assert np.isfinite(t.data).all()
+
+
+def test_named_tensors_are_views_into_the_parameter_vector():
+    params = tiny_params(seed=3)
+    assert params.num_params == params.flat.size == sum(t.data.size for _, t in params.items())
+    params.flat[0], params.flat[-1] = 5.0, -2.0
+    assert params["tok_emb"].data[0, 0] == 5.0 and params["out.b"].data[-1] == -2.0
+    assert params.all_finite()
+    params["enc0.ffn.w1"].data[1, 2] = np.nan
+    assert not params.all_finite()
+    for wrong in (params.flat.astype(np.float32), np.append(params.flat, 0.0)):
+        with pytest.raises(ValueError, match=f"expected {params.num_params} float64"):
+            ModelParams(params.config, wrong)
+    with pytest.raises(ValueError):
+        ModelParams(params.config, params.flat[:-1])
+
+
+def test_backward_accumulates_into_the_gradient_vector():
+    params = tiny_params(seed=0)
+    mle_loss(forward(params, [BOS_ID, 4, EOS_ID], [BOS_ID, 5]), [5, EOS_ID]).backward()
+    assert params.grad.any()
+    assert np.array_equal(params.grad, np.concatenate([t.grad.ravel() for _, t in params.items()]))
+    assert all(np.shares_memory(t.grad, params.grad) for _, t in params.items())
+    params.zero_grads()
+    assert not any(t.grad.any() for _, t in params.items())
+
+
+def test_changing_a_copy_leaves_the_original_untouched():
+    params = tiny_params(seed=2)
+    values = params.flat.copy()
+    twin = params.copy()
+    assert np.array_equal(twin.flat, values)
+    twin.flat += 1.0
+    twin["out.b"].data[...] = 7.0
+    twin.grad[...] = 3.0
+    assert np.array_equal(params.flat, values) and not params.grad.any()
+    assert (twin["out.b"].data == 7.0).all()
 
 
 # -- forward ---------------------------------------------------------------------
@@ -304,7 +342,7 @@ def test_mle_batch_matches_single():
 def run_with_grads(build, leaves):
     """Value of ``build()`` and the gradients of ``leaves`` under a fixed upstream."""
     for t in leaves:
-        t.zero_grad()
+        t.grad[...] = 0.0
     out = build()
     upstream = np.random.default_rng(11).normal(size=out.shape)
     tsum(out * Tensor(upstream)).backward()
@@ -414,7 +452,8 @@ def test_checkpoint_rejects_bad_manifest(tmp_path):
     no_count = {**manifest, "params": [{k: v for k, v in e.items() if k != "count"}
                                        for e in manifest["params"]]}
     format_1 = {**manifest, "format_version": 1}
-    for bad in ([], unknown_key, no_count, format_1):
+    swapped = {**manifest, "params": [manifest["params"][1], manifest["params"][0], *manifest["params"][2:]]}
+    for bad in ([], unknown_key, no_count, format_1, swapped):
         path.write_bytes(json.dumps(bad).encode("utf-8") + b"\n" + payload)
         with pytest.raises(CheckpointError):
             load_checkpoint(path)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from briosum.autodiff import Tensor
 from briosum.model import ModelConfig, ModelParams, init_params
 from briosum.optim import (
     OptimizerError,
@@ -12,7 +13,7 @@ from briosum.optim import (
     warmup_schedule,
 )
 
-from helpers import tiny_params
+from helpers import per_tensor_optimizer_step, per_tensor_slots, tiny_params
 
 
 def params_with_grads(seed=0, grad_value=None):
@@ -176,6 +177,27 @@ def test_step_counter_and_grad_clearing(kind):
         np.testing.assert_array_equal(t.grad, 0.0)
 
 
+# The acceptance run's model: 86 tensors, 46,881 parameters.
+ACCEPTANCE_MODEL = ModelConfig(vocab_size=65, model_dim=32, num_heads=4, ffn_dim=64,
+                               max_source_len=48, max_target_len=16, tie_embeddings=True)
+
+
+@pytest.mark.parametrize("kind", ["adam", "adafactor"])
+def test_steps_on_the_parameter_vector_equal_the_per_tensor_reference(kind):
+    params = init_params(ACCEPTANCE_MODEL, seed=7)
+    assert (len(params.names()), params.num_params) == (86, 46_881)
+    leaves = {name: Tensor(t.data.copy(), requires_grad=True) for name, t in params.items()}
+    state, slots = init_optimizer(kind, params), per_tensor_slots(kind, leaves)
+    rng = np.random.default_rng(13)
+    for step in range(1, 6):
+        for name, t in params.items():
+            t.grad[...] = leaves[name].grad[...] = rng.normal(size=t.data.shape) * 10.0 ** rng.integers(-3, 2)
+        optimizer_step(params, state, 2e-3)
+        per_tensor_optimizer_step(kind, leaves, slots, step, 2e-3)
+        assert np.array_equal(params.flat, np.concatenate([t.data.ravel() for t in leaves.values()])), step
+        assert not params.grad.any()
+
+
 def test_uninitialized_state_rejected():
     params = params_with_grads()
     state = OptimizerState(kind="adam")
@@ -185,10 +207,15 @@ def test_uninitialized_state_rejected():
 
 def test_state_missing_parameter_rejected():
     params = params_with_grads()
-    state = init_optimizer("adam", params)
+    state = init_optimizer("adafactor", params)
     del state.slots["out.b"]
     state.step = 1
     with pytest.raises(OptimizerError, match="out.b"):
+        optimizer_step(params, state, 1e-3)
+    # Adam's moments must match the parameter vector
+    state = init_optimizer("adam", params)
+    state.slots["flat"]["m"] = np.zeros(params.num_params - 1)
+    with pytest.raises(OptimizerError, match=f"{params.num_params} parameters"):
         optimizer_step(params, state, 1e-3)
 
 
