@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .corpus import EOS_ID, TokenizedExample, Vocabulary, decode_tokens, strip_special_ids
+from .corpus import EOS_ID, UNK_ID, TokenizedExample, Vocabulary, decode_tokens, strip_special_ids
 from .decode import DecodeConfig, diverse_beam_search, greedy_decode
 from .model import (
     ModelParams,
@@ -145,6 +145,12 @@ def _checked_step(
 # -- candidate generation ----------------------------------------------------
 
 
+def _rouge_units(ids: Sequence[int]) -> list:
+    """What ROUGE compares for a token sequence: its content ids, with each
+    ``<unk>`` a fresh object equal to nothing, so unknown words never match."""
+    return [object() if token_id == UNK_ID else token_id for token_id in strip_special_ids(ids)]
+
+
 def generate_candidates(
     params: ModelParams,
     example: TokenizedExample,
@@ -165,9 +171,9 @@ def generate_candidates(
     ranked_hyps = sorted(
         range(len(hyps)), key=lambda i: (-hyps[i].score(config.decode.length_penalty), i)
     )
-    unique: list[tuple[int, tuple[int, ...]]] = []
+    unique: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
-    for rank, i in enumerate(ranked_hyps):
+    for i in ranked_hyps:
         # Length-capped hypotheses get a closing EOS so every candidate is a
         # complete, scoreable summary; dedup runs on the closed form.
         tokens = hyps[i].tokens
@@ -176,20 +182,20 @@ def generate_candidates(
         if tokens in seen:
             continue
         seen.add(tokens)
-        unique.append((rank, tokens))
+        unique.append(tokens)
         if len(unique) >= config.num_candidates:
             break
 
-    token_lists = [list(tokens) for _, tokens in unique]
+    token_lists = [list(tokens) for tokens in unique]
     with ad.no_grad():
         scores = candidate_scores(
             params, example.source_ids, token_lists, config.length_penalty
         ).data
 
-    reference = strip_special_ids(example.target_ids)
+    reference = _rouge_units(example.target_ids)
     cands: list[CandSum] = []
-    for (rank, tokens), model_score in zip(unique, scores):
-        triple = score_pair(strip_special_ids(tokens), reference)
+    for tokens, model_score in zip(unique, scores):
+        triple = score_pair(_rouge_units(tokens), reference)
         cands.append(
             CandSum(
                 doc_id=example.doc_id,
@@ -288,7 +294,7 @@ def evaluate(
     per_doc: list[tuple[str, RougeTriple]] = []
     for ex in examples:
         hyp = greedy_decode(params, ex.source_ids, decode_config)
-        triple = score_pair(strip_special_ids(hyp.tokens), strip_special_ids(ex.target_ids))
+        triple = score_pair(_rouge_units(hyp.tokens), _rouge_units(ex.target_ids))
         per_doc.append((ex.doc_id, triple))
     n = len(per_doc)
     means = {

@@ -4,9 +4,10 @@ The pipeline is split -> finetune -> gen-cands -> brio -> loop -> evaluate
 -> report. Every stage writes self-describing artifacts into the output
 directory (each embeds the hash of the resolved configuration); re-running
 a completed stage is a no-op unless --force is given, and resuming against
-artifacts from a different configuration is refused. An artifact counts as
-complete only when it loads whole through the loader its consumers use;
-one that exists but does not load ends in an error naming its stage.
+artifacts from a different configuration is refused. Artifacts are written
+whole or not at all, through ``_publish``, and read through one reader,
+``_load``: one that exists but does not load whole is an error naming its
+stage. A ``run_pipeline`` call tokenizes the corpus at most once.
 
 Configuration files are INI: one section per subsystem, flat keys. The keys
 and defaults of [model], [finetune], [decode] and [brio] are the fields of
@@ -22,9 +23,11 @@ import csv
 import hashlib
 import io
 import json
+import os
 import random
 import sys
 from dataclasses import MISSING, dataclass, fields
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -43,6 +46,7 @@ from .brio import (
 )
 from .corpus import (
     CorpusError,
+    Document,
     TokenizedExample,
     Vocabulary,
     build_vocab,
@@ -323,83 +327,13 @@ def _report_rows(items) -> list[ReportRow]:
     return rows
 
 
-# The JSON fields that stages read, each with a check that raises unless usable.
+# The JSON fields that stages read, each with a check that returns the value
+# the stages use and raises unless it is usable.
 _JSON_FIELDS = {
     SPLIT_FILE: {"train": _strings, "validation": _strings, "test": _strings},
     VOCAB_FILE: {"tokens": _strings},
     EVAL_FILE: {"rows": _report_rows},
 }
-
-
-@dataclass
-class _Context:
-    config: ExperimentConfig
-    out: Path
-    force: bool
-
-    @property
-    def hash(self) -> str:
-        return self.config.config_hash()
-
-    def path(self, name: str) -> Path:
-        return self.out / name
-
-    @property
-    def producers(self) -> dict[str, str]:
-        iterations = range(2, self.config.brio_config().loop_iterations + 1)
-        return _PRODUCERS | {LOOP_CANDIDATES.format(i): "loop" for i in iterations}
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
-
-
-def _check_stamp(stage: str, name: str, found: str | None, expected: str) -> None:
-    if found != expected:
-        raise StageError(
-            stage,
-            f"{name} was produced by a different configuration "
-            f"(hash {found}, expected {expected}); use --force to rebuild",
-        )
-
-
-def _require(ctx: _Context, name: str) -> Path:
-    path = ctx.path(name)
-    if not path.exists():
-        producer = ctx.producers[name]
-        raise StageError(producer, f"missing artifact {name}; run the '{producer}' stage first")
-    return path
-
-
-def _read_json(ctx: _Context, name: str) -> dict:
-    """A whole, stamped JSON artifact holding the fields its consumers read."""
-    stage = ctx.producers[name]
-    path = _require(ctx, name)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise StageError(stage, f"{name} is unreadable ({exc}); use --force to rebuild") from exc
-    if not isinstance(payload, dict):
-        raise StageError(stage, f"{name} is not a JSON object; use --force to rebuild")
-    _check_stamp(stage, name, payload.get("config_hash"), ctx.hash)
-    for field, check in _JSON_FIELDS.get(name, {}).items():
-        try:
-            check(payload.get(field))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise StageError(
-                stage, f"{name} has no usable '{field}' ({exc!r}); use --force to rebuild"
-            ) from exc
-    return payload
-
-
-def _load_checkpoint(ctx: _Context, name: str) -> ModelParams:
-    stage = ctx.producers[name]
-    try:
-        params, meta = load_checkpoint(_require(ctx, name))
-    except CheckpointError as exc:
-        raise StageError(stage, f"{exc}; use --force to rebuild") from exc
-    _check_stamp(stage, name, meta.get("config_hash"), ctx.hash)
-    return params
 
 
 @dataclass
@@ -410,79 +344,151 @@ class _Corpus:
     test: list[TokenizedExample]
 
 
-def _load_prepared(ctx: _Context) -> _Corpus:
-    split_payload = _read_json(ctx, SPLIT_FILE)
-    vocab_payload = _read_json(ctx, VOCAB_FILE)
-    docs = {doc.id: doc for doc in load_corpus(ctx.config.corpus_path)}
-    tokens = vocab_payload["tokens"]
-    vocab = Vocabulary(token_to_id={t: i for i, t in enumerate(tokens)}, id_to_token=tokens)
-    model_config = ctx.config.model_config(vocab.size)
+@dataclass
+class _Context:
+    config: ExperimentConfig
+    out: Path
+    force: bool
 
-    tokenized: dict[str, list[TokenizedExample]] = {}
-    for name in ("train", "validation", "test"):
-        try:
-            members = [docs[doc_id] for doc_id in split_payload[name]]
-        except KeyError as exc:
-            raise StageError(
-                "split", f"split references document {exc} absent from the corpus file"
-            ) from exc
-        tokenized[name] = tokenize_documents(
-            members, vocab, model_config.max_source_len, model_config.max_target_len
-        )
-    return _Corpus(
-        vocab=vocab,
-        train=tokenized["train"],
-        validation=tokenized["validation"],
-        test=tokenized["test"],
-    )
+    @cached_property
+    def hash(self) -> str:
+        return self.config.config_hash()
+
+    def path(self, name: str) -> Path:
+        return self.out / name
+
+    @cached_property
+    def producers(self) -> dict[str, str]:
+        iterations = range(2, self.config.brio_config().loop_iterations + 1)
+        return _PRODUCERS | {LOOP_CANDIDATES.format(i): "loop" for i in iterations}
+
+    @cached_property
+    def prepared(self) -> _Corpus:
+        """The split's documents, tokenized with the stored vocabulary."""
+        split, tokens = _load(self, SPLIT_FILE), _load(self, VOCAB_FILE)["tokens"]
+        vocab = Vocabulary(token_to_id={t: i for i, t in enumerate(tokens)}, id_to_token=tokens)
+        model_config = self.config.model_config(vocab.size)
+        docs = {doc.id: doc for doc in _documents(self.config)}
+        parts = []
+        for name in ("train", "validation", "test"):
+            try:
+                members = [docs[doc_id] for doc_id in split[name]]
+            except KeyError as exc:
+                raise StageError(
+                    "split", f"split references document {exc} absent from the corpus file"
+                ) from exc
+            parts.append(tokenize_documents(
+                members, vocab, model_config.max_source_len, model_config.max_target_len
+            ))
+        return _Corpus(vocab, *parts)
 
 
-def _load_candidates(ctx: _Context, name: str, prepared: _Corpus) -> list[RankedCandidateSet]:
-    """A stamped cache of scoreable candidate sets for the train split, in order."""
-    stage = ctx.producers[name]
+def _documents(config: ExperimentConfig) -> list[Document]:
     try:
-        ranked, cache_hash = load_candidate_cache(_require(ctx, name), prepared.train)
+        return load_corpus(config.corpus_path)
+    except (CorpusError, OSError) as exc:
+        raise StageError("split", str(exc)) from exc
+
+
+def _load(ctx: _Context, name: str):
+    """An artifact as its consumers use it: a checkpoint's parameters, a
+    cache's candidate sets for the train split in split order, or a JSON
+    payload whose checked fields hold what their checks return. One that is
+    missing, unreadable, stamped by another configuration or fails its
+    content checks is a StageError naming the stage that writes it."""
+    stage = ctx.producers[name]
+    path = ctx.path(name)
+    if not path.exists():
+        raise StageError(stage, f"missing artifact {name}; run the '{stage}' stage first")
+    try:
+        if path.suffix == ".ckpt":
+            value, meta = load_checkpoint(path)
+            found = meta.get("config_hash")
+        elif path.suffix == ".jsonl":
+            value, found = load_candidate_cache(path, ctx.prepared.train)
+        else:
+            value = json.loads(path.read_text(encoding="utf-8"))
+            if not isinstance(value, dict):
+                raise TypeError("not a JSON object")
+            found = value.get("config_hash")
+    except CheckpointError as exc:
+        raise StageError(stage, f"{exc}; use --force to rebuild") from exc
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise StageError(stage, f"{name} is unreadable ({exc!r}); use --force to rebuild") from exc
-    _check_stamp(stage, name, cache_hash, ctx.hash)
-    if [r.doc_id for r in ranked] != [ex.doc_id for ex in prepared.train]:
+    if found != ctx.hash:
         raise StageError(
             stage,
-            f"{name} holds {len(ranked)} candidate sets that are not the "
-            f"{len(prepared.train)} training documents in split order; use --force to rebuild",
+            f"{name} was produced by a different configuration "
+            f"(hash {found}, expected {ctx.hash}); use --force to rebuild",
         )
-    model_config = ctx.config.model_config(prepared.vocab.size)
-    for rs in ranked:
+    for field, check in _JSON_FIELDS.get(name, {}).items():
         try:
-            check_candidates(model_config, [c.token_ids for c in rs.candidates])
-        except (ValueError, TypeError) as exc:
+            value[field] = check(value.get(field))
+        except (KeyError, TypeError, ValueError) as exc:
             raise StageError(
-                stage, f"{name}: document {rs.doc_id}: {exc}; use --force to rebuild"
+                stage, f"{name} has no usable '{field}' ({exc!r}); use --force to rebuild"
             ) from exc
-    return ranked
+    if path.suffix == ".jsonl":
+        train = ctx.prepared.train
+        if [r.doc_id for r in value] != [ex.doc_id for ex in train]:
+            raise StageError(
+                stage,
+                f"{name} holds {len(value)} candidate sets that are not the "
+                f"{len(train)} training documents in split order; use --force to rebuild",
+            )
+        model_config = ctx.config.model_config(ctx.prepared.vocab.size)
+        for rs in value:
+            try:
+                check_candidates(model_config, [c.token_ids for c in rs.candidates])
+            except (ValueError, TypeError) as exc:
+                raise StageError(
+                    stage, f"{name}: document {rs.doc_id}: {exc}; use --force to rebuild"
+                ) from exc
+    return value
+
+
+def _publish(path: Path, write) -> None:
+    """Replace ``path`` whole or not at all: ``write`` fills a temporary
+    sibling, which one rename then moves into place."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _write_text(path: Path, text: str) -> None:
+    _publish(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
+
+
+def _write_json(ctx: _Context, name: str, payload: dict) -> None:
+    """A JSON artifact, stamped with the config hash."""
+    _write_text(ctx.path(name), json.dumps({"config_hash": ctx.hash, **payload}, sort_keys=True))
+
+
+def _save(ctx: _Context, name: str, params: ModelParams, stage: str) -> None:
+    meta = {"config_hash": ctx.hash, "stage": stage}
+    _publish(ctx.path(name), lambda tmp: save_checkpoint(params, tmp, meta))
+
+
+def _write_cache(ctx: _Context, name: str, ranked: list[RankedCandidateSet]) -> None:
+    _publish(ctx.path(name), lambda tmp: write_candidate_cache(tmp, ranked, ctx.hash))
 
 
 def _outputs_fresh(ctx: _Context, stage: str) -> bool:
-    """True when the stage's outputs all exist and each loads whole, through
-    the loader its consumers use; one that does not load is a StageError."""
+    """True when the stage's outputs all exist and each loads whole through
+    ``_load``; one that does not load is a StageError."""
     names = [name for name, producer in ctx.producers.items() if producer == stage]
     if ctx.force or not names or not all(ctx.path(name).exists() for name in names):
         return False
     for name in names:
-        if name.endswith(".ckpt"):
-            _load_checkpoint(ctx, name)
-        elif name.endswith(".jsonl"):
-            _load_candidates(ctx, name, _load_prepared(ctx))
-        else:
-            _read_json(ctx, name)
+        _load(ctx, name)
     return True
 
 
 def _stage_split(ctx: _Context) -> str:
-    try:
-        docs = load_corpus(ctx.config.corpus_path)
-    except (CorpusError, FileNotFoundError) as exc:
-        raise StageError("split", str(exc)) from exc
+    docs = _documents(ctx.config)
     limit = ctx.config.max_documents
     if limit and limit < len(docs):
         order = list(range(len(docs)))
@@ -493,23 +499,16 @@ def _stage_split(ctx: _Context) -> str:
         vocab = build_vocab(split.train, ctx.config.max_vocab_size, ctx.config.min_count)
     except CorpusError as exc:
         raise StageError("split", str(exc)) from exc
-    _write_json(
-        ctx.path(SPLIT_FILE),
-        {
-            "config_hash": ctx.hash,
-            "train": [d.id for d in split.train],
-            "validation": [d.id for d in split.validation],
-            "test": [d.id for d in split.test],
-        },
-    )
-    _write_json(ctx.path(VOCAB_FILE), {"config_hash": ctx.hash, "tokens": vocab.id_to_token})
+    ids = {name: [d.id for d in getattr(split, name)] for name in ("train", "validation", "test")}
+    _write_json(ctx, SPLIT_FILE, ids)
+    _write_json(ctx, VOCAB_FILE, {"tokens": vocab.id_to_token})
+    ctx.__dict__.pop("prepared", None)  # built from the split this stage replaced
     return f"split {len(split.train)}/{len(split.validation)}/{len(split.test)}, vocab {vocab.size}"
 
 
 def _stage_finetune(ctx: _Context) -> str:
-    prepared = _load_prepared(ctx)
-    model_config = ctx.config.model_config(prepared.vocab.size)
-    standard = init_params(model_config, ctx.config.seed)
+    prepared = ctx.prepared
+    standard = init_params(ctx.config.model_config(prepared.vocab.size), ctx.config.seed)
     best, history = finetune_stage(
         standard,
         prepared.train,
@@ -520,39 +519,38 @@ def _stage_finetune(ctx: _Context) -> str:
     )
     # Written only once training has succeeded, so a failed stage leaves no
     # checkpoint for 'evaluate' to score alone; finetune_stage trains a copy.
-    meta = {"config_hash": ctx.hash}
-    save_checkpoint(standard, ctx.path(STANDARD_CKPT), meta | {"stage": "standard"})
-    save_checkpoint(best, ctx.path(FINETUNE_CKPT), meta | {"stage": "finetune"})
-    _write_json(ctx.path(FINETUNE_METRICS), {"config_hash": ctx.hash, "history": history})
+    _save(ctx, STANDARD_CKPT, standard, "standard")
+    _save(ctx, FINETUNE_CKPT, best, "finetune")
+    _write_json(ctx, FINETUNE_METRICS, {"history": history})
     return f"{len(history)} epochs, best val quality {max(h['val_quality'] for h in history):.4f}"
 
 
 def _stage_gen_cands(ctx: _Context) -> str:
-    params = _load_checkpoint(ctx, FINETUNE_CKPT)
-    prepared = _load_prepared(ctx)
+    params = _load(ctx, FINETUNE_CKPT)
+    prepared = ctx.prepared
     brio_config = ctx.config.brio_config()
     ranked = [
         generate_candidates(params, ex, brio_config, prepared.vocab) for ex in prepared.train
     ]
-    write_candidate_cache(ctx.path(FINETUNE_CANDIDATES), ranked, ctx.hash)
+    _write_cache(ctx, FINETUNE_CANDIDATES, ranked)
     return f"{len(ranked)} candidate sets"
 
 
 def _stage_brio(ctx: _Context) -> str:
-    params = _load_checkpoint(ctx, FINETUNE_CKPT)
-    ranked = _load_candidates(ctx, FINETUNE_CANDIDATES, _load_prepared(ctx))
+    params = _load(ctx, FINETUNE_CKPT)
+    ranked = _load(ctx, FINETUNE_CANDIDATES)
     trained, history = brio_train_stage(params, ranked, ctx.config.brio_config(), seed=ctx.config.seed)
-    save_checkpoint(trained, ctx.path(BRIO_CKPT), {"config_hash": ctx.hash, "stage": "brio"})
-    _write_json(ctx.path(BRIO_METRICS), {"config_hash": ctx.hash, "history": history})
+    _save(ctx, BRIO_CKPT, trained, "brio")
+    _write_json(ctx, BRIO_METRICS, {"history": history})
     return f"{len(history)} steps"
 
 
 def _stage_loop(ctx: _Context) -> str:
-    params = _load_checkpoint(ctx, BRIO_CKPT)
-    prepared = _load_prepared(ctx)
+    params = _load(ctx, BRIO_CKPT)
+    prepared = ctx.prepared
 
     def sink(iteration: int, ranked_sets: list[RankedCandidateSet]) -> None:
-        write_candidate_cache(ctx.path(LOOP_CANDIDATES.format(iteration)), ranked_sets, ctx.hash)
+        _write_cache(ctx, LOOP_CANDIDATES.format(iteration), ranked_sets)
 
     best, report = brio_loop(
         params,
@@ -564,20 +562,20 @@ def _stage_loop(ctx: _Context) -> str:
         seed=ctx.config.seed,
         candidate_sink=sink,
     )
-    save_checkpoint(best, ctx.path(LOOP_CKPT), {"config_hash": ctx.hash, "stage": "loop"})
-    _write_json(ctx.path(LOOP_REPORT), {"config_hash": ctx.hash, "iterations": report})
+    _save(ctx, LOOP_CKPT, best, "loop")
+    _write_json(ctx, LOOP_REPORT, {"iterations": report})
     return f"{len(report)} iterations"
 
 
 def _stage_evaluate(ctx: _Context) -> str:
-    prepared = _load_prepared(ctx)
+    prepared = ctx.prepared
     decode_config = ctx.config.decode_config()
     rows = []
     per_doc_payload = {}
     for label, filename in _REPORT_SYSTEMS:
         if not ctx.path(filename).exists():
             continue
-        params = _load_checkpoint(ctx, filename)
+        params = _load(ctx, filename)
         if params.config.vocab_size != prepared.vocab.size:
             raise StageError(
                 "evaluate",
@@ -592,17 +590,14 @@ def _stage_evaluate(ctx: _Context) -> str:
         ]
     if not rows:
         raise StageError("finetune", "no checkpoints to evaluate; run 'finetune' first")
-    _write_json(
-        ctx.path(EVAL_FILE),
-        {"config_hash": ctx.hash, "rows": rows, "per_document": per_doc_payload},
-    )
+    _write_json(ctx, EVAL_FILE, {"rows": rows, "per_document": per_doc_payload})
     return f"{len(rows)} systems"
 
 
 def _stage_report(ctx: _Context) -> str:
-    rows = _report_rows(_read_json(ctx, EVAL_FILE)["rows"])
-    ctx.path(REPORT_TXT).write_text(emit_report(rows, "text"), encoding="utf-8")
-    ctx.path(REPORT_CSV).write_text(emit_report(rows, "csv"), encoding="utf-8")
+    rows = _load(ctx, EVAL_FILE)["rows"]
+    _write_text(ctx.path(REPORT_TXT), emit_report(rows, "text"))
+    _write_text(ctx.path(REPORT_CSV), emit_report(rows, "csv"))
     return f"{len(rows)} rows"
 
 

@@ -67,9 +67,6 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.id_to_token)
 
-    def __len__(self) -> int:
-        return len(self.id_to_token)
-
 
 @dataclass
 class TokenizedExample:
@@ -163,7 +160,8 @@ def build_vocab(docs: list[Document], max_size: int, min_count: int = 1) -> Voca
 
     Ties in frequency break lexicographically. The four special tokens
     occupy ids 0..3; real tokens start at id 4. ``max_size`` bounds the
-    total size including specials.
+    total size including specials. Raises CorpusError when no word occurs
+    ``min_count`` times.
     """
     if max_size < len(_SPECIAL_TOKENS) + 1:
         raise CorpusError(
@@ -188,6 +186,8 @@ def build_vocab(docs: list[Document], max_size: int, min_count: int = 1) -> Voca
         if len(id_to_token) >= max_size:
             break
         id_to_token.append(token)
+    if len(id_to_token) == len(_SPECIAL_TOKENS):
+        raise CorpusError(f"no word occurs at least min_count={min_count} times")
     token_to_id = {tok: i for i, tok in enumerate(id_to_token)}
     return Vocabulary(token_to_id=token_to_id, id_to_token=id_to_token)
 

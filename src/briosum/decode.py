@@ -121,7 +121,6 @@ def make_scorer(params: ModelParams, source_ids: Sequence[int]) -> Scorer:
 
 
 def _check_budget(params: ModelParams, config: DecodeConfig) -> None:
-    config.validate()
     if config.max_decode_len > params.config.max_target_len:
         raise DecodeConfigError(
             f"max_decode_len ({config.max_decode_len}) exceeds the model's "

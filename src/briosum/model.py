@@ -70,10 +70,6 @@ class ModelConfig:
                 f"num_heads ({self.num_heads})"
             )
 
-    @property
-    def head_dim(self) -> int:
-        return self.model_dim // self.num_heads
-
 
 class ModelParams:
     """All parameters in one float64 vector, ``flat``, in ``_param_specs``

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from briosum import autodiff as ad
+from briosum import brio
 from briosum.brio import (
     BrioConfig,
     CandSum,
@@ -26,8 +27,8 @@ from briosum.brio import (
     strip_special_ids,
     write_candidate_cache,
 )
-from briosum.corpus import BOS_ID, EOS_ID, PAD_ID, TokenizedExample
-from briosum.decode import DecodeConfig
+from briosum.corpus import BOS_ID, EOS_ID, PAD_ID, UNK_ID, TokenizedExample
+from briosum.decode import DecodeConfig, Hypothesis
 from briosum.model import candidate_scores, forward, mle_loss, sequence_log_prob
 from briosum.optim import init_optimizer, optimizer_step
 from briosum.rouge import RougeScore, RougeTriple, quality_score, score_pair
@@ -327,6 +328,35 @@ def test_generate_candidates_reference_scores_one():
         if strip_special_ids(cand.token_ids) == reference:
             assert cand.quality == pytest.approx(1.0, abs=1e-12)
             assert ranked.candidates[0] is cand
+
+
+ZERO = RougeTriple(*(RougeScore(0.0, 0.0, 0.0) for _ in range(3)))
+
+
+def test_unk_never_matches_unk_in_greedy_evaluation(monkeypatch):
+    """<unk> stands for different unknown words: a decode of <unk> against
+    a reference of <unk> overlaps in nothing, and a known word beside an
+    <unk> still matches."""
+    def greedy_score(tokens):
+        monkeypatch.setattr(brio, "greedy_decode", lambda *args: Hypothesis(tokens, -1.0, True))
+        example = TokenizedExample("d0", [4, 5], list(tokens))
+        return evaluate(tiny_params(), [example], decode_cfg())
+
+    per_doc, means = greedy_score((BOS_ID, UNK_ID, EOS_ID))
+    assert per_doc == [("d0", ZERO)]
+    assert means == {"r1": 0.0, "r2": 0.0, "rl": 0.0}
+    _, means = greedy_score((BOS_ID, UNK_ID, 6, EOS_ID))
+    assert means == {"r1": 50.0, "r2": 0.0, "rl": 50.0}
+
+
+def test_unk_never_matches_unk_in_candidate_scoring(monkeypatch):
+    unk = (BOS_ID, UNK_ID, EOS_ID)
+    monkeypatch.setattr(brio, "diverse_beam_search", lambda *args: [Hypothesis(unk, -1.0, True)])
+    example = TokenizedExample("d0", [BOS_ID, 4, 5, EOS_ID], list(unk))
+    ranked = generate_candidates(tiny_params(), example, brio_cfg(), tiny_vocab())
+    assert [(c.token_ids, c.text, c.rouge, c.quality) for c in ranked.candidates] == [
+        (unk, "<unk>", ZERO, 0.0)
+    ]
 
 
 def test_generate_candidates_tie_order_by_model_score():

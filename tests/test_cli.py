@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from briosum import cli
 from briosum.cli import (
     BRIO_CKPT,
     BRIO_METRICS,
@@ -377,6 +378,19 @@ def test_split_artifact_without_its_field_fails_the_split_stage(mini_config, tmp
     assert f"{name} has no usable '{field}'" in err
 
 
+def test_corpus_damaged_after_split_fails_the_split_stage(mini_config, mini_corpus, tmp_path, capsys):
+    out = tmp_path / "run"
+    config = ExperimentConfig.load(mini_config, out_dir=str(out))
+    assert run_pipeline(config, ["split"]) == 0
+    with mini_corpus.open("a", encoding="utf-8") as fh:
+        fh.write("{bad\n")
+    capsys.readouterr()
+    assert run_pipeline(config, ["finetune"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error in stage 'split': line 31: invalid JSON")
+    assert not (out / STANDARD_CKPT).exists()
+
+
 @pytest.fixture
 def mini_cands_run(mini_config, tmp_path):
     """A mini run through gen-cands, ready for the brio stage."""
@@ -618,6 +632,72 @@ def test_cut_artifact_fails_its_producing_stage(mini_full_run, tmp_path, capsys,
     assert name in captured.err
     assert "up to date" not in captured.out
     assert "Traceback" not in captured.err + captured.out
+
+
+def test_a_run_reads_the_corpus_once(tmp_path, mini_corpus, monkeypatch, capsys):
+    """A fresh run reads the corpus in 'split' and once more for every
+    later stage; a rerun reads it once, to check the candidate caches."""
+    ini = tmp_path / "loop2.ini"
+    ini.write_text(
+        MINI_CONFIG.format(corpus=mini_corpus).replace("loop_iterations = 1", "loop_iterations = 2"),
+        encoding="utf-8",
+    )
+    config = ExperimentConfig.load(ini, out_dir=str(tmp_path / "run"))
+    calls = []
+    real = cli.load_corpus
+    monkeypatch.setattr(cli, "load_corpus", lambda path: calls.append(path) or real(path))
+    assert run_pipeline(config, list(STAGES)) == 0
+    assert len(calls) == 2
+    calls.clear()
+    capsys.readouterr()
+    assert run_pipeline(config, list(STAGES)) == 0
+    assert len(calls) == 1
+    notes = capsys.readouterr().out.splitlines()
+    assert notes[:-1] == [f"[{stage}] up to date" for stage in STAGES[:-1]]
+    assert notes[-1] == "[report] 4 rows"
+
+
+@pytest.mark.parametrize(
+    "writer,stages,target",
+    [
+        ("save_checkpoint", ["split", "finetune"], STANDARD_CKPT),
+        ("write_candidate_cache", ["split", "finetune", "gen-cands"], FINETUNE_CANDIDATES),
+    ],
+    ids=["checkpoint", "cache"],
+)
+def test_failed_write_leaves_no_partial_artifact(mini_config, tmp_path, monkeypatch, capsys, writer, stages, target):
+    out = tmp_path / "run"
+    config = ExperimentConfig.load(mini_config, out_dir=str(out))
+    assert run_pipeline(config, stages[:-1]) == 0
+    real = getattr(cli, writer)
+
+    def write_half_then_fail(*args):
+        real(*args)
+        path = next(arg for arg in args if isinstance(arg, Path))
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(cli, writer, write_half_then_fail)
+    capsys.readouterr()
+    assert run_pipeline(config, stages[-1:]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error in stage '{stages[-1]}': ") and "No space left" in err
+    assert not (out / target).exists()
+    assert not list(out.glob("*.tmp"))
+
+
+def test_vocabulary_without_a_word_fails_the_split_stage(tmp_path, mini_corpus, capsys):
+    ini = tmp_path / "rare.ini"
+    ini.write_text(
+        MINI_CONFIG.format(corpus=mini_corpus).replace("[corpus]\n", "[corpus]\nmin_count = 1000000\n"),
+        encoding="utf-8",
+    )
+    out = tmp_path / "run"
+    assert run_pipeline(ExperimentConfig.load(ini, out_dir=str(out)), ["split", "finetune"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error in stage 'split': no word occurs at least min_count=1000000 times\n"
+    assert captured.out == ""
+    assert not list(out.iterdir())
 
 
 def test_full_mini_pipeline_and_determinism(mini_config, tmp_path):

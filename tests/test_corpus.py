@@ -193,6 +193,12 @@ def test_min_count_token_maps_to_unk():
     assert ids == [vocab.token_to_id["common"], UNK_ID]
 
 
+def test_vocabulary_without_a_word_is_rejected():
+    docs = [Document("d", "common common rare", "common")]
+    with pytest.raises(CorpusError, match="no word occurs at least min_count=4 times"):
+        build_vocab(docs, max_size=10, min_count=4)
+
+
 # -- encode / decode -----------------------------------------------------------
 
 
