@@ -108,9 +108,6 @@ class Tensor:
 
     # -- operator sugar --------------------------------------------------
 
-    def __add__(self, other):
-        return add(self, other)
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -144,16 +141,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 # -- elementwise ---------------------------------------------------------
-
-
-def add(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    out = a.data + b.data
-
-    def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
-
-    return _node(out, (a, b), vjp)
 
 
 def mul(a, b) -> Tensor:
@@ -213,19 +200,22 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
     n = x.data.shape[-1]
     mu = x.data.sum(axis=-1, keepdims=True) / n
-    centered = x.data - mu
-    var = (centered**2).sum(axis=-1, keepdims=True) / n
+    xhat = x.data - mu  # centered here, scaled in place below
+    var = (xhat**2).sum(axis=-1, keepdims=True) / n
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv_std
-    out = xhat * gain.data + bias.data
+    xhat *= inv_std
+    out = xhat * gain.data
+    out += bias.data
 
     def vjp(g):
         g_gain = _unbroadcast(g * xhat, gain.data.shape)
         g_bias = _unbroadcast(g, bias.data.shape)
-        dxhat = g * gain.data
-        m1 = dxhat.sum(axis=-1, keepdims=True) / n
-        m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / n
-        g_x = (dxhat - m1 - xhat * m2) * inv_std
+        g_x = g * gain.data
+        m1 = g_x.sum(axis=-1, keepdims=True) / n
+        m2 = (g_x * xhat).sum(axis=-1, keepdims=True) / n
+        g_x -= m1
+        g_x -= xhat * m2
+        g_x *= inv_std
         return g_x, g_gain, g_bias
 
     return _node(out, (x, gain, bias), vjp)
@@ -234,18 +224,23 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 # -- lookups ---------------------------------------------------------------
 
 
-def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Row lookup: out[..., :] = table[ids[...], :]."""
-    table = _wrap(table)
+def embed(table: Tensor, positions: Tensor, ids: np.ndarray, offset: int = 0) -> Tensor:
+    """Token plus position embeddings of (B, T) ``ids``:
+    ``table[ids] + positions[offset : offset + T]``."""
     ids = np.asarray(ids, dtype=np.int64)
+    rows = slice(offset, offset + ids.shape[-1])
     out = table.data[ids]
+    out += positions.data[rows]
 
     def vjp(g):
-        full = np.zeros_like(table.data)
-        np.add.at(full, ids.reshape(-1), g.reshape(-1, table.data.shape[-1]))
-        return (full,)
+        g_table = np.zeros_like(table.data)
+        np.add.at(g_table, ids.reshape(-1), g.reshape(-1, table.data.shape[-1]))
+        g_positions = np.zeros_like(positions.data)
+        window = g_positions[rows]
+        window += _unbroadcast(g, window.shape)
+        return g_table, g_positions
 
-    return _node(out, (table,), vjp)
+    return _node(out, (table, positions), vjp)
 
 
 def gold_logprob_sum(logprobs: Tensor, gold: np.ndarray, keep: np.ndarray, axis=None) -> Tensor:
@@ -314,6 +309,7 @@ def attention(
     bo: Tensor,
     mask: np.ndarray | None,
     heads: int,
+    residual: Tensor | None = None,
 ) -> Tensor:
     """Multi-head attention from the query projection to the output projection.
 
@@ -323,30 +319,42 @@ def attention(
     (B, heads, Tq, Tk), or None. Scores are scaled by 1/sqrt(d / heads). The
     softmax probabilities are kept for the vjp rather than recomputed
     (Dao et al. 2022 recompute them; at these sizes storing is cheaper).
+    A ``residual`` stream, (B, Tq, d), is added to the output and becomes
+    the node's first parent.
     """
     x = queries.data
     scale = 1.0 / np.sqrt(x.shape[-1] // heads)
-    q = _to_heads(x @ wq.data + bq.data, heads)
+    q = x @ wq.data
+    q += bq.data
+    q = _to_heads(q, heads)
     kh, vh = _to_heads(k.data, heads), _to_heads(v.data, heads)
-    scores = (q @ kh.transpose(0, 1, 3, 2)) * scale
+    # The softmax runs in place on the scores: one array, not five.
+    probs = q @ kh.transpose(0, 1, 3, 2)
+    probs *= scale
     if mask is not None:
-        scores = scores + mask
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    probs = e / e.sum(axis=-1, keepdims=True)
+        probs += mask
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
     ctx = _from_heads(probs @ vh)
-    out = ctx @ wo.data + bo.data
+    out = ctx @ wo.data
+    out += bo.data
+    if residual is not None:
+        out += residual.data
 
     def vjp(g):
         g_rows = _rows(g)
         g_ctx = _to_heads(g @ wo.data.T, heads)
-        g_probs = g_ctx @ vh.transpose(0, 1, 3, 2)
-        g_scores = (g_probs - (g_probs * probs).sum(axis=-1, keepdims=True)) * probs * scale
+        g_scores = g_ctx @ vh.transpose(0, 1, 3, 2)
+        g_scores -= (g_scores * probs).sum(axis=-1, keepdims=True)
+        g_scores *= probs
+        g_scores *= scale
         g_kh = g_scores.transpose(0, 1, 3, 2) @ q
         g_vh = probs.transpose(0, 1, 3, 2) @ g_ctx
         if k.data.shape[0] != x.shape[0]:
             g_kh, g_vh = g_kh.sum(axis=0, keepdims=True), g_vh.sum(axis=0, keepdims=True)
         g_q = _rows(_from_heads(g_scores @ kh))
-        return (
+        grads = (
             (g_q @ wq.data.T).reshape(x.shape),
             _from_heads(g_kh),
             _from_heads(g_vh),
@@ -355,40 +363,70 @@ def attention(
             _rows(ctx).T @ g_rows,
             g_rows.sum(axis=0),
         )
+        return grads if residual is None else (g, *grads)
 
-    return _node(out, (queries, k, v, wq, bq, wo, bo), vjp)
+    parents = (queries, k, v, wq, bq, wo, bo)
+    return _node(out, parents if residual is None else (residual, *parents), vjp)
 
 
 _GELU_C = np.sqrt(2.0 / np.pi)
 _GELU_A = 0.044715
 
 
-def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """Position-wise feed-forward layer ``gelu(x @ w1 + b1) @ w2 + b2``.
+def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, residual: Tensor | None = None) -> Tensor:
+    """Position-wise feed-forward layer ``gelu(x @ w1 + b1) @ w2 + b2``,
+    plus ``residual`` (the node's first parent) when given.
 
     GELU is the tanh approximation (smooth, so finite differences stay
     clean). The cube is ``h * h * h``: numpy's ``h**3`` goes through ``pow``,
-    which is far slower on these arrays.
+    which is far slower on these arrays. Both GELU and its derivative are
+    computed in place, in the operand order of
+    ``0.5 * h * (1 + tanh(c * (h + a * h**3)))``.
     """
-    h = x.data @ w1.data + b1.data
-    t = np.tanh(_GELU_C * (h + _GELU_A * (h * h * h)))
-    act = 0.5 * h * (1.0 + t)
-    out = act @ w2.data + b2.data
+    h = x.data @ w1.data
+    h += b1.data
+    t = h * h
+    t *= h
+    t *= _GELU_A
+    t += h
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    one_plus_t = 1.0 + t
+    act = h * 0.5
+    act *= one_plus_t
+    out = act @ w2.data
+    out += b2.data
+    if residual is not None:
+        out += residual.data
 
     def vjp(g):
         g_rows = _rows(g)
-        dinner = _GELU_C * (1.0 + 3.0 * _GELU_A * (h * h))
-        g_h = (g @ w2.data.T) * (0.5 * (1.0 + t) + 0.5 * h * (1.0 - t * t) * dinner)
+        # 0.5 * (1 + t) + 0.5 * h * (1 - t * t) * c * (1 + 3 * a * h * h)
+        dinner = h * h
+        dinner *= 3.0 * _GELU_A
+        dinner += 1.0
+        dinner *= _GELU_C
+        slope = t * t
+        np.subtract(1.0, slope, out=slope)
+        tail = h * 0.5
+        tail *= slope
+        tail *= dinner
+        np.multiply(one_plus_t, 0.5, out=slope)
+        slope += tail
+        g_h = g @ w2.data.T
+        g_h *= slope
         g_h_rows = _rows(g_h)
-        return (
+        grads = (
             g_h @ w1.data.T,
             _rows(x.data).T @ g_h_rows,
             g_h_rows.sum(axis=0),
             _rows(act).T @ g_rows,
             g_rows.sum(axis=0),
         )
+        return grads if residual is None else (g, *grads)
 
-    return _node(out, (x, w1, b1, w2, b2), vjp)
+    parents = (x, w1, b1, w2, b2)
+    return _node(out, parents if residual is None else (residual, *parents), vjp)
 
 
 # -- the BRIO objective ----------------------------------------------------

@@ -191,24 +191,29 @@ def _attend(
     k: Tensor,
     v: Tensor,
     mask: np.ndarray | None,
+    residual: Tensor | None,
 ) -> Tensor:
-    """Attention of ``queries`` over the given projected keys and values."""
+    """``residual`` plus the attention of ``queries`` over the given
+    projected keys and values (the attention alone for a None residual)."""
     weights = (params[f"{prefix}.{name}"] for name in ("wq", "bq", "wo", "bo"))
-    return ad.attention(queries, k, v, *weights, mask, params.config.num_heads)
+    return ad.attention(queries, k, v, *weights, mask, params.config.num_heads, residual)
 
 
-def _ffn(params: ModelParams, prefix: str, x: Tensor) -> Tensor:
-    return ad.ffn(x, *(params[f"{prefix}.{name}"] for name in ("w1", "b1", "w2", "b2")))
+def _ffn(params: ModelParams, prefix: str, x: Tensor, residual: Tensor) -> Tensor:
+    """``residual`` plus the feed-forward layer over ``x``."""
+    weights = (params[f"{prefix}.{name}"] for name in ("w1", "b1", "w2", "b2"))
+    return ad.ffn(x, *weights, residual)
 
 
 def _norm(params: ModelParams, prefix: str, x: Tensor) -> Tensor:
     return ad.layer_norm(x, params[f"{prefix}.g"], params[f"{prefix}.b"])
 
 
-def source_pad_mask(src: np.ndarray) -> np.ndarray:
-    """Additive attention mask (B, 1, 1, Ts): 0 for real tokens, -1e9 for PAD."""
+def source_pad_mask(src: np.ndarray) -> np.ndarray | None:
+    """Additive attention mask (B, 1, 1, Ts): 0 for real tokens, -1e9 for
+    PAD; None when ``src`` holds no PAD, as adding zeros changes no score."""
     blocked = (src == PAD_ID)[:, None, None, :]
-    return np.where(blocked, _NEG_INF, 0.0)
+    return np.where(blocked, _NEG_INF, 0.0) if blocked.any() else None
 
 
 def causal_mask(length: int) -> np.ndarray:
@@ -217,20 +222,15 @@ def causal_mask(length: int) -> np.ndarray:
     return np.where(upper, _NEG_INF, 0.0)[None, None, :, :]
 
 
-def _embed(params: ModelParams, ids: np.ndarray, pos_table: str, offset: int = 0) -> Tensor:
-    positions = ad.embedding(params[pos_table], np.arange(offset, offset + ids.shape[1]))
-    return ad.embedding(params["tok_emb"], ids) + positions
-
-
-def encode_source(params: ModelParams, src: np.ndarray) -> tuple[Tensor, np.ndarray]:
+def encode_source(params: ModelParams, src: np.ndarray) -> tuple[Tensor, np.ndarray | None]:
     """Run the encoder stack; returns hidden states and the source pad mask."""
     cfg = params.config
     mask = source_pad_mask(src)
-    x = _embed(params, src, "pos_emb_src")
+    x = ad.embed(params["tok_emb"], params["pos_emb_src"], src)
     for i in range(cfg.num_encoder_layers):
         normed = _norm(params, f"enc{i}.ln1", x)
-        x = x + _attend(params, f"enc{i}.attn", normed, *_project_kv(params, f"enc{i}.attn", normed), mask)
-        x = x + _ffn(params, f"enc{i}.ffn", _norm(params, f"enc{i}.ln2", x))
+        x = _attend(params, f"enc{i}.attn", normed, *_project_kv(params, f"enc{i}.attn", normed), mask, x)
+        x = _ffn(params, f"enc{i}.ffn", _norm(params, f"enc{i}.ln2", x), x)
     return _norm(params, "enc_ln", x), mask
 
 
@@ -267,7 +267,7 @@ class DecoderCache:
 def decoder_logprobs(
     params: ModelParams,
     enc_out: Tensor,
-    src_mask: np.ndarray,
+    src_mask: np.ndarray | None,
     tgt_in: np.ndarray,
     cache: DecoderCache | None = None,
 ) -> Tensor | tuple[Tensor, DecoderCache]:
@@ -285,7 +285,7 @@ def decoder_logprobs(
         raise ValueError("decoder_logprobs: a cache is for inference only; call it under no_grad()")
     offset = 0 if cache is None else cache.length
     self_mask = causal_mask(offset + tgt_in.shape[1])[:, :, offset:, :]
-    x = _embed(params, tgt_in, "pos_emb_tgt", offset)
+    x = ad.embed(params["tok_emb"], params["pos_emb_tgt"], tgt_in, offset)
     past = []
     for i in range(cfg.num_decoder_layers):
         normed = _norm(params, f"dec{i}.ln1", x)
@@ -295,10 +295,10 @@ def decoder_logprobs(
                 k = Tensor(np.concatenate([cache.past[i][0].data, k.data], axis=1))
                 v = Tensor(np.concatenate([cache.past[i][1].data, v.data], axis=1))
             past.append((k, v))
-        x = x + _attend(params, f"dec{i}.self", normed, k, v, self_mask)
+        x = _attend(params, f"dec{i}.self", normed, k, v, self_mask, x)
         cross = _project_kv(params, f"dec{i}.cross", enc_out) if cache is None else cache.cross[i]
-        x = x + _attend(params, f"dec{i}.cross", _norm(params, f"dec{i}.ln2", x), *cross, src_mask)
-        x = x + _ffn(params, f"dec{i}.ffn", _norm(params, f"dec{i}.ln3", x))
+        x = _attend(params, f"dec{i}.cross", _norm(params, f"dec{i}.ln2", x), *cross, src_mask, x)
+        x = _ffn(params, f"dec{i}.ffn", _norm(params, f"dec{i}.ln3", x), x)
     x = _norm(params, "dec_ln", x)
     out_w = ad.transpose(params["tok_emb"], (1, 0)) if cfg.tie_embeddings else params["out.w"]
     logprobs = ad.log_softmax(ad.linear(x, out_w, params["out.b"]), axis=-1)

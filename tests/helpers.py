@@ -1,16 +1,18 @@
 """Shared fixtures: tiny model factories, the finite-difference checker, a
 counter of BRIO training-stage calls, the per-tensor optimizer step that
-the step on the parameter vector replaces, the primitive ops and composed
-graphs that the fused autodiff ops replace, and the dynamic-programming
-LCS that the bit-parallel ROUGE-L kernel replaces."""
+the steps on the parameter vector and on shape groups replace, the
+primitive ops and composed graphs that the fused autodiff ops replace, the
+BRIO loss graph before ``embed`` and the residual-taking layers with a
+counter of its tape nodes, and the dynamic-programming LCS that the
+bit-parallel ROUGE-L kernel replaces."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from briosum import autodiff as ad
-from briosum import brio, optim
-from briosum.corpus import Vocabulary
+from briosum import brio, model, optim
+from briosum.corpus import PAD_ID, Vocabulary
 from briosum.model import ModelConfig, ModelParams, init_params
 
 GRADCHECK_EPS = 1e-4
@@ -21,7 +23,8 @@ GRADCHECK_FLOOR = 1e-4
 
 # The optimizer step as one update per named tensor, each with its own
 # arrays and accumulators: the reference for ``optim.optimizer_step``,
-# which updates Adam's whole parameter vector at once.
+# which updates Adam's whole parameter vector at once and Adafactor's
+# tensors one shape group at a time.
 
 
 def per_tensor_slots(kind: str, leaves: dict[str, ad.Tensor]) -> dict[str, dict[str, np.ndarray]]:
@@ -45,6 +48,28 @@ def _adam_update(grad: np.ndarray, slot: dict[str, np.ndarray], step: int) -> np
     return m_hat / (np.sqrt(v_hat) + optim.ADAM_EPS)
 
 
+def _rms(x: np.ndarray) -> float:
+    return float(np.sqrt((x * x).sum() / x.size))
+
+
+def adafactor_update(grad: np.ndarray, slot: dict[str, np.ndarray], step: int) -> np.ndarray:
+    """One tensor's Adafactor update; ``slot`` holds its own accumulators."""
+    decay = 1.0 - step**optim.ADAFACTOR_DECAY_POWER
+    sq = grad * grad + optim.ADAFACTOR_EPS1
+    if "row" in slot:
+        slot["row"] = decay * slot["row"] + (1.0 - decay) * (sq.sum(axis=-1) / sq.shape[-1])
+        slot["col"] = decay * slot["col"] + (1.0 - decay) * (sq.sum(axis=-2) / sq.shape[-2])
+        row_mean = slot["row"].sum(axis=-1, keepdims=True) / slot["row"].shape[-1]
+        row_factor = 1.0 / np.sqrt(slot["row"] / row_mean)
+        col_factor = 1.0 / np.sqrt(slot["col"])
+        update = grad * row_factor[..., None] * col_factor[..., None, :]
+    else:
+        slot["v"] = decay * slot["v"] + (1.0 - decay) * sq
+        update = grad / np.sqrt(slot["v"])
+    update /= max(1.0, _rms(update) / optim.ADAFACTOR_CLIP)
+    return update
+
+
 def per_tensor_optimizer_step(
     kind: str, leaves: dict[str, ad.Tensor], slots: dict, step: int, learning_rate: float
 ) -> None:
@@ -52,7 +77,7 @@ def per_tensor_optimizer_step(
         if kind == "adam":
             update = _adam_update(tensor.grad, slots[name], step)
         else:
-            update = optim._adafactor_update(tensor.grad, slots[name], step)
+            update = adafactor_update(tensor.grad, slots[name], step)
         tensor.data -= learning_rate * update
         tensor.grad[...] = 0.0
 
@@ -60,6 +85,11 @@ def per_tensor_optimizer_step(
 # Fused ops against the composed graphs they replace: their vjps sum in
 # another order, so values and gradients agree to this relative bound.
 RELATIVE_BOUND = 1e-10
+
+
+# The acceptance run's model: 86 tensors, 46,881 parameters in 9 shapes.
+ACCEPTANCE_MODEL = ModelConfig(vocab_size=65, model_dim=32, num_heads=4, ffn_dim=64,
+                               max_source_len=48, max_target_len=16, tie_embeddings=True)
 
 
 def tiny_config(vocab_size: int = 13, **overrides) -> ModelConfig:
@@ -181,9 +211,34 @@ def assert_relative_close(got: np.ndarray, want: np.ndarray, scale: float | None
 # -- primitive ops -------------------------------------------------------------
 #
 # The composed graphs below are the references for the fused ops in
-# ``briosum.autodiff`` (``linear``, ``attention``, ``ffn``,
-# ``gold_logprob_sum`` and ``brio_objective``). ``src/`` no longer uses the
-# primitive ops they are built from, so those live here.
+# ``briosum.autodiff`` (``embed``, ``linear``, ``attention``, ``ffn``,
+# ``gold_logprob_sum`` and ``brio_objective``, with and without the residual
+# stream). ``src/`` no longer uses the primitive ops they are built from, so
+# those live here. ``Tensor`` has no ``+``: ``add`` is the sum node.
+
+
+def add(a, b) -> ad.Tensor:
+    a, b = ad._wrap(a), ad._wrap(b)
+    out = a.data + b.data
+
+    def vjp(g):
+        return ad._unbroadcast(g, a.data.shape), ad._unbroadcast(g, b.data.shape)
+
+    return ad._node(out, (a, b), vjp)
+
+
+def embedding(table, ids: np.ndarray) -> ad.Tensor:
+    """Row lookup: out[..., :] = table[ids[...], :]."""
+    table = ad._wrap(table)
+    ids = np.asarray(ids, dtype=np.int64)
+    out = table.data[ids]
+
+    def vjp(g):
+        full = np.zeros_like(table.data)
+        np.add.at(full, ids.reshape(-1), g.reshape(-1, table.data.shape[-1]))
+        return (full,)
+
+    return ad._node(out, (table,), vjp)
 
 
 def sub(a, b) -> ad.Tensor:
@@ -293,7 +348,7 @@ def gather_last(a, idx: np.ndarray) -> ad.Tensor:
 
 
 def composed_linear(x, w, b) -> ad.Tensor:
-    return matmul(x, w) + b
+    return add(matmul(x, w), b)
 
 
 def composed_attention(queries, k, v, wq, bq, wo, bo, mask, heads) -> ad.Tensor:
@@ -307,7 +362,7 @@ def composed_attention(queries, k, v, wq, bq, wo, bo, mask, heads) -> ad.Tensor:
     q = split(composed_linear(queries, wq, bq))
     scores = matmul(q, ad.transpose(split(k), (0, 1, 3, 2))) * (1.0 / np.sqrt(queries.shape[-1] // heads))
     if mask is not None:
-        scores = scores + ad.Tensor(mask)
+        scores = add(scores, ad.Tensor(mask))
     ctx = matmul(softmax(scores, axis=-1), split(v))
     b, h, n, hd = ctx.shape
     return composed_linear(ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b, n, h * hd)), wo, bo)
@@ -334,9 +389,66 @@ def composed_brio_objective(sums, lengths, mle_weight, ctr_weight, margin, lengt
     n = scores.shape[0]
     idx = np.arange(n, dtype=np.float64)
     margins = ad.Tensor(margin * (idx[None, :] - idx[:, None]))
-    diffs = sub(ad.reshape(scores, (1, n)), ad.reshape(scores, (n, 1))) + margins
+    diffs = add(sub(ad.reshape(scores, (1, n)), ad.reshape(scores, (n, 1))), margins)
     ctr = tsum(relu(diffs) * ad.Tensor(np.triu(np.ones((n, n)), k=1)))
-    return total + ctr * ctr_weight, mle.item(), ctr.item()
+    return add(total, ctr * ctr_weight), mle.item(), ctr.item()
+
+
+def count_tape_nodes(loss: ad.Tensor) -> int:
+    """Recorded ops in the graph behind ``loss`` (nodes carrying a vjp)."""
+    seen: dict[int, ad.Tensor] = {}
+    stack = [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return sum(1 for node in seen.values() if node._vjp is not None)
+
+
+def unfused_brio_loss(params: ModelParams, ranked: brio.RankedCandidateSet, config: brio.BrioConfig) -> ad.Tensor:
+    """``brio.brio_loss`` with the ranking term on, as the graph that
+    ``embed`` and the residual-taking ``attention`` and ``ffn`` replace: an
+    ``embedding`` node per table and their ``add``, and an ``add`` node per
+    residual connection."""
+    p = params
+
+    def embed(ids, table):
+        return add(embedding(p["tok_emb"], ids), embedding(p[table], np.arange(ids.shape[1])))
+
+    def attend(prefix, normed, k, v, mask):
+        return ad.attention(normed, k, v, *(p[f"{prefix}.{n}"] for n in ("wq", "bq", "wo", "bo")), mask,
+                            p.config.num_heads)
+
+    def ffn(prefix, x):
+        return ad.ffn(x, *(p[f"{prefix}.{n}"] for n in ("w1", "b1", "w2", "b2")))
+
+    src = np.asarray([ranked.source_ids], dtype=np.int64)
+    mask = model.source_pad_mask(src)
+    x = embed(src, "pos_emb_src")
+    for i in range(p.config.num_encoder_layers):
+        normed = model._norm(p, f"enc{i}.ln1", x)
+        x = add(x, attend(f"enc{i}.attn", normed, *model._project_kv(p, f"enc{i}.attn", normed), mask))
+        x = add(x, ffn(f"enc{i}.ffn", model._norm(p, f"enc{i}.ln2", x)))
+    enc_out = model._norm(p, "enc_ln", x)
+
+    rows = [ranked.reference_ids] + [list(c.token_ids) for c in ranked.candidates]
+    tgt_in, gold = model.teacher_forcing(rows)
+    self_mask = model.causal_mask(tgt_in.shape[1])
+    x = embed(tgt_in, "pos_emb_tgt")
+    for i in range(p.config.num_decoder_layers):
+        normed = model._norm(p, f"dec{i}.ln1", x)
+        x = add(x, attend(f"dec{i}.self", normed, *model._project_kv(p, f"dec{i}.self", normed), self_mask))
+        cross = model._project_kv(p, f"dec{i}.cross", enc_out)
+        x = add(x, attend(f"dec{i}.cross", model._norm(p, f"dec{i}.ln2", x), *cross, mask))
+        x = add(x, ffn(f"dec{i}.ffn", model._norm(p, f"dec{i}.ln3", x)))
+    x = model._norm(p, "dec_ln", x)
+    out_w = ad.transpose(p["tok_emb"], (1, 0)) if p.config.tie_embeddings else p["out.w"]
+    table = ad.log_softmax(ad.linear(x, out_w, p["out.b"]), axis=-1)
+    sums = ad.gold_logprob_sum(table, gold, gold != PAD_ID, axis=1)
+    lengths = np.array([len(row) - 1 for row in rows], dtype=np.float64)
+    return ad.brio_objective(sums, lengths, config.mle_weight, config.ctr_weight, config.margin,
+                             config.length_penalty)[0]
 
 
 def dp_lcs_length(a, b) -> int:

@@ -7,12 +7,14 @@ from briosum import autodiff as ad
 from briosum.autodiff import Tensor
 
 from helpers import (
+    add,
     assert_relative_close,
     composed_attention,
     composed_brio_objective,
     composed_ffn,
     composed_gold_sum,
     composed_linear,
+    embedding,
     gather_last,
     gelu,
     getitem,
@@ -34,10 +36,10 @@ def leaf(shape, scale=1.0):
 @pytest.mark.parametrize(
     "name,build",
     [
-        ("add", lambda a, b: tsum(a + b)),
+        ("add", lambda a, b: tsum(add(a, b))),
         ("sub", lambda a, b: tsum(sub(a, b))),
         ("mul", lambda a, b: tsum(a * b)),
-        ("mul_then_add", lambda a, b: tsum((a * b + a) * 0.5)),
+        ("mul_then_add", lambda a, b: tsum(add(a * b, a) * 0.5)),
     ],
 )
 def test_elementwise_ops(name, build):
@@ -48,7 +50,7 @@ def test_elementwise_ops(name, build):
 
 def test_broadcast_add_bias():
     x, b = leaf((2, 5, 4)), leaf((4,))
-    err = tensor_gradcheck(lambda: tsum((x + b) * (x + b)), {"x": x, "b": b})
+    err = tensor_gradcheck(lambda: tsum(add(x, b) * add(x, b)), {"x": x, "b": b})
     assert err < 1e-6
 
 
@@ -129,10 +131,10 @@ def test_embedding_gather_with_repeats():
     table = leaf((6, 3))
     ids = np.array([[0, 2, 2], [5, 0, 1]])
     weights = Tensor(RNG.normal(size=(2, 3, 3)))
-    err = tensor_gradcheck(lambda: tsum(ad.embedding(table, ids) * weights), {"t": table})
+    err = tensor_gradcheck(lambda: tsum(embedding(table, ids) * weights), {"t": table})
     assert err < 1e-6
     # repeated rows accumulate
-    out = tsum(ad.embedding(table, ids))
+    out = tsum(embedding(table, ids))
     table.grad[...] = 0.0
     out.backward()
     assert table.grad[2].sum() == pytest.approx(2 * 3)
@@ -228,6 +230,78 @@ def test_ffn_matches_composed_graph():
     assert check_fused_op(ad.ffn, composed_ffn, leaves) < 1e-6
 
 
+def check_bitwise(fused, composed, leaves):
+    """Equal values and equal gradients of every leaf, bit for bit."""
+    upstream = None
+    results = []
+    for op in (fused, composed):
+        for t in leaves:
+            t.grad[...] = 0.0
+        out = op()
+        if upstream is None:
+            upstream = Tensor(RNG.normal(size=out.shape))
+        tsum(out * upstream).backward()
+        results.append((out.data.copy(), [t.grad.copy() for t in leaves]))
+    (got, got_grads), (want, want_grads) = results
+    assert np.array_equal(got, want)
+    for i, (got_grad, want_grad) in enumerate(zip(got_grads, want_grads)):
+        assert np.array_equal(got_grad, want_grad), i
+    named = {str(i): t for i, t in enumerate(leaves)}
+    return tensor_gradcheck(lambda: tsum(fused() * upstream), named, sample=24)
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["own-leaf", "residual-is-input"])
+@pytest.mark.parametrize("case", list(ATTENTION_CASES))
+def test_attention_with_residual_equals_add_of_attention(case, shared):
+    # In the model the residual stream also feeds the layer; with
+    # ``residual-is-input`` it is the queries themselves.
+    q_rows, kv_rows, tk, mask = ATTENTION_CASES[case]
+    d, heads = 8, 2
+    queries, k, v = leaf((q_rows, 4, d)), leaf((kv_rows, tk, d)), leaf((kv_rows, tk, d))
+    weights = [leaf((d, d), 0.5), leaf((d,)), leaf((d, d), 0.5), leaf((d,))]
+    residual = queries if shared else leaf((q_rows, 4, d))
+    leaves = [queries, k, v, *weights] + ([] if shared else [residual])
+
+    def fused():
+        return ad.attention(queries, k, v, *weights, mask, heads, residual)
+
+    def composed():
+        return add(residual, ad.attention(queries, k, v, *weights, mask, heads))
+
+    assert check_bitwise(fused, composed, leaves) < 1e-6
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["own-leaf", "residual-is-input"])
+def test_ffn_with_residual_equals_add_of_ffn(shared):
+    x, weights = leaf((2, 3, 4)), [leaf((4, 6)), leaf((6,)), leaf((6, 4)), leaf((4,))]
+    residual = x if shared else leaf((2, 3, 4))
+    leaves = [x, *weights] + ([] if shared else [residual])
+
+    def fused():
+        return ad.ffn(x, *weights, residual)
+
+    def composed():
+        return add(residual, ad.ffn(x, *weights))
+
+    assert check_bitwise(fused, composed, leaves) < 1e-6
+
+
+@pytest.mark.parametrize("offset", [0, 2])
+def test_embed_equals_sum_of_two_embeddings(offset):
+    table, positions = leaf((6, 3)), leaf((7, 3))
+    ids = np.array([[0, 2, 2, 5], [5, 0, 1, 2]])  # repeated rows accumulate
+
+    def fused():
+        return ad.embed(table, positions, ids, offset)
+
+    def composed():
+        return add(embedding(table, ids), embedding(positions, np.arange(offset, offset + 4)))
+
+    assert check_bitwise(fused, composed, [table, positions]) < 1e-6
+    # position rows outside the window get no gradient
+    assert not positions.grad[:offset].any() and not positions.grad[offset + 4 :].any()
+
+
 @pytest.mark.parametrize("axis", [None, 1])
 def test_gold_logprob_sum_matches_composed_graph(axis):
     gold = np.array([[1, 4, 2, 0], [0, 0, 0, 0], [5, 5, 3, 0]])
@@ -310,7 +384,7 @@ def test_grad_zero_for_unused_parameter():
 def test_shared_subgraph_fans_in():
     a = leaf((3,))
     shared = a * 2.0
-    tsum((shared + shared) * 1.0).backward()
+    tsum(add(shared, shared) * 1.0).backward()
     np.testing.assert_allclose(a.grad, np.full(3, 4.0))
 
 
@@ -321,7 +395,7 @@ def test_fan_in_through_add_does_not_alias_gradients():
 
     def build():
         a, b = x * 2.0, x * 3.0
-        return tsum((a + b) + a * b)
+        return tsum(add(add(a, b), a * b))
 
     build().backward()
     np.testing.assert_allclose(x.grad, 5.0 + 12.0 * x.data)

@@ -29,11 +29,23 @@ from briosum.brio import (
 )
 from briosum.corpus import BOS_ID, EOS_ID, PAD_ID, UNK_ID, TokenizedExample
 from briosum.decode import DecodeConfig, Hypothesis
-from briosum.model import candidate_scores, forward, mle_loss, sequence_log_prob
+from briosum.model import candidate_scores, forward, init_params, mle_loss, sequence_log_prob
 from briosum.optim import init_optimizer, optimizer_step
 from briosum.rouge import RougeScore, RougeTriple, quality_score, score_pair
 
-from helpers import count_train_stages, max_gradcheck_error, relu, sub, tiny_params, tiny_vocab, tsum
+from helpers import (
+    ACCEPTANCE_MODEL,
+    add,
+    count_tape_nodes,
+    count_train_stages,
+    max_gradcheck_error,
+    relu,
+    sub,
+    tiny_params,
+    tiny_vocab,
+    tsum,
+    unfused_brio_loss,
+)
 
 
 def dummy_ranked(num_candidates, doc_id="d0"):
@@ -191,9 +203,9 @@ def two_pass_brio_loss(params, ranked, config):
     n = len(tokens)
     idx = np.arange(n)
     margins = config.margin * (idx[None, :] - idx[:, None])
-    diffs = sub(ad.reshape(scores, (1, n)), ad.reshape(scores, (n, 1))) + ad.Tensor(margins)
+    diffs = add(sub(ad.reshape(scores, (1, n)), ad.reshape(scores, (n, 1))), ad.Tensor(margins))
     hinge = tsum(relu(diffs) * ad.Tensor(np.triu(np.ones((n, n)), k=1)))
-    return total + hinge * config.ctr_weight
+    return add(total, hinge * config.ctr_weight)
 
 
 @pytest.mark.parametrize("num_candidates", [1, 3, 6])
@@ -230,6 +242,30 @@ def test_brio_loss_gradients_match_two_pass_reference(num_candidates):
         assert np.abs(got[name] - ref).max() <= 1e-10 * np.abs(ref).max(), name
         checked += 1
     assert checked == len(reference) == len(got)
+
+
+def test_brio_loss_on_the_acceptance_model_is_41_nodes_with_unfused_gradients():
+    # One document at the acceptance shapes: a 40-token source, the
+    # reference and 6 candidates of 3 to 16 tokens, under the acceptance
+    # BRIO weights.
+    rng = random.Random(41)
+    body = lambda n: [rng.randrange(UNK_ID + 1, ACCEPTANCE_MODEL.vocab_size) for _ in range(n)]  # noqa: E731
+    triple = RougeTriple(*(RougeScore(0.5, 0.5, 0.5) for _ in range(3)))
+    cands = [CandSum("d0", (BOS_ID, *body(n), EOS_ID), "", 0.0, triple, quality_score(triple))
+             for n in (14, 9, 1, 12, 5, 7)]
+    ranked = RankedCandidateSet("d0", [BOS_ID, *body(38), EOS_ID], [BOS_ID, *body(10), EOS_ID], cands)
+    config = brio_cfg(num_candidates=6, margin=0.001, ctr_weight=0.3, mle_weight=1.0)
+    params = init_params(ACCEPTANCE_MODEL, seed=7)
+    results = []
+    for loss_fn in (brio_loss, unfused_brio_loss):
+        params.zero_grads()
+        loss = loss_fn(params, ranked, config)
+        loss.backward()
+        results.append((count_tape_nodes(loss), loss.item(), params.grad.copy()))
+    (nodes, value, grad), (unfused_nodes, unfused_value, unfused_grad) = results
+    assert (nodes, unfused_nodes) == (41, 55)
+    assert value == unfused_value
+    assert np.array_equal(grad, unfused_grad)
 
 
 def test_brio_loss_zero_when_both_terms_vanish():

@@ -29,10 +29,12 @@ from briosum.model import (
 )
 
 from helpers import (
+    add,
     assert_relative_close,
     composed_attention,
     composed_ffn,
     composed_linear,
+    embedding,
     matmul,
     tiny_config,
     tiny_params,
@@ -78,14 +80,14 @@ def reference_decoder_logprobs(params, enc_out, src_mask, tgt_in):
     def norm(prefix, x):
         return ad.layer_norm(x, params[f"{prefix}.g"], params[f"{prefix}.b"])
 
-    positions = ad.embedding(params["pos_emb_tgt"], np.arange(tgt_in.shape[1]))
-    x = ad.embedding(params["tok_emb"], tgt_in) + positions
+    positions = embedding(params["pos_emb_tgt"], np.arange(tgt_in.shape[1]))
+    x = add(embedding(params["tok_emb"], tgt_in), positions)
     for i in range(params.config.num_decoder_layers):
         normed = norm(f"dec{i}.ln1", x)
-        x = x + attention(f"dec{i}.self", normed, normed, causal_mask(tgt_in.shape[1]))
-        x = x + attention(f"dec{i}.cross", norm(f"dec{i}.ln2", x), enc_out, src_mask)
+        x = add(x, attention(f"dec{i}.self", normed, normed, causal_mask(tgt_in.shape[1])))
+        x = add(x, attention(f"dec{i}.cross", norm(f"dec{i}.ln2", x), enc_out, src_mask))
         ffn = [params[f"dec{i}.ffn.{name}"] for name in ("w1", "b1", "w2", "b2")]
-        x = x + composed_ffn(norm(f"dec{i}.ln3", x), *ffn)
+        x = add(x, composed_ffn(norm(f"dec{i}.ln3", x), *ffn))
     x = norm("dec_ln", x)
     out_w = ad.transpose(params["tok_emb"], (1, 0)) if params.config.tie_embeddings else params["out.w"]
     return ad.log_softmax(composed_linear(x, out_w, params["out.b"]), axis=-1)

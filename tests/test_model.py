@@ -152,6 +152,22 @@ def test_forward_ignores_source_padding():
     np.testing.assert_allclose(padded, plain, atol=1e-12)
 
 
+def test_source_without_pad_gets_no_mask_and_the_same_table():
+    # Adding a zero mask changes no score, so a PAD-free source skips it.
+    params = tiny_params(seed=3)
+    assert encode_source(params, np.array([[BOS_ID, 4, 5, EOS_ID]]))[1] is None
+    assert encode_source(params, pad_ids([[BOS_ID, 4, 5, EOS_ID], [BOS_ID, EOS_ID]]))[1].shape == (2, 1, 1, 4)
+    src, tgt = np.array([[BOS_ID, 4, 5, 6, EOS_ID]]), np.array([[BOS_ID, 6, 7], [BOS_ID, 8, 9]])
+    leaves = [t for _, t in params.items()]
+    enc_out, mask = encode_source(params, src)
+    got, got_grads = run_with_grads(lambda: decoder_logprobs(params, enc_out, mask, tgt), leaves)
+    zeros = np.zeros((1, 1, 1, src.shape[1]))
+    want, want_grads = run_with_grads(lambda: decoder_logprobs(params, enc_out, zeros, tgt), leaves)
+    assert np.array_equal(got, want)
+    for got_grad, want_grad in zip(got_grads, want_grads):
+        assert np.array_equal(got_grad, want_grad)
+
+
 def test_forward_validates_ids_and_lengths():
     params = tiny_params()
     with pytest.raises(ValueError, match="out of range"):
@@ -360,7 +376,7 @@ def test_cross_attention_shares_one_source_row_across_query_rows():
     leaves = [enc, queries, *p.values()]
 
     def fused():
-        return _attend(params, prefix, queries, *_project_kv(params, prefix, enc), src_mask)
+        return _attend(params, prefix, queries, *_project_kv(params, prefix, enc), src_mask, None)
 
     def composed():
         k = matmul(enc, p["wk"])

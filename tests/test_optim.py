@@ -1,5 +1,7 @@
 """Optimizer fixtures: Adam bias correction, Adafactor factoring, warmup."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,11 @@ from briosum.optim import (
     OptimizerState,
     init_optimizer,
     optimizer_step,
+    shape_groups,
     warmup_schedule,
 )
 
-from helpers import per_tensor_optimizer_step, per_tensor_slots, tiny_params
+from helpers import ACCEPTANCE_MODEL, per_tensor_optimizer_step, per_tensor_slots, tiny_params
 
 
 def params_with_grads(seed=0, grad_value=None):
@@ -92,12 +95,23 @@ def test_adafactor_equal_gradient_matrix_gets_equal_updates():
 
 
 def test_adafactor_factored_slots_for_matrices_full_for_vectors():
+    # One slot per parameter shape, its tensors stacked on a leading axis.
     params = tiny_params()
     state = init_optimizer("adafactor", params)
-    assert set(state.slots["tok_emb"]) == {"row", "col"}
-    assert state.slots["tok_emb"]["row"].shape == (13,)
-    assert state.slots["tok_emb"]["col"].shape == (8,)
-    assert set(state.slots["out.b"]) == {"v"}
+    groups = shape_groups(params)
+    assert list(state.slots) == list(groups)
+    assert groups["13x8"] == ["tok_emb"] and groups["13"] == ["out.b"]
+    assert set(state.slots["13x8"]) == {"row", "col"}
+    assert state.slots["13x8"]["row"].shape == (1, 13)
+    assert state.slots["13x8"]["col"].shape == (1, 8)
+    assert set(state.slots["13"]) == {"v"}
+    assert state.slots["13"]["v"].shape == (1, 13)
+    # the 12 attention projections of one encoder and one decoder layer
+    assert len(groups["8x8"]) == 12
+    assert {k: a.shape for k, a in state.slots["8x8"].items()} == {"row": (12, 8), "col": (12, 8)}
+    # the index visits every parameter once, slot after slot
+    assert np.array_equal(np.sort(state.index), np.arange(params.num_params))
+    assert np.array_equal(state.index[: 13 * 8], np.arange(13 * 8))  # tok_emb comes first
 
 
 def test_adafactor_clips_update_rms_to_threshold():
@@ -153,7 +167,7 @@ def test_adafactor_updates_equal_np_mean_form():
     params = init_params(ModelConfig(vocab_size=200, model_dim=32, num_heads=4, ffn_dim=64), seed=3)
     state = init_optimizer("adafactor", params)
     want = {name: t.data.copy() for name, t in params.items()}
-    slots = {name: {k: v.copy() for k, v in slot.items()} for name, slot in state.slots.items()}
+    slots = per_tensor_slots("adafactor", params.tensors)
     rng = np.random.default_rng(5)
     for step in range(1, 4):
         for name, t in params.items():
@@ -162,6 +176,10 @@ def test_adafactor_updates_equal_np_mean_form():
         optimizer_step(params, state, 0.01)
         for name, t in params.items():
             assert np.array_equal(t.data, want[name]), (step, name)
+        # each shape group's accumulators stack its tensors' own
+        for key, names in shape_groups(params).items():
+            for acc, stacked in state.slots[key].items():
+                assert np.array_equal(stacked, np.stack([slots[name][acc] for name in names])), (step, key)
 
 
 # -- shared behavior --------------------------------------------------------------------
@@ -177,25 +195,26 @@ def test_step_counter_and_grad_clearing(kind):
         np.testing.assert_array_equal(t.grad, 0.0)
 
 
-# The acceptance run's model: 86 tensors, 46,881 parameters.
-ACCEPTANCE_MODEL = ModelConfig(vocab_size=65, model_dim=32, num_heads=4, ffn_dim=64,
-                               max_source_len=48, max_target_len=16, tie_embeddings=True)
+# Untied, the acceptance model gains out.w (32, 65), a shape of its own.
+UNTIED_MODEL = dataclasses.replace(ACCEPTANCE_MODEL, tie_embeddings=False)
 
 
 @pytest.mark.parametrize("kind", ["adam", "adafactor"])
 def test_steps_on_the_parameter_vector_equal_the_per_tensor_reference(kind):
-    params = init_params(ACCEPTANCE_MODEL, seed=7)
-    assert (len(params.names()), params.num_params) == (86, 46_881)
-    leaves = {name: Tensor(t.data.copy(), requires_grad=True) for name, t in params.items()}
-    state, slots = init_optimizer(kind, params), per_tensor_slots(kind, leaves)
-    rng = np.random.default_rng(13)
-    for step in range(1, 6):
-        for name, t in params.items():
-            t.grad[...] = leaves[name].grad[...] = rng.normal(size=t.data.shape) * 10.0 ** rng.integers(-3, 2)
-        optimizer_step(params, state, 2e-3)
-        per_tensor_optimizer_step(kind, leaves, slots, step, 2e-3)
-        assert np.array_equal(params.flat, np.concatenate([t.data.ravel() for t in leaves.values()])), step
-        assert not params.grad.any()
+    for config, sizes in ((ACCEPTANCE_MODEL, (86, 46_881, 9)), (UNTIED_MODEL, (87, 48_961, 10))):
+        params = init_params(config, seed=7)
+        assert (len(params.names()), params.num_params, len(shape_groups(params))) == sizes
+        leaves = {name: Tensor(t.data.copy(), requires_grad=True) for name, t in params.items()}
+        state, slots = init_optimizer(kind, params), per_tensor_slots(kind, leaves)
+        rng = np.random.default_rng(13)
+        for step in range(1, 6):
+            for name, t in params.items():
+                t.grad[...] = leaves[name].grad[...] = rng.normal(size=t.data.shape) * 10.0 ** rng.integers(-3, 2)
+            optimizer_step(params, state, 2e-3)
+            per_tensor_optimizer_step(kind, leaves, slots, step, 2e-3)
+            want = np.concatenate([t.data.ravel() for t in leaves.values()])
+            assert np.array_equal(params.flat, want), (config.tie_embeddings, step)
+            assert not params.grad.any()
 
 
 def test_uninitialized_state_rejected():
@@ -208,9 +227,15 @@ def test_uninitialized_state_rejected():
 def test_state_missing_parameter_rejected():
     params = params_with_grads()
     state = init_optimizer("adafactor", params)
-    del state.slots["out.b"]
+    del state.slots["13"]  # the group of out.b, the one (13,) tensor
     state.step = 1
+    before = params.flat.copy()
     with pytest.raises(OptimizerError, match="out.b"):
+        optimizer_step(params, state, 1e-3)
+    assert np.array_equal(params.flat, before)
+    # a state built for another model does not cover this parameter vector
+    state = init_optimizer("adafactor", tiny_params(vocab_size=14))
+    with pytest.raises(OptimizerError, match=f"of {params.num_params} parameters.*tok_emb"):
         optimizer_step(params, state, 1e-3)
     # Adam's moments must match the parameter vector
     state = init_optimizer("adam", params)
