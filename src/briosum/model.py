@@ -5,7 +5,7 @@ embedding table shared by the encoder and decoder inputs (and, with
 ``tie_embeddings``, the output projection). Keys have no bias: it would
 shift a query row's scores alike, which the softmax cancels. Everything
 runs in float64, with all parameters in one vector that the named tensors
-view (``ModelParams``); checkpoints store it bit for bit.
+view (``ModelParams``); checkpoints store them bit for bit.
 
 Shape conventions: source batches are (B, Ts) int arrays, target batches
 (B, Tt); hidden activations, keys and values are (B, T, model_dim). The
@@ -72,25 +72,32 @@ class ModelConfig:
 
 
 class ModelParams:
-    """All parameters in one float64 vector, ``flat``, in ``_param_specs``
-    order, and their gradients in ``grad``. Each named tensor's ``data`` and
-    ``grad`` are views into the two, so ``backward()`` accumulates into
-    ``grad`` and copying, zeroing or checking the model is one array op."""
+    """All parameters in one float64 vector, ``flat`` (zeros if not given),
+    and their gradients in ``grad``, laid out group after group of
+    ``shape_groups``; ``groups`` maps each key to the (k, *shape) view of
+    ``grad`` that stacks its k tensors, and ``tensors`` follows the layout.
+    Each named tensor's ``data`` and ``grad`` are views into the two, so
+    ``backward()`` fills ``grad`` and copying or checking is one array op.
+    Initial draws and checkpoints keep ``_param_specs`` order."""
 
-    def __init__(self, config: ModelConfig, flat: np.ndarray):
-        self.config = config
-        self.flat = flat
-        self.grad = np.zeros_like(flat)
+    def __init__(self, config: ModelConfig, flat: np.ndarray | None = None):
+        shapes = {name: shape for name, shape, _ in _param_specs(config)}
+        size = sum(math.prod(shape) for shape in shapes.values())
+        flat = np.zeros(size) if flat is None else flat
+        if flat.shape != (size,) or flat.dtype != np.float64:
+            raise ValueError(f"expected {size} float64 parameters, got {flat.dtype} {flat.shape}")
+        self.config, self.flat, self.grad = config, flat, np.zeros_like(flat)
         self.tensors: dict[str, Tensor] = {}
+        self.groups: dict[str, np.ndarray] = {}
         offset = 0
-        for name, shape, _ in _param_specs(config):
-            end = offset + math.prod(shape)
-            tensor = Tensor(flat[offset:end].reshape(shape))
-            tensor.requires_grad, tensor.grad = True, self.grad[offset:end].reshape(shape)
-            self.tensors[name] = tensor
+        for key, names in shape_groups(config).items():
+            stacked = (len(names), *shapes[names[0]])
+            end = offset + math.prod(stacked)
+            data, self.groups[key] = (a[offset:end].reshape(stacked) for a in (flat, self.grad))
+            for name, values, grad in zip(names, data, self.groups[key]):
+                self.tensors[name] = tensor = Tensor(values)
+                tensor.requires_grad, tensor.grad = True, grad
             offset = end
-        if flat.shape != (offset,) or flat.dtype != np.float64:
-            raise ValueError(f"expected {offset} float64 parameters, got {flat.dtype} {flat.shape}")
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
@@ -158,19 +165,28 @@ def _param_specs(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
     return specs
 
 
+def shape_groups(config: ModelConfig) -> dict[str, list[str]]:
+    """The parameter names of each shape, keyed by the shape written like
+    "32x64" or "32", in order of first appearance in ``_param_specs``."""
+    groups: dict[str, list[str]] = {}
+    for name, shape, _ in _param_specs(config):
+        groups.setdefault("x".join(map(str, shape)), []).append(name)
+    return groups
+
+
 def init_params(config: ModelConfig, seed: int) -> ModelParams:
     """Deterministic initialization: N(0, 1/sqrt(model_dim)) weights,
-    unit layer-norm gains, zero biases."""
+    unit layer-norm gains, zero biases, drawn in ``_param_specs`` order."""
     config.validate()
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(config.model_dim)
-    draws = []
-    for _, shape, kind in _param_specs(config):
+    params = ModelParams(config)
+    for name, shape, kind in _param_specs(config):
         if kind == "weight":
-            draws.append(rng.normal(0.0, scale, size=shape).ravel())
-        else:
-            draws.append(np.full(math.prod(shape), 1.0 if kind == "one" else 0.0))
-    return ModelParams(config, np.concatenate(draws))
+            params[name].data[...] = rng.normal(0.0, scale, size=shape)
+        elif kind == "one":
+            params[name].data[...] = 1.0
+    return params
 
 
 # -- forward pieces --------------------------------------------------------
@@ -421,7 +437,7 @@ def sequence_log_prob(
 
 
 def save_checkpoint(params: ModelParams, path: str | Path, meta: dict | None = None) -> None:
-    """Write a manifest header line, then the parameter vector as raw
+    """Write a manifest header line, then the parameters as raw
     little-endian float64: the tensors in ``_param_specs`` order."""
     manifest = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
@@ -434,7 +450,8 @@ def save_checkpoint(params: ModelParams, path: str | Path, meta: dict | None = N
     with path.open("wb") as fh:
         fh.write(json.dumps(manifest, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
-        fh.write(np.ascontiguousarray(params.flat, dtype="<f8"))
+        payload = np.concatenate([params[name].data.ravel() for name, _, _ in _param_specs(params.config)])
+        fh.write(np.ascontiguousarray(payload, dtype="<f8"))
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
@@ -470,4 +487,8 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
     expected = sum(count for _, _, count in specs)
     if payload.size != expected:
         raise CheckpointError(f"{path}: payload holds {payload.size} floats, manifest expects {expected}")
-    return ModelParams(config, payload.astype(np.float64)), meta
+    params, offset = ModelParams(config), 0
+    for name, shape, count in specs:
+        params[name].data[...] = payload[offset : offset + count].reshape(shape)
+        offset += count
+    return params, meta

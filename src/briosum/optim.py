@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModelParams
+from .model import ModelParams, shape_groups
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -35,25 +35,14 @@ class OptimizerState:
     kind: str  # "adam" | "adafactor"
     step: int = 0
     # Adam: one slot, "flat", whose moments m and v match ModelParams.flat.
-    # Adafactor: one slot per parameter shape, named like "32x64", whose
+    # Adafactor: one slot per ModelParams.groups entry, under its key, whose
     # accumulators stack the k tensors of that shape on a leading axis:
     # "row" (k, r) and "col" (k, c) for matrices, "v" (k, n) for vectors.
     slots: dict[str, dict[str, np.ndarray]] = field(default_factory=dict)
-    # Adafactor: the positions in ModelParams.flat of the slots' tensors,
-    # slot after slot, each tensor's entries in order; and a work vector of
-    # that length, reused every step so that no step allocates an array of
-    # the model's size.
-    index: np.ndarray | None = None
+    # A work vector reused every step, so that no step allocates an array of
+    # the model's size: of the model's size for Adam, of the largest group's
+    # for Adafactor.
     work: np.ndarray | None = None
-
-
-def shape_groups(params: ModelParams) -> dict[str, list[str]]:
-    """The parameter names of each shape, keyed by the shape written like
-    "32x64" or "32", in order of first appearance."""
-    groups: dict[str, list[str]] = {}
-    for name, tensor in params.items():
-        groups.setdefault("x".join(map(str, tensor.data.shape)), []).append(name)
-    return groups
 
 
 def init_optimizer(kind: str, params: ModelParams) -> OptimizerState:
@@ -62,20 +51,15 @@ def init_optimizer(kind: str, params: ModelParams) -> OptimizerState:
         raise OptimizerError(f"unknown optimizer kind '{kind}'")
     if kind == "adam":
         moments = {"m": np.zeros_like(params.flat), "v": np.zeros_like(params.flat)}
-        return OptimizerState(kind=kind, slots={"flat": moments})
-    # Over the vector 0, 1, 2, ..., each named tensor holds its own positions.
-    positions = ModelParams(params.config, np.arange(params.num_params, dtype=np.float64))
-    groups = shape_groups(params)
+        return OptimizerState(kind=kind, slots={"flat": moments}, work=np.empty_like(params.flat))
     slots: dict[str, dict[str, np.ndarray]] = {}
-    for key, names in groups.items():
-        k, shape = len(names), params[names[0]].data.shape
-        if len(shape) == 2:
-            slots[key] = {"row": np.zeros((k, shape[0])), "col": np.zeros((k, shape[1]))}
+    for key, group in params.groups.items():
+        if group.ndim == 3:
+            slots[key] = {"row": np.zeros(group.shape[:2]), "col": np.zeros(group.shape[::2])}
         else:
-            slots[key] = {"v": np.zeros((k, *shape))}
-    index = np.concatenate([positions[name].data.ravel() for names in groups.values() for name in names])
-    index = index.astype(np.intp)
-    return OptimizerState(kind=kind, slots=slots, index=index, work=np.empty(index.size))
+            slots[key] = {"v": np.zeros(group.shape)}
+    work = np.empty(max(group.size for group in params.groups.values()))
+    return OptimizerState(kind=kind, slots=slots, work=work)
 
 
 # Means are written ``x.sum(axis) / n``: np.mean does the same reduction and
@@ -83,34 +67,26 @@ def init_optimizer(kind: str, params: ModelParams) -> OptimizerState:
 
 
 def _adafactor_step(params: ModelParams, state: OptimizerState, learning_rate: float) -> None:
-    """One Adafactor update, a shape group at a time. The gradients are
-    gathered from ``params.grad`` through ``state.index``, and each group
-    is viewed as one (k, r, c) or (k, n) array; the updates are scattered
-    back through the same index. Every reduction runs per tensor, so each
-    tensor's update equals the one it would get alone."""
-    spans = []
-    for slot in state.slots.values():
-        shape = (*slot["row"].shape, slot["col"].shape[-1]) if "row" in slot else slot["v"].shape
-        spans.append((slot, shape, math.prod(shape)))
-    covered = sum(size for _, _, size in spans)
-    if state.index is None or state.index.size != params.num_params or covered != params.num_params:
-        missing = [f"{key} ({', '.join(names)})" for key, names in shape_groups(params).items()
+    """One Adafactor update, a shape group at a time. Each group of
+    ``params.groups``, a (k, r, c) or (k, n) view of ``params.grad``, turns
+    into its update in place, with its squares in ``state.work``. Every
+    reduction runs per tensor, so each tensor's update equals the one it
+    would get alone."""
+    slot_shapes = {key: (*slot["row"].shape, slot["col"].shape[-1]) if "row" in slot else slot["v"].shape
+                   for key, slot in state.slots.items()}
+    if slot_shapes != {key: group.shape for key, group in params.groups.items()} or (
+            getattr(state.work, "size", 0) < max(group.size for group in params.groups.values())):
+        covered = sum(math.prod(shape) for shape in slot_shapes.values())
+        missing = [f"{key} ({', '.join(names)})" for key, names in shape_groups(params.config).items()
                    if key not in state.slots]
         raise OptimizerError(
             f"Adafactor state covers {covered} of {params.num_params} parameters"
             + (f"; no slot for shape {'; '.join(missing)}" if missing else "")
         )
     decay = 1.0 - state.step**ADAFACTOR_DECAY_POWER
-    update = state.work
-    np.take(params.grad, state.index, out=update)
-    # Each group's gradient turns into its update in place. Once gathered,
-    # params.grad is spare: its first entries hold each group's squares,
-    # and the updates go back through it in the order of params.flat.
-    start = 0
-    for slot, shape, size in spans:
-        u = update[start : start + size].reshape(shape)
-        sq = params.grad[:size].reshape(shape)
-        start += size
+    for key, u in params.groups.items():
+        slot, shape = state.slots[key], u.shape
+        sq = state.work[: u.size].reshape(shape)
         np.multiply(u, u, out=sq)
         sq += ADAFACTOR_EPS1
         if "row" in slot:
@@ -133,9 +109,25 @@ def _adafactor_step(params: ModelParams, state: OptimizerState, learning_rate: f
         np.multiply(per_tensor, per_tensor, out=squares)
         rms = np.sqrt(squares.sum(axis=-1) / squares.shape[-1])
         per_tensor /= np.fmax(1.0, rms / ADAFACTOR_CLIP)[:, None]
-    update *= learning_rate
-    params.grad[state.index] = update
+    params.grad *= learning_rate
     params.flat -= params.grad
+
+
+def _adam_step(params: ModelParams, state: OptimizerState, learning_rate: float) -> None:
+    """One Adam update in place, in the formulas' operand order: ``state.work``
+    holds each term in turn, and the spent gradient the denominator."""
+    grad, slot, work = params.grad, state.slots.get("flat"), state.work
+    if slot is None or any(getattr(a, "shape", None) != grad.shape for a in (slot["m"], slot["v"], work)):
+        raise OptimizerError(f"Adam state does not hold moments for {params.num_params} parameters")
+    m, v = slot["m"], slot["v"]
+    m *= ADAM_BETA1
+    m += np.multiply(1.0 - ADAM_BETA1, grad, out=work)
+    v *= ADAM_BETA2
+    v += np.multiply(np.multiply(1.0 - ADAM_BETA2, grad, out=work), grad, out=work)
+    denominator = np.sqrt(np.divide(v, 1.0 - ADAM_BETA2**state.step, out=grad), out=grad)
+    denominator += ADAM_EPS
+    m_hat = np.divide(m, 1.0 - ADAM_BETA1**state.step, out=work)
+    params.flat -= np.multiply(learning_rate, np.divide(m_hat, denominator, out=work), out=work)
 
 
 def optimizer_step(params: ModelParams, state: OptimizerState, learning_rate: float) -> None:
@@ -145,21 +137,7 @@ def optimizer_step(params: ModelParams, state: OptimizerState, learning_rate: fl
     if state.step == 0 and not state.slots:
         raise OptimizerError("optimizer state is uninitialized; call init_optimizer first")
     state.step += 1
-    if state.kind == "adam":
-        slot = state.slots.get("flat")
-        if slot is None or any(slot[k].shape != params.flat.shape for k in ("m", "v")):
-            raise OptimizerError(f"Adam state does not hold moments for {params.num_params} parameters")
-        # The moments update in place: fewer temporaries of arena size per step.
-        grad, m, v = params.grad, slot["m"], slot["v"]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * grad
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * grad * grad
-        m_hat = m / (1.0 - ADAM_BETA1**state.step)
-        v_hat = v / (1.0 - ADAM_BETA2**state.step)
-        params.flat -= learning_rate * (m_hat / (np.sqrt(v_hat) + ADAM_EPS))
-    else:
-        _adafactor_step(params, state, learning_rate)
+    (_adam_step if state.kind == "adam" else _adafactor_step)(params, state, learning_rate)
     params.zero_grads()
 
 

@@ -13,7 +13,10 @@ the code often do; one process does not.
 
 For each side it prints the fastest and the median pass in seconds, the
 rounds it won and the minor page faults per pass (``ru_minflt``, the
-median over its passes). It also says whether the two sides' pass outputs
+median over its passes); when one side's median is more than 10 times the
+other's, it warns that the two trees share one heap, which can distort
+the timings, and that ``perfbench/run.py``'s alternated processes should
+confirm the result. It also says whether the two sides' pass outputs
 are equal: the workload's digest of the training history (``brio-train``)
 or of every decoded hypothesis and score (``decode-wide``). The last line
 is one JSON summary. Exit status: 0 when the outputs are equal, 1 when
@@ -129,6 +132,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{label}: min {side['min_s']:.4f} s, median {side['median_s']:.4f} s, "
               f"won {side['rounds_won']}/{args.rounds}, minflt/pass {side['minflt_per_pass']:.0f}  ({side['tree']})")
     print(f"outputs equal: {'yes' if summary['outputs_equal'] else 'no'}")
+    faults = sorted(summary[label]["minflt_per_pass"] for label in "ab")
+    if faults[1] > 10 * faults[0]:
+        print(f"warning: one side's median minor faults per pass ({faults[1]:.0f}) are more than 10x the "
+              f"other's ({faults[0]:.0f}); the two trees share one heap here, so confirm this result with "
+              "perfbench/run.py's alternated processes")
     print(json.dumps(summary, sort_keys=True))
     return 0 if summary["outputs_equal"] else 1
 

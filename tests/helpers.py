@@ -1,4 +1,5 @@
-"""Shared fixtures: tiny model factories, the finite-difference checker, a
+"""Shared fixtures: tiny model factories, the initialization in
+``_param_specs`` order, the finite-difference checker, a
 counter of BRIO training-stage calls, the per-tensor optimizer step that
 the steps on the parameter vector and on shape groups replace, the
 primitive ops and composed graphs that the fused autodiff ops replace, the
@@ -80,6 +81,21 @@ def per_tensor_optimizer_step(
             update = adafactor_update(tensor.grad, slots[name], step)
         tensor.data -= learning_rate * update
         tensor.grad[...] = 0.0
+
+
+def spec_order_init(config: ModelConfig, seed: int) -> np.ndarray:
+    """The draws of ``init_params`` concatenated in ``_param_specs`` order:
+    the reference for the values it writes by name into the shape-grouped
+    layout."""
+    rng = np.random.default_rng(seed)
+    scale = 1.0 / np.sqrt(config.model_dim)
+    draws = []
+    for _, shape, kind in model._param_specs(config):
+        if kind == "weight":
+            draws.append(rng.normal(0.0, scale, size=shape).ravel())
+        else:
+            draws.append(np.full(shape, 1.0 if kind == "one" else 0.0).ravel())
+    return np.concatenate(draws)
 
 
 # Fused ops against the composed graphs they replace: their vjps sum in

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import ab_compare
+
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tests" / "ab_compare.py"
 
@@ -34,3 +36,22 @@ def test_a_tree_without_sources_is_a_usage_error(tmp_path):
     proc = run_tool(ROOT, tmp_path, "--workload", "decode-wide")
     assert proc.returncode == 2
     assert "no briosum sources" in proc.stderr
+
+
+def stub_summary(faults_a, faults_b):
+    side = {"tree": str(ROOT), "min_s": 0.5, "median_s": 0.5, "rounds_won": 0, "pass_s": [0.5]}
+    return {"workload": "brio-train", "seed": 1, "rounds": 1, "outputs_equal": True,
+            "a": {**side, "minflt_per_pass": faults_a}, "b": {**side, "minflt_per_pass": faults_b}}
+
+
+def test_a_tenfold_gap_in_minor_faults_is_flagged_as_heap_interference(monkeypatch, capsys):
+    for faults, flagged in (((13_368, 458), True), ((458, 13_368), True), ((4_000, 458), False)):
+        monkeypatch.setattr(ab_compare, "compare", lambda *args, faults=faults: stub_summary(*faults))
+        assert ab_compare.main([str(ROOT), str(ROOT), "--workload", "brio-train", "--rounds", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        warnings = [line for line in lines if line.startswith("warning:")]
+        assert len(warnings) == flagged, faults
+        if flagged:
+            assert "share one heap" in warnings[0] and "perfbench/run.py" in warnings[0]
+            assert "13368" in warnings[0] and "458" in warnings[0]
+        assert lines[2] == "outputs equal: yes"

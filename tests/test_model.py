@@ -13,6 +13,7 @@ from briosum.model import (
     ModelConfig,
     ModelParams,
     _attend,
+    _param_specs,
     _project_kv,
     decoder_logprobs,
     encode_source,
@@ -28,12 +29,14 @@ from briosum.model import (
 )
 
 from helpers import (
+    ACCEPTANCE_MODEL,
     assert_relative_close,
     composed_attention,
     composed_gold_sum,
     composed_linear,
     matmul,
     max_gradcheck_error,
+    spec_order_init,
     tiny_config,
     tiny_params,
     tsum,
@@ -61,6 +64,19 @@ def test_init_params_seeds_differ():
     a = tiny_params(seed=1)
     b = tiny_params(seed=2)
     assert not np.array_equal(a["tok_emb"].data, b["tok_emb"].data)
+
+
+def spec_order(params):
+    """The parameters concatenated in ``_param_specs`` order."""
+    return np.concatenate([params[name].data.ravel() for name, _, _ in _param_specs(params.config)])
+
+
+@pytest.mark.parametrize("config", [tiny_config(), ACCEPTANCE_MODEL], ids=["tiny", "acceptance"])
+def test_init_params_equal_the_draws_in_spec_order(config):
+    params = init_params(config, seed=7)
+    assert np.array_equal(spec_order(params), spec_order_init(config, 7))
+    # the layout groups shapes, so flat is not in spec order
+    assert not np.array_equal(params.flat, spec_order(params))
 
 
 def test_init_layer_norm_gains_are_ones_biases_zero():
@@ -442,6 +458,16 @@ def test_checkpoint_file_round_trip_bit_exact(tmp_path):
     loaded, meta = load_checkpoint(first)
     save_checkpoint(loaded, second, meta=meta)
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_checkpoint_payload_is_the_tensors_in_spec_order(tmp_path):
+    # A round trip alone would pass for any order that save and load share.
+    params = tiny_params(seed=11)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(params, path)
+    payload = path.read_bytes().split(b"\n", 1)[1]
+    assert payload == spec_order(params).astype("<f8").tobytes()
+    assert payload != params.flat.astype("<f8").tobytes()
 
 
 def test_checkpoint_rejects_truncated_payload(tmp_path):

@@ -1,18 +1,18 @@
 """Optimizer fixtures: Adam bias correction, Adafactor factoring, warmup."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from briosum.autodiff import Tensor
-from briosum.model import ModelConfig, ModelParams, init_params
+from briosum.model import ModelConfig, ModelParams, init_params, shape_groups
 from briosum.optim import (
     OptimizerError,
     OptimizerState,
     init_optimizer,
     optimizer_step,
-    shape_groups,
     warmup_schedule,
 )
 
@@ -98,8 +98,8 @@ def test_adafactor_factored_slots_for_matrices_full_for_vectors():
     # One slot per parameter shape, its tensors stacked on a leading axis.
     params = tiny_params()
     state = init_optimizer("adafactor", params)
-    groups = shape_groups(params)
-    assert list(state.slots) == list(groups)
+    groups = shape_groups(params.config)
+    assert list(state.slots) == list(groups) == list(params.groups)
     assert groups["13x8"] == ["tok_emb"] and groups["13"] == ["out.b"]
     assert set(state.slots["13x8"]) == {"row", "col"}
     assert state.slots["13x8"]["row"].shape == (1, 13)
@@ -109,9 +109,21 @@ def test_adafactor_factored_slots_for_matrices_full_for_vectors():
     # the 12 attention projections of one encoder and one decoder layer
     assert len(groups["8x8"]) == 12
     assert {k: a.shape for k, a in state.slots["8x8"].items()} == {"row": (12, 8), "col": (12, 8)}
-    # the index visits every parameter once, slot after slot
-    assert np.array_equal(np.sort(state.index), np.arange(params.num_params))
-    assert np.array_equal(state.index[: 13 * 8], np.arange(13 * 8))  # tok_emb comes first
+    # the groups tile the gradient vector, slot after slot; each tensor's
+    # gradient is its group's row, and its data lies at the same place in flat
+    assert params.names() == [name for names in groups.values() for name in names]
+    offset = 0
+    for key, names in groups.items():
+        group = params.groups[key]
+        assert group.shape[0] == len(names) and group.flags.c_contiguous
+        assert group.ctypes.data == params.grad.ctypes.data + 8 * offset
+        for row, name in zip(group, names):
+            tensor = params[name]
+            assert np.shares_memory(tensor.grad, row) and tensor.grad.shape == row.shape
+            assert tensor.grad.ctypes.data == row.ctypes.data
+            assert tensor.data.ctypes.data - params.flat.ctypes.data == row.ctypes.data - params.grad.ctypes.data
+        offset += group.size
+    assert offset == params.num_params
 
 
 def test_adafactor_clips_update_rms_to_threshold():
@@ -177,7 +189,7 @@ def test_adafactor_updates_equal_np_mean_form():
         for name, t in params.items():
             assert np.array_equal(t.data, want[name]), (step, name)
         # each shape group's accumulators stack its tensors' own
-        for key, names in shape_groups(params).items():
+        for key, names in shape_groups(params.config).items():
             for acc, stacked in state.slots[key].items():
                 assert np.array_equal(stacked, np.stack([slots[name][acc] for name in names])), (step, key)
 
@@ -203,7 +215,7 @@ UNTIED_MODEL = dataclasses.replace(ACCEPTANCE_MODEL, tie_embeddings=False)
 def test_steps_on_the_parameter_vector_equal_the_per_tensor_reference(kind):
     for config, sizes in ((ACCEPTANCE_MODEL, (86, 46_881, 9)), (UNTIED_MODEL, (87, 48_961, 10))):
         params = init_params(config, seed=7)
-        assert (len(params.names()), params.num_params, len(shape_groups(params))) == sizes
+        assert (len(params.names()), params.num_params, len(shape_groups(params.config))) == sizes
         leaves = {name: Tensor(t.data.copy(), requires_grad=True) for name, t in params.items()}
         state, slots = init_optimizer(kind, params), per_tensor_slots(kind, leaves)
         rng = np.random.default_rng(13)
@@ -212,9 +224,23 @@ def test_steps_on_the_parameter_vector_equal_the_per_tensor_reference(kind):
                 t.grad[...] = leaves[name].grad[...] = rng.normal(size=t.data.shape) * 10.0 ** rng.integers(-3, 2)
             optimizer_step(params, state, 2e-3)
             per_tensor_optimizer_step(kind, leaves, slots, step, 2e-3)
-            want = np.concatenate([t.data.ravel() for t in leaves.values()])
-            assert np.array_equal(params.flat, want), (config.tie_embeddings, step)
+            for name, leaf in leaves.items():
+                assert np.array_equal(params[name].data, leaf.data), (config.tie_embeddings, step, name)
             assert not params.grad.any()
+
+
+@pytest.mark.parametrize("kind", ["adam", "adafactor"])
+def test_no_optimizer_step_allocates_an_array_of_the_models_size(kind):
+    params = init_params(ACCEPTANCE_MODEL, seed=7)
+    state = init_optimizer(kind, params)
+    params.grad[...] = np.random.default_rng(3).normal(size=params.num_params)
+    tracemalloc.start()
+    try:
+        optimizer_step(params, state, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < params.flat.nbytes / 2, (peak, params.flat.nbytes)
 
 
 def test_uninitialized_state_rejected():
@@ -237,11 +263,22 @@ def test_state_missing_parameter_rejected():
     state = init_optimizer("adafactor", tiny_params(vocab_size=14))
     with pytest.raises(OptimizerError, match=f"of {params.num_params} parameters.*tok_emb"):
         optimizer_step(params, state, 1e-3)
-    # Adam's moments must match the parameter vector
-    state = init_optimizer("adam", params)
-    state.slots["flat"]["m"] = np.zeros(params.num_params - 1)
-    with pytest.raises(OptimizerError, match=f"{params.num_params} parameters"):
+    # the work vector must hold the largest group
+    state = init_optimizer("adafactor", params)
+    state.work = state.work[:-1]
+    with pytest.raises(OptimizerError, match=f"of {params.num_params} parameters"):
         optimizer_step(params, state, 1e-3)
+    assert np.array_equal(params.flat, before)
+    # Adam's moments and work vector must match the parameter vector
+    for short in ("m", "v", "work"):
+        state = init_optimizer("adam", params)
+        if short == "work":
+            state.work = np.zeros(params.num_params - 1)
+        else:
+            state.slots["flat"][short] = np.zeros(params.num_params - 1)
+        with pytest.raises(OptimizerError, match=f"{params.num_params} parameters"):
+            optimizer_step(params, state, 1e-3)
+        assert np.array_equal(params.flat, before), short
 
 
 def test_bad_learning_rate_rejected():
