@@ -24,10 +24,10 @@ from .autodiff import Tensor
 from .corpus import EOS_ID, UNK_ID, TokenizedExample, Vocabulary, decode_tokens, strip_special_ids
 from .decode import DecodeConfig, diverse_beam_search, greedy_decode
 from .model import (
+    DecoderCache,
     ModelParams,
     candidate_scores,
     decoder_logprobs,
-    encode_source,
     mle_loss,
     pad_ids,
     score_rows,
@@ -69,7 +69,7 @@ class RankedCandidateSet:
     candidates: list[CandSum]
 
 
-@dataclass
+@dataclass(frozen=True)
 class BrioConfig:
     num_candidates: int = 6
     decode: DecodeConfig = field(default_factory=DecodeConfig)
@@ -82,12 +82,11 @@ class BrioConfig:
     batch_size: int = 4
     loop_iterations: int = 2
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.num_candidates < 2:
             raise ValueError(f"num_candidates must be >= 2, got {self.num_candidates}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        self.decode.validate()
         if self.num_candidates > self.decode.num_beams:
             raise ValueError(
                 f"num_candidates ({self.num_candidates}) cannot exceed "
@@ -105,7 +104,7 @@ class BrioConfig:
             raise ValueError(f"loop_iterations must be >= 0, got {self.loop_iterations}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class FinetuneConfig:
     """Plain MLE fine-tuning hyperparameters."""
 
@@ -114,7 +113,7 @@ class FinetuneConfig:
     learning_rate: float = 1e-5
     warmup_steps: int = 20000
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
@@ -163,7 +162,6 @@ def generate_candidates(
     are dropped (keeping the best-scored instance) before truncation, with
     later hypotheses backfilling the freed slots.
     """
-    config.validate()
     hyps = diverse_beam_search(params, example.source_ids, config.decode)
     if not hyps:
         raise RuntimeError(f"decoder produced no hypotheses for doc '{example.doc_id}'")
@@ -337,7 +335,6 @@ def finetune_stage(
     checkpoint is returned. A non-finite loss or parameter raises
     ``NonFiniteError``.
     """
-    config.validate()
     if not train or not validation:
         raise ValueError("finetune_stage requires non-empty train and validation splits")
     params = params.copy()
@@ -354,14 +351,14 @@ def finetune_stage(
         losses: list[float] = []
         for batch in batch_indices(order, config.batch_size):
             examples = [train[i] for i in batch]
-            enc_out, src_mask = encode_source(params, pad_ids([ex.source_ids for ex in examples]))
+            cache = DecoderCache.start(params, pad_ids([ex.source_ids for ex in examples]))
             tgt_in, gold = teacher_forcing([ex.target_ids for ex in examples])
-            loss = mle_loss(decoder_logprobs(params, enc_out, src_mask, tgt_in), gold)
+            loss = mle_loss(decoder_logprobs(params, cache, tgt_in)[0], gold)
             loss.backward()
             lr = warmup_schedule(config.learning_rate, optimizer.step + 1, warmup)
             losses.append(loss.item())
             # Free this batch's graph before the next one is built.
-            del loss, enc_out
+            del loss, cache
             _checked_step(params, optimizer, lr, losses[-1], epoch)
         val = mean_greedy_rouge(params, validation, decode_config)
         history.append(
@@ -390,7 +387,6 @@ def brio_train_stage(
     contribute only the MLE term; their count is logged. A non-finite loss
     or parameter raises ``NonFiniteError``.
     """
-    config.validate()
     if not ranked_sets:
         raise ValueError("brio_train_stage requires at least one candidate set")
     params = params.copy()
@@ -453,7 +449,6 @@ def brio_loop(
     quality checkpoint across iterations (never a later, worse one) and the
     per-iteration report.
     """
-    config.validate()
     current = params.copy()
     report: list[dict] = []
     best_params = current

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import hashlib
 import io
@@ -131,12 +132,12 @@ class ExperimentConfig:
     @staticmethod
     def load(path: str | Path, seed: int | None = None, out_dir: str | None = None) -> "ExperimentConfig":
         path = Path(path)
-        if not path.exists():
+        if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
         parser = configparser.ConfigParser()
         try:
             parser.read(path, encoding="utf-8")
-        except configparser.Error as exc:
+        except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
         # Defaults as raw values; bools in lower case, as INI files write them.
         values = {
@@ -229,9 +230,9 @@ class ExperimentConfig:
         if self.min_count < 1:
             raise ConfigError(f"corpus.min_count must be >= 1, got {self.min_count}")
         try:
-            self.model_config(vocab_size=5).validate()
-            self.finetune_config().validate()
-            self.brio_config().validate()
+            self.model_config(vocab_size=5)
+            self.finetune_config()
+            self.brio_config()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -248,14 +249,14 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical().encode("utf-8")).hexdigest()[:16]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReportRow:
     system: str
     r1: float
     r2: float
     rl: float
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("r1", "r2", "rl"):
             value = getattr(self, name)
             if not (0.0 <= value <= 100.0):
@@ -266,8 +267,6 @@ def emit_report(rows: Sequence[ReportRow], format: str = "text") -> str:
     """Render the systems table with two-decimal fixed columns."""
     if not rows:
         raise ValueError("emit_report requires at least one row")
-    for row in rows:
-        row.validate()
     if format == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer)
@@ -517,8 +516,7 @@ def _stage_finetune(ctx: _Context) -> str:
         ctx.config.decode_config(),
         seed=ctx.config.seed,
     )
-    # Written only once training has succeeded, so a failed stage leaves no
-    # checkpoint for 'evaluate' to score alone; finetune_stage trains a copy.
+    # finetune_stage trains a copy, so ``standard`` still holds the initial draw.
     _save(ctx, STANDARD_CKPT, standard, "standard")
     _save(ctx, FINETUNE_CKPT, best, "finetune")
     _write_json(ctx, FINETUNE_METRICS, {"history": history})
@@ -613,10 +611,16 @@ _STAGE_FUNCS = {
 
 
 def _run_stage(ctx: _Context, stage: str) -> str:
+    """Run one stage; one that fails leaves none of its outputs behind."""
     try:
         return _STAGE_FUNCS[stage](ctx)
-    except (NonFiniteError, OSError) as exc:
-        raise StageError(stage, str(exc)) from exc
+    except BaseException as exc:
+        for name in (name for name, producer in ctx.producers.items() if producer == stage):
+            with contextlib.suppress(OSError):  # the stage's own error is the one to report
+                ctx.path(name).unlink(missing_ok=True)
+        if isinstance(exc, (NonFiniteError, OSError)):
+            raise StageError(stage, str(exc)) from exc
+        raise
 
 
 def run_pipeline(

@@ -83,9 +83,9 @@ def tokenize(text: str) -> list[str]:
 def load_corpus(path: str | Path) -> list[Document]:
     """Read a JSONL corpus file, preserving file order.
 
-    Raises CorpusError naming the 1-based line number for malformed lines,
-    duplicate ids, and empty document/summary fields. Blank lines are
-    skipped.
+    Raises CorpusError naming the 1-based line number for malformed or
+    non-UTF-8 lines, duplicate ids, and empty document/summary fields.
+    Blank lines are skipped.
     """
     path = Path(path)
     if not path.exists():
@@ -93,8 +93,13 @@ def load_corpus(path: str | Path) -> list[Document]:
 
     docs: list[Document] = []
     seen_ids: set[str] = set()
-    with path.open("r", encoding="utf-8") as fh:
+    # Bytes that are not UTF-8 reach the line that holds them as surrogates.
+    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise CorpusError(f"line {lineno}: not valid UTF-8") from exc
             if not line.strip():
                 continue
             try:

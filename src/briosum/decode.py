@@ -7,10 +7,11 @@ that token at the same timestep (Hamming diversity). Beam search is the
 single-group special case, and greedy is a single beam.
 
 Each step scores the active hypotheses of all groups in one scorer call.
-The model scorer decodes incrementally: the encoder output and the
-cross-attention keys and values are computed once per source, and each
-step runs the decoder on one new position against the cached
-self-attention keys and values of the previous step's prefixes.
+The model scorer decodes incrementally. It starts one ``DecoderCache`` per
+source, as the teacher-forced passes do, so the encoder output and the
+cross-attention keys and values are computed once; each step runs the
+decoder on one new position against the cached self-attention keys and
+values of the previous step's prefixes.
 
 All searches are deterministic: score ties break toward the lower token id,
 then the earlier hypothesis.
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .corpus import BOS_ID, EOS_ID
-from .model import DecoderCache, ModelParams, decoder_logprobs, encode_source
+from .model import DecoderCache, ModelParams, decoder_logprobs
 
 Scorer = Callable[[Sequence[tuple[int, ...]]], np.ndarray]
 
@@ -34,7 +35,7 @@ class DecodeConfigError(ValueError):
     """Raised when a decoding configuration violates its invariants."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecodeConfig:
     num_beams: int = 6
     num_beam_groups: int = 6
@@ -42,7 +43,7 @@ class DecodeConfig:
     max_decode_len: int = 32
     length_penalty: float = 1.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.num_beams < 1:
             raise DecodeConfigError(f"num_beams must be >= 1, got {self.num_beams}")
         if self.num_beam_groups < 1:
@@ -91,18 +92,15 @@ def make_scorer(params: ModelParams, source_ids: Sequence[int]) -> Scorer:
     """Next-token log-prob function that decodes incrementally.
 
     The returned callable maps a batch of equal-length BOS-prefixed
-    prefixes to a (batch, vocab) array of next-token log-probs. The encoder
-    pass and each layer's cross-attention K/V are computed once, here. The
-    scorer keeps the self-attention K/V of the prefixes of its previous
-    call, keyed by prefix: when every prefix extends one of them by a
-    token, the decoder runs that one new position; otherwise the batch runs
-    its whole length from an empty cache. Only the previous call's rows are
-    held.
+    prefixes to a (batch, vocab) array of next-token log-probs. The source's
+    ``DecoderCache`` is started once, here. The scorer keeps the
+    self-attention K/V of the prefixes of its previous call, keyed by
+    prefix: when every prefix extends one of them by a token, the decoder
+    runs that one new position; otherwise the batch runs its whole length
+    from an empty cache. Only the previous call's rows are held.
     """
-    src = np.asarray([source_ids], dtype=np.int64)
     with ad.no_grad():
-        enc_out, src_mask = encode_source(params, src)
-        start = DecoderCache.start(params, enc_out)
+        start = DecoderCache.start(params, np.asarray([source_ids], dtype=np.int64))
     held, held_rows = start, {}
 
     def step(prefixes: Sequence[tuple[int, ...]]) -> np.ndarray:
@@ -113,7 +111,7 @@ def make_scorer(params: ModelParams, source_ids: Sequence[int]) -> Scorer:
         if None not in parents:
             cache, tgt = held.rows(parents), tgt[:, -1:]
         with ad.no_grad():
-            table, held = decoder_logprobs(params, enc_out, src_mask, tgt, cache)
+            table, held = decoder_logprobs(params, cache, tgt)
         held_rows = {p: i for i, p in enumerate(prefixes)}
         return table.data[:, -1, :]
 
@@ -138,7 +136,6 @@ def group_beam_search(
     each group contributes at most ``num_beams / num_beam_groups``
     hypotheses (exactly that many when the vocabulary is wide enough).
     """
-    config.validate()
     width = config.num_beams // config.num_beam_groups
     active: list[list[Hypothesis]] = [
         [Hypothesis((BOS_ID,), 0.0, False)] for _ in range(config.num_beam_groups)
@@ -206,7 +203,6 @@ def greedy_decode(
 ) -> Hypothesis:
     """The one hypothesis of a one-beam, one-group search: each step appends
     the most probable token (ties go to the lowest id)."""
-    config.validate()  # greedy ignores the beam settings but still rejects bad ones
     return _search(params, source_ids, replace(config, num_beams=1, num_beam_groups=1))[0]
 
 

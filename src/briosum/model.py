@@ -11,6 +11,10 @@ Shape conventions: source batches are (B, Ts) int arrays, target batches
 (B, Tt); hidden activations, keys and values are (B, T, model_dim). The
 layers are the fused ops of ``autodiff`` (``linear``, ``attention``,
 ``ffn``), one tape node each.
+
+The decoder reads the source only through a ``DecoderCache``: one encoder
+pass and each layer's cross-attention K/V. Training and decoding alike call
+``decoder_logprobs`` on it, and decoding extends it step by step.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ class CheckpointError(RuntimeError):
     """Raised when a checkpoint file cannot be read back consistently."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     vocab_size: int
     model_dim: int = 64
@@ -50,7 +54,7 @@ class ModelConfig:
     # generalize from far less data.
     tie_embeddings: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in (
             "vocab_size",
             "model_dim",
@@ -177,7 +181,6 @@ def shape_groups(config: ModelConfig) -> dict[str, list[str]]:
 def init_params(config: ModelConfig, seed: int) -> ModelParams:
     """Deterministic initialization: N(0, 1/sqrt(model_dim)) weights,
     unit layer-norm gains, zero biases, drawn in ``_param_specs`` order."""
-    config.validate()
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(config.model_dim)
     params = ModelParams(config)
@@ -252,22 +255,26 @@ def encode_source(params: ModelParams, src: np.ndarray) -> tuple[Tensor, np.ndar
 
 @dataclass(frozen=True)
 class DecoderCache:
-    """Keys and values that incremental decoding reuses (inference only).
+    """The decoder's view of the source and of the prefixes decoded so far.
 
     ``cross[i]`` is decoder layer i's cross-attention (K, V) over the
-    encoder output, (1, Ts, model_dim) each, projected once per source.
-    ``past[i]`` is its self-attention (K, V) over the B prefixes decoded so
-    far, (B, t, model_dim) each; it is empty before the first position.
+    encoder output, (Bs, Ts, model_dim) each, and ``mask`` the source's PAD
+    mask, both built once by ``start``; one source (Bs = 1) serves any
+    number of rows. ``past[i]`` is its self-attention (K, V) over the B
+    prefixes decoded so far, (B, t, model_dim) each: empty before the first
+    position, and decoded only under ``no_grad()``, as it holds no gradient.
     """
 
     cross: tuple[tuple[Tensor, Tensor], ...]
+    mask: np.ndarray | None
     past: tuple[tuple[Tensor, Tensor], ...] = ()
 
     @classmethod
-    def start(cls, params: ModelParams, enc_out: Tensor) -> "DecoderCache":
-        """An empty-prefix cache over a one-row encoder output."""
+    def start(cls, params: ModelParams, src: np.ndarray) -> "DecoderCache":
+        """An empty-prefix cache over the (Bs, Ts) source ids ``src``."""
+        enc_out, mask = encode_source(params, src)
         layers = range(params.config.num_decoder_layers)
-        return cls(tuple(_project_kv(params, f"dec{i}.cross", enc_out) for i in layers))
+        return cls(tuple(_project_kv(params, f"dec{i}.cross", enc_out) for i in layers), mask)
 
     @property
     def length(self) -> int:
@@ -275,50 +282,42 @@ class DecoderCache:
 
     def rows(self, index: Sequence[int]) -> "DecoderCache":
         """The cache of the prefixes at ``index``, in that order."""
-        return DecoderCache(
-            self.cross, tuple((Tensor(k.data[index]), Tensor(v.data[index])) for k, v in self.past)
-        )
+        past = tuple((Tensor(k.data[index]), Tensor(v.data[index])) for k, v in self.past)
+        return DecoderCache(self.cross, self.mask, past)
 
 
 def decoder_logprobs(
-    params: ModelParams,
-    enc_out: Tensor,
-    src_mask: np.ndarray | None,
-    tgt_in: np.ndarray,
-    cache: DecoderCache | None = None,
-) -> Tensor | tuple[Tensor, DecoderCache]:
-    """Decoder stack over ``tgt_in`` prefixes: (B, Tt, vocab) log-probs.
+    params: ModelParams, cache: DecoderCache, tgt_in: np.ndarray
+) -> tuple[Tensor, DecoderCache]:
+    """Decoder stack over the next Tt tokens of the cached prefixes.
 
-    With a ``cache`` of t positions, ``tgt_in`` holds the next Tt tokens of
-    the cached prefixes (positions t..t+Tt-1): they attend to the cached
-    keys plus their own, cross-attention uses the cached encoder K/V, and
-    the result is the log-probs of the new positions with the extended
-    cache. The cache path records no gradient into cached K/V, so it runs
-    only under ``autodiff.no_grad()``.
+    ``tgt_in`` (B, Tt) holds positions t..t+Tt-1 of the B prefixes of a
+    ``cache`` of t positions (t = 0 for a fresh one, the teacher-forced
+    pass). They attend to the cached keys plus their own and to the cached
+    source. Returns the (B, Tt, vocab) log-probs of the new positions and
+    the cache extended by them.
     """
     cfg = params.config
-    if cache is not None and ad.grad_enabled():
-        raise ValueError("decoder_logprobs: a cache is for inference only; call it under no_grad()")
-    offset = 0 if cache is None else cache.length
+    if cache.past and ad.grad_enabled():
+        raise ValueError("decoder_logprobs: a cache with a past is for inference only; use no_grad()")
+    offset = cache.length
     self_mask = causal_mask(offset + tgt_in.shape[1])[:, :, offset:, :]
     x = ad.embed(params["tok_emb"], params["pos_emb_tgt"], tgt_in, offset)
     past = []
     for i in range(cfg.num_decoder_layers):
         normed = _norm(params, f"dec{i}.ln1", x)
         k, v = _project_kv(params, f"dec{i}.self", normed)
-        if cache is not None:
-            if cache.past:
-                k = Tensor(np.concatenate([cache.past[i][0].data, k.data], axis=1))
-                v = Tensor(np.concatenate([cache.past[i][1].data, v.data], axis=1))
-            past.append((k, v))
+        if cache.past:
+            k = Tensor(np.concatenate([cache.past[i][0].data, k.data], axis=1))
+            v = Tensor(np.concatenate([cache.past[i][1].data, v.data], axis=1))
+        past.append((k, v))
         x = _attend(params, f"dec{i}.self", normed, k, v, self_mask, x)
-        cross = _project_kv(params, f"dec{i}.cross", enc_out) if cache is None else cache.cross[i]
-        x = _attend(params, f"dec{i}.cross", _norm(params, f"dec{i}.ln2", x), *cross, src_mask, x)
+        x = _attend(params, f"dec{i}.cross", _norm(params, f"dec{i}.ln2", x), *cache.cross[i], cache.mask, x)
         x = _ffn(params, f"dec{i}.ffn", _norm(params, f"dec{i}.ln3", x), x)
     x = _norm(params, "dec_ln", x)
     out_w = ad.transpose(params["tok_emb"], (1, 0)) if cfg.tie_embeddings else params["out.w"]
     logprobs = ad.log_softmax(ad.linear(x, out_w, params["out.b"]), axis=-1)
-    return logprobs if cache is None else (logprobs, DecoderCache(cache.cross, tuple(past)))
+    return logprobs, DecoderCache(cache.cross, cache.mask, tuple(past))
 
 
 def _validate_ids(ids: Sequence[int], limit: int, max_len: int, label: str) -> None:
@@ -344,8 +343,8 @@ def forward(
     _validate_ids(target_ids, cfg.vocab_size, cfg.max_target_len, "target")
     if len(source_ids) == 0 or len(target_ids) == 0:
         raise ValueError("source and target must be non-empty")
-    enc_out, src_mask = encode_source(params, np.asarray([source_ids], dtype=np.int64))
-    table = decoder_logprobs(params, enc_out, src_mask, np.asarray([target_ids], dtype=np.int64))
+    cache = DecoderCache.start(params, np.asarray([source_ids], dtype=np.int64))
+    table, _ = decoder_logprobs(params, cache, np.asarray([target_ids], dtype=np.int64))
     return ad.reshape(table, (len(target_ids), cfg.vocab_size))
 
 
@@ -398,9 +397,9 @@ def score_rows(
     on all rows. Returns the (N,) per-row sums of gold next-token log-probs
     (PAD targets excluded) and the (N,) float token counts ``len(row) - 1``.
     """
-    enc_out, src_mask = encode_source(params, np.asarray([source_ids], dtype=np.int64))
+    cache = DecoderCache.start(params, np.asarray([source_ids], dtype=np.int64))
     tgt_in, gold = teacher_forcing(rows)
-    table = decoder_logprobs(params, enc_out, src_mask, tgt_in)
+    table, _ = decoder_logprobs(params, cache, tgt_in)
     sums = ad.gold_logprob_sum(table, gold, gold != PAD_ID, axis=1)
     return sums, np.array([len(row) - 1 for row in rows], dtype=np.float64)
 
@@ -470,7 +469,6 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
         raise CheckpointError(f"{path}: unsupported format version {version}")
     try:
         config = ModelConfig(**manifest["config"])
-        config.validate()
         entries = [(e["name"], tuple(e["shape"]), int(e["count"])) for e in manifest["params"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: malformed manifest ({exc!r})") from exc

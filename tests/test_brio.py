@@ -254,7 +254,8 @@ def test_brio_loss_on_the_acceptance_model_is_41_nodes_with_unfused_gradients():
     cands = [CandSum("d0", (BOS_ID, *body(n), EOS_ID), "", 0.0, triple, quality_score(triple))
              for n in (14, 9, 1, 12, 5, 7)]
     ranked = RankedCandidateSet("d0", [BOS_ID, *body(38), EOS_ID], [BOS_ID, *body(10), EOS_ID], cands)
-    config = brio_cfg(num_candidates=6, margin=0.001, ctr_weight=0.3, mle_weight=1.0)
+    config = brio_cfg(num_candidates=6, decode=decode_cfg(num_beams=6, num_beam_groups=6),
+                      margin=0.001, ctr_weight=0.3, mle_weight=1.0)
     params = init_params(ACCEPTANCE_MODEL, seed=7)
     results = []
     for loss_fn in (brio_loss, unfused_brio_loss):
@@ -537,14 +538,14 @@ def test_overfit_copy_task_to_near_zero_loss():
     examples = copy_task_examples(n=8, seed=3)
     params = tiny_params(seed=16, model_dim=32, num_heads=4, ffn_dim=64)
     opt = init_optimizer("adam", params)
-    from briosum.model import decoder_logprobs, encode_source, pad_ids, teacher_forcing
+    from briosum.model import DecoderCache, decoder_logprobs, pad_ids, teacher_forcing
 
     src = pad_ids([ex.source_ids for ex in examples])
     tgt_in, gold = teacher_forcing([ex.target_ids for ex in examples])
     loss_value = None
     for step in range(500):
-        enc_out, src_mask = encode_source(params, src)
-        loss = mle_loss(decoder_logprobs(params, enc_out, src_mask, tgt_in), gold)
+        cache = DecoderCache.start(params, src)
+        loss = mle_loss(decoder_logprobs(params, cache, tgt_in)[0], gold)
         loss.backward()
         optimizer_step(params, opt, 3e-3)
         loss_value = loss.item()

@@ -5,7 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -197,6 +197,40 @@ def test_removed_config_keys_exit_2(tmp_path, mini_corpus, capsys, section, key)
     path.write_text(f"[experiment]\ncorpus = {mini_corpus}\n[{section}]\n{key} = 0\n", encoding="utf-8")
     assert main(["split", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
     assert f"unknown key {section}.{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config,field,invalid,message",
+    [
+        (ModelConfig(vocab_size=13), "num_heads", 3, "divisible by num_heads"),
+        (DecodeConfig(), "num_beam_groups", 4, "divisible by num_beam_groups"),
+        (FinetuneConfig(), "epochs", 0, "epochs must be >= 1"),
+        (BrioConfig(), "num_candidates", 7, "cannot exceed decode.num_beams"),
+        (ReportRow("x", 1.0, 2.0, 3.0), "r1", 101.0, r"ReportRow.r1 must be in \[0, 100\]"),
+    ],
+    ids=["model", "decode", "finetune", "brio", "report-row"],
+)
+def test_configs_are_frozen_and_checked_when_built(config, field, invalid, message):
+    with pytest.raises(FrozenInstanceError):
+        setattr(config, field, invalid)
+    with pytest.raises(ValueError, match=message):
+        replace(config, **{field: invalid})
+
+
+@pytest.mark.parametrize("case", ["not-utf-8", "directory"])
+def test_unreadable_config_file_exits_2_without_a_traceback(tmp_path, mini_config, case):
+    path = tmp_path / "bad.ini"
+    if case == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(mini_config.read_bytes().replace(b"seed = 11", b"seed = 11 # caf\xe9"))
+    cmd = [sys.executable, "-m", "briosum", "split", "--config", str(path), "--out", str(tmp_path / "run")]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    expected = "config file not found" if case == "directory" else "can't decode byte 0xe9"
+    assert expected in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_config_missing_corpus_rejected(tmp_path):
@@ -684,6 +718,30 @@ def test_failed_write_leaves_no_partial_artifact(mini_config, tmp_path, monkeypa
     assert err.startswith(f"error in stage '{stages[-1]}': ") and "No space left" in err
     assert not (out / target).exists()
     assert not list(out.glob("*.tmp"))
+
+
+def test_failed_stage_leaves_none_of_its_outputs(mini_config, tmp_path, monkeypatch, capsys):
+    # finetune writes standard.ckpt, then fails writing finetune.ckpt: the
+    # first must go too, or 'evaluate' would score it as the whole stage.
+    out = tmp_path / "run"
+    argv = ["--config", str(mini_config), "--out", str(out)]
+    assert main(["split", *argv]) == 0
+    real, calls = cli.save_checkpoint, []
+
+    def fail_second_save(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise OSError("No space left on device")
+        real(*args)
+
+    monkeypatch.setattr(cli, "save_checkpoint", fail_second_save)
+    capsys.readouterr()
+    assert main(["finetune", *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error in stage 'finetune': ") and "No space left" in err
+    assert sorted(p.name for p in out.iterdir()) == [SPLIT_FILE, VOCAB_FILE]
+    assert main(["evaluate", *argv]) == 1
+    assert "no checkpoints to evaluate" in capsys.readouterr().err
 
 
 def test_vocabulary_without_a_word_fails_the_split_stage(tmp_path, mini_corpus, capsys):

@@ -2,6 +2,8 @@
 
 import json
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -100,6 +102,25 @@ def test_load_corpus_rejects_empty_fields_and_bad_json(tmp_path):
 
 
 # -- split_corpus -------------------------------------------------------------
+
+
+def test_undecodable_corpus_line_is_named_and_fails_split_without_a_traceback(tmp_path):
+    # Enough lines before the bad byte that a text reader decodes past the
+    # line it is on: the error must still name the line that holds the byte.
+    path = tmp_path / "c.jsonl"
+    records = [{"id": d.id, "document": d.source_text, "summary": d.reference_summary} for d in make_docs(300)]
+    write_jsonl(path, records)
+    with path.open("ab") as fh:
+        fh.write(b'{"id": "bad", "document": "caf\xe9 au lait", "summary": "x"}\n')
+    with pytest.raises(CorpusError, match="^line 301: not valid UTF-8$"):
+        load_corpus(path)
+    config = tmp_path / "c.ini"
+    config.write_text(f"[experiment]\ncorpus = {path}\n", encoding="utf-8")
+    cmd = [sys.executable, "-m", "briosum", "split", "--config", str(config), "--out", str(tmp_path / "run")]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 1
+    assert proc.stderr == "error in stage 'split': line 301: not valid UTF-8\n"
+    assert "Traceback" not in proc.stderr
 
 
 def test_split_sizes_1000():

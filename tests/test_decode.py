@@ -56,11 +56,11 @@ def reference_scorer(params, source_ids):
     """The full-prefix scorer that incremental decoding replaced: every call
     re-runs the decoder over whole prefixes and keeps the last position."""
     with ad.no_grad():
-        enc_out, src_mask = encode_source(params, np.asarray([source_ids], dtype=np.int64))
+        cache = DecoderCache.start(params, np.asarray([source_ids], dtype=np.int64))
 
     def step(prefixes):
         with ad.no_grad():
-            table = decoder_logprobs(params, enc_out, src_mask, np.asarray(prefixes, dtype=np.int64))
+            table, _ = decoder_logprobs(params, cache, np.asarray(prefixes, dtype=np.int64))
         return table.data[:, -1, :]
 
     return step
@@ -174,13 +174,13 @@ def config(**kwargs):
 
 def test_config_divisibility_enforced():
     with pytest.raises(DecodeConfigError, match="divisible"):
-        DecodeConfig(num_beams=4, num_beam_groups=3).validate()
+        DecodeConfig(num_beams=4, num_beam_groups=3)
     with pytest.raises(DecodeConfigError, match="exceed"):
-        DecodeConfig(num_beams=2, num_beam_groups=3).validate()
+        DecodeConfig(num_beams=2, num_beam_groups=3)
     # beams=4 with groups=6 is invalid on both counts; it must be rejected
     with pytest.raises(DecodeConfigError):
-        DecodeConfig(num_beams=4, num_beam_groups=6).validate()
-    DecodeConfig(num_beams=6, num_beam_groups=6).validate()
+        DecodeConfig(num_beams=4, num_beam_groups=6)
+    DecodeConfig(num_beams=6, num_beam_groups=6)
 
 
 def test_beam_search_rejects_groups():
@@ -465,12 +465,40 @@ def test_cached_scorer_matches_full_prefix_scorer(tie_embeddings, order):
 
 
 def test_decoder_cache_refuses_gradient_mode():
+    # A past's K/V are cut from the graph, so only an empty past may be
+    # differentiated: that is the teacher-forced pass training runs.
     params = tiny_params(seed=2)
-    enc_out, src_mask = encode_source(params, np.array([[BOS_ID, 4, EOS_ID]]))
     with ad.no_grad():
-        start = DecoderCache.start(params, enc_out)
+        _, cache = decoder_logprobs(params, DecoderCache.start(params, np.array([[BOS_ID, 4, EOS_ID]])),
+                                    np.array([[BOS_ID]]))
+    assert cache.length == 1
     with pytest.raises(ValueError, match="no_grad"):
-        decoder_logprobs(params, enc_out, src_mask, np.array([[BOS_ID]]), start)
+        decoder_logprobs(params, cache, np.array([[4]]))
+    start = DecoderCache.start(params, np.array([[BOS_ID, 4, EOS_ID]]))
+    table, _ = decoder_logprobs(params, start, np.array([[BOS_ID, 4]]))
+    mle_loss(table, np.array([[4, EOS_ID]])).backward()
+    assert params["dec0.cross.wk"].grad.any() and params["enc0.attn.wq"].grad.any()
+
+
+def test_padded_source_batch_decodes_each_row_as_its_source_alone():
+    # What a search over many documents relies on: a source next to a
+    # longer, padded one decodes incrementally as it does alone.
+    params = tiny_params(seed=4)
+    sources = [[BOS_ID, 4, 5, 6, 7, EOS_ID], [BOS_ID, 8, EOS_ID]]
+    targets = np.array([[BOS_ID, 9, 10, 11], [BOS_ID, 12, 4, 5]])
+
+    def incremental(cache, tgt):
+        tables = []
+        for t in range(tgt.shape[1]):  # BOS, then 3 incremental steps
+            table, cache = decoder_logprobs(params, cache, tgt[:, t : t + 1])
+            tables.append(table.data)
+        return np.concatenate(tables, axis=1)
+
+    with ad.no_grad():
+        batched = incremental(DecoderCache.start(params, pad_ids(sources)), targets)
+        for row, source in enumerate(sources):
+            alone = incremental(DecoderCache.start(params, np.array([source])), targets[row : row + 1])
+            np.testing.assert_allclose(batched[row], alone[0], rtol=0, atol=1e-12)
 
 
 def test_searches_match_per_group_search_on_the_full_prefix_scorer():
@@ -502,9 +530,13 @@ def test_training_path_decoder_matches_composed_reference(tie_embeddings):
     src = pad_ids([[BOS_ID, 4, 5, 6, EOS_ID], [BOS_ID, 7, EOS_ID]])
     tgt_in, gold = teacher_forcing([[BOS_ID, 8, 9, 10, EOS_ID], [BOS_ID, 11, EOS_ID]])
     results = []
-    for decoder in (decoder_logprobs, reference_decoder_logprobs):
+    decoders = (
+        lambda: decoder_logprobs(params, DecoderCache.start(params, src), tgt_in)[0],
+        lambda: reference_decoder_logprobs(params, *encode_source(params, src), tgt_in),
+    )
+    for decoder in decoders:
         params.zero_grads()
-        table = decoder(params, *encode_source(params, src), tgt_in)
+        table = decoder()
         mle_loss(table, gold).backward()
         results.append((table.data.copy(), {name: t.grad.copy() for name, t in params.items()}))
     (table, grads), (want_table, want_grads) = results

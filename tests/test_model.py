@@ -1,6 +1,7 @@
 """Transformer contracts: init, masking, losses, scores, checkpoints."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from briosum.autodiff import Tensor
 from briosum.corpus import BOS_ID, EOS_ID, PAD_ID
 from briosum.model import (
     CheckpointError,
+    DecoderCache,
     ModelConfig,
     ModelParams,
     _attend,
@@ -48,9 +50,9 @@ from helpers import (
 
 def test_config_validation_names_failed_invariant():
     with pytest.raises(ValueError, match="divisible"):
-        ModelConfig(vocab_size=10, model_dim=10, num_heads=3).validate()
+        ModelConfig(vocab_size=10, model_dim=10, num_heads=3)
     with pytest.raises(ValueError, match="vocab_size"):
-        ModelConfig(vocab_size=0).validate()
+        ModelConfig(vocab_size=0)
 
 
 def test_init_params_deterministic():
@@ -163,8 +165,8 @@ def test_forward_ignores_source_padding():
     src_short = np.array([[BOS_ID, 4, 5, EOS_ID]])
     tgt = np.array([[BOS_ID, 6, 7]])
     with ad.no_grad():
-        padded = decoder_logprobs(params, *encode_source(params, src), tgt).data
-        plain = decoder_logprobs(params, *encode_source(params, src_short), tgt).data
+        padded = decoder_logprobs(params, DecoderCache.start(params, src), tgt)[0].data
+        plain = decoder_logprobs(params, DecoderCache.start(params, src_short), tgt)[0].data
     np.testing.assert_allclose(padded, plain, atol=1e-12)
 
 
@@ -175,10 +177,10 @@ def test_source_without_pad_gets_no_mask_and_the_same_table():
     assert encode_source(params, pad_ids([[BOS_ID, 4, 5, EOS_ID], [BOS_ID, EOS_ID]]))[1].shape == (2, 1, 1, 4)
     src, tgt = np.array([[BOS_ID, 4, 5, 6, EOS_ID]]), np.array([[BOS_ID, 6, 7], [BOS_ID, 8, 9]])
     leaves = [t for _, t in params.items()]
-    enc_out, mask = encode_source(params, src)
-    got, got_grads = run_with_grads(lambda: decoder_logprobs(params, enc_out, mask, tgt), leaves)
-    zeros = np.zeros((1, 1, 1, src.shape[1]))
-    want, want_grads = run_with_grads(lambda: decoder_logprobs(params, enc_out, zeros, tgt), leaves)
+    cache = DecoderCache.start(params, src)
+    got, got_grads = run_with_grads(lambda: decoder_logprobs(params, cache, tgt)[0], leaves)
+    zeros = replace(cache, mask=np.zeros((1, 1, 1, src.shape[1])))
+    want, want_grads = run_with_grads(lambda: decoder_logprobs(params, zeros, tgt)[0], leaves)
     assert np.array_equal(got, want)
     for got_grad, want_grad in zip(got_grads, want_grads):
         assert np.array_equal(got_grad, want_grad)
@@ -358,7 +360,7 @@ def test_mle_batch_matches_single():
     src = pad_ids([s for s, _ in examples])
     tgt_in, gold = teacher_forcing([t for _, t in examples])
     with ad.no_grad():
-        batched = mle_loss(decoder_logprobs(params, *encode_source(params, src), tgt_in), gold).item()
+        batched = mle_loss(decoder_logprobs(params, DecoderCache.start(params, src), tgt_in)[0], gold).item()
         singles = []
         weights = []
         for s, t in examples:
@@ -419,7 +421,7 @@ def test_gold_sums_match_composed_graph_beside_all_pad_rows(tie_embeddings):
     leaves = [t for _, t in params.items()]
 
     def table():
-        return decoder_logprobs(params, *encode_source(params, np.array([src])), tgt_in)
+        return decoder_logprobs(params, DecoderCache.start(params, np.array([src])), tgt_in)[0]
 
     cases = [
         (lambda: score_rows(params, src, rows)[0], lambda: composed_gold_sum(table(), gold, keep, axis=1)),
