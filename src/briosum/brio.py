@@ -9,10 +9,17 @@ regenerates candidates with the freshly trained model and trains again.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import math
+import mmap
+import os
 import random
+import signal
+import struct
+import threading
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -375,6 +382,121 @@ def finetune_stage(
     return best_params, history
 
 
+def _score(params: ModelParams, ranked: RankedCandidateSet, config: BrioConfig, scale: float) -> tuple:
+    """Add ``scale`` times a document's loss gradient to ``params.grad``; return (loss, MLE, ranking)."""
+    total, mle_value, ctr_value = _brio_terms(params, ranked, config)
+    (total * scale).backward()
+    return total.item(), mle_value, ctr_value
+
+
+def _worker_count() -> int:
+    """Workers to fork: one per usable core beyond this one's; none without ``fork`` or beside threads."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 0
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1) - 1
+
+
+_REQUEST = struct.Struct("<qqd")  # candidate set index, gradient slot, loss scale
+_REPLY = struct.Struct("<ddd")  # loss, MLE term, ranking term
+
+
+class _Workers:
+    """Forked processes that differentiate a batch's documents beside this one.
+
+    They share ``params.flat`` with this process, so each optimizer step
+    reaches them, and write each document's gradient into its own slot of a
+    shared table. ``score`` adds the slots into ``params.grad`` in document
+    order, the sum one process makes alone. A worker that fails to deliver is
+    killed and its documents are scored here, raising what they raise here.
+    """
+
+    def __init__(self, params: ModelParams, ranked_sets, config: BrioConfig):
+        self.params, self.ranked_sets, self.config = params, ranked_sets, config
+        self.procs: list[tuple] = []  # (pid, request pipe, reply pipe) of each worker
+
+    def start(self, count: int, batch: int) -> None:
+        """Fork ``count`` workers, with a slot for each document they score of a full batch."""
+        self.slots = _shared(batch - -(-batch // (count + 1)), self.params.flat.size)
+        for _ in range(count):
+            (requests, to_worker), (from_worker, replies) = os.pipe(), os.pipe()
+            # A SIGINT waits until the child is inside the try that ends in _exit.
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:
+                if (pid := os.fork()) == 0:
+                    try:
+                        for fd in (to_worker, from_worker, *(f.fileno() for w in self.procs for f in w[1:])):
+                            os.close(fd)
+                        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                        self._serve(os.fdopen(requests, "rb"), os.fdopen(replies, "wb", 0))
+                    finally:
+                        os._exit(0)  # silently, on an error or an interrupt too
+                self.procs.append((pid, os.fdopen(to_worker, "wb", 0), os.fdopen(from_worker, "rb")))
+            except OSError:  # fewer workers: their documents are scored here
+                os.close(to_worker)
+                os.close(from_worker)
+            finally:
+                os.close(requests)
+                os.close(replies)
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+    def _serve(self, requests, replies) -> None:
+        while len(request := requests.read(_REQUEST.size)) == _REQUEST.size:
+            index, slot, scale = _REQUEST.unpack(request)
+            self.params.zero_grads()
+            reply = _score(self.params, self.ranked_sets[index], self.config, scale)
+            self.slots[slot] = self.params.grad
+            replies.write(_REPLY.pack(*reply))
+
+    def score(self, batch: Sequence[int], scale: float) -> list[tuple]:
+        """Differentiate ``batch`` into ``params.grad``: this process takes
+        the first share of documents, each worker the next."""
+        share = -(-len(batch) // (len(self.procs) + 1))
+        owners = [None] * share + [self.procs[p // share - 1] for p in range(share, len(batch))]
+        for p in range(share, len(batch)):
+            with contextlib.suppress(OSError):  # a dead worker fails at its reply
+                owners[p][1].write(_REQUEST.pack(batch[p], p - share, scale))
+        results = []
+        for p, index in enumerate(batch):
+            if (reply := self._reply(owners[p])) is not None:
+                self.params.grad += self.slots[p - share]
+                results.append(_REPLY.unpack(reply))
+            else:
+                results.append(_score(self.params, self.ranked_sets[index], self.config, scale))
+        return results
+
+    def _reply(self, worker) -> bytes | None:
+        """The worker's next reply; None if it is not in use or fails, and
+        then it is ended."""
+        if worker in self.procs:
+            with contextlib.suppress(OSError):
+                if len(reply := worker[2].read(_REPLY.size)) == _REPLY.size:
+                    return reply
+            self.close([worker], 0.0)
+        return None
+
+    def close(self, procs: list | None = None, wait: float = 5.0) -> None:
+        """End the given workers, or all: each leaves when its pipes close,
+        one still running after ``wait`` seconds is killed, and each is reaped."""
+        procs = self.procs if procs is None else procs
+        self.procs = [worker for worker in self.procs if worker not in procs]
+        for _, to_worker, from_worker in procs:
+            to_worker.close()
+            from_worker.close()
+        deadline = time.monotonic() + wait
+        for pid, *_ in procs:
+            while os.waitpid(pid, os.WNOHANG)[0] == 0:
+                if time.monotonic() >= deadline:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                    break
+                time.sleep(0.001)
+
+
+def _shared(*shape: int) -> np.ndarray:
+    """Zeros in memory that this process shares with the ones it forks."""
+    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=np.float64).reshape(shape)
+
+
 def brio_train_stage(
     params: ModelParams,
     ranked_sets: Sequence[RankedCandidateSet],
@@ -385,11 +507,18 @@ def brio_train_stage(
 
     Documents whose candidate set collapsed to fewer than two members
     contribute only the MLE term; their count is logged. A non-finite loss
-    or parameter raises ``NonFiniteError``.
+    or parameter raises ``NonFiniteError``. A batch's documents are
+    differentiated on every usable core (``_worker_count``), and their
+    gradients are summed in document order, so the result does not depend
+    on the number of processes.
     """
     if not ranked_sets:
         raise ValueError("brio_train_stage requires at least one candidate set")
-    params = params.copy()
+    width = min(config.batch_size, len(ranked_sets))
+    count = min(_worker_count(), width - 1)
+    flat = _shared(params.flat.size) if count else np.empty_like(params.flat)
+    flat[...] = params.flat
+    params = ModelParams(params.config, flat)
     optimizer = init_optimizer("adafactor", params)
     history: list[dict] = []
     mle_only = sum(1 for rs in ranked_sets if len(rs.candidates) < 2)
@@ -398,33 +527,20 @@ def brio_train_stage(
             "brio_train_stage: %d of %d candidate sets have < 2 candidates "
             "(MLE term only)", mle_only, len(ranked_sets),
         )
-    for epoch in range(1, config.epochs + 1):
-        order = _epoch_order(len(ranked_sets), seed, epoch)
-        for batch in batch_indices(order, config.batch_size):
-            losses: list[float] = []
-            mles: list[float] = []
-            ctrs: list[float] = []
-            scale = 1.0 / len(batch)
-            for idx in batch:
-                ranked = ranked_sets[idx]
-                total, mle_value, ctr_value = _brio_terms(params, ranked, config)
-                (total * scale).backward()
-                losses.append(total.item())
-                mles.append(mle_value)
-                ctrs.append(ctr_value)
-                # Free this document's graph before the next one is built.
-                del total
-            loss = float(np.mean(losses))
-            _checked_step(params, optimizer, config.learning_rate, loss, epoch)
-            history.append(
-                {
-                    "step": optimizer.step,
-                    "loss": loss,
-                    "mle": float(np.mean(mles)),
-                    "ctr": float(np.mean(ctrs)),
-                    "num_docs": len(batch),
-                }
-            )
+    workers = _Workers(params, ranked_sets, config)
+    try:
+        if count:
+            workers.start(count, width)
+        for epoch in range(1, config.epochs + 1):
+            order = _epoch_order(len(ranked_sets), seed, epoch)
+            for batch in batch_indices(order, config.batch_size):
+                losses, mles, ctrs = zip(*workers.score(batch, 1.0 / len(batch)))
+                loss = float(np.mean(losses))
+                _checked_step(params, optimizer, config.learning_rate, loss, epoch)
+                history.append({"step": optimizer.step, "loss": loss, "mle": float(np.mean(mles)),
+                                "ctr": float(np.mean(ctrs)), "num_docs": len(batch)})
+    finally:
+        workers.close()
     return params, history
 
 

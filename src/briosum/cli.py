@@ -648,6 +648,9 @@ def run_pipeline(
         except StageError as exc:
             print(f"error in stage '{exc.stage}': {exc}", file=sys.stderr)
             return 1
+        except KeyboardInterrupt:
+            print(f"interrupted in stage '{stage}'", file=sys.stderr)
+            return 130
         print(f"[{stage}] {note}", file=stream)
     return 0
 

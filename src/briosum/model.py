@@ -301,7 +301,8 @@ def decoder_logprobs(
     if cache.past and ad.grad_enabled():
         raise ValueError("decoder_logprobs: a cache with a past is for inference only; use no_grad()")
     offset = cache.length
-    self_mask = causal_mask(offset + tgt_in.shape[1])[:, :, offset:, :]
+    # One new position may attend to every cached one: its mask is all zeros.
+    self_mask = causal_mask(offset + tgt_in.shape[1])[:, :, offset:, :] if tgt_in.shape[1] > 1 else None
     x = ad.embed(params["tok_emb"], params["pos_emb_tgt"], tgt_in, offset)
     past = []
     for i in range(cfg.num_decoder_layers):

@@ -12,11 +12,15 @@ of a shared host. Separate processes differ by more than two versions of
 the code often do; one process does not.
 
 For each side it prints the fastest and the median pass in seconds, the
-rounds it won and the minor page faults per pass (``ru_minflt``, the
-median over its passes); when one side's median is more than 10 times the
-other's, it warns that the two trees share one heap, which can distort
-the timings, and that ``perfbench/run.py``'s alternated processes should
-confirm the result. It also says whether the two sides' pass outputs
+median CPU seconds per pass (user plus system time of this process and of
+the child processes a pass reaped, so a tree that trains on several cores
+shows what its wall-time gain costs), the rounds it won, and the minor
+page faults per pass (``ru_minflt``) of this process and of the reaped
+children, each the median over its passes. When one side's median faults
+are more than 10 times the other's, it warns that the two trees share one
+heap, which can distort the timings, and that ``perfbench/run.py``'s
+alternated processes should confirm the result. A tree that forks takes
+the copy-on-write faults its children cause in its own count. It also says whether the two sides' pass outputs
 are equal: the workload's digest of the training history (``brio-train``)
 or of every decoded hypothesis and score (``decode-wide``). The last line
 is one JSON summary. Exit status: 0 when the outputs are equal, 1 when
@@ -75,8 +79,12 @@ def load_side(label: str, tree: Path):
                 sys.modules[name] = module
 
 
-def _minflt() -> int:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+def _usage() -> tuple[float, int, int]:
+    """CPU seconds of this process and its reaped children, then the minor
+    faults of each."""
+    own, children = (resource.getrusage(who) for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+    cpu = own.ru_utime + own.ru_stime + children.ru_utime + children.ru_stime
+    return cpu, own.ru_minflt, children.ru_minflt
 
 
 def compare(trees: list[Path], workload: str, rounds: int, seed: int) -> dict:
@@ -86,16 +94,16 @@ def compare(trees: list[Path], workload: str, rounds: int, seed: int) -> dict:
             module = load_side(label, tree)
             job = module.WORKLOADS[workload]
             state = job.setup(seed, Path(work) / label)
-            sides.append({"tree": str(tree), "job": job, "state": state, "seconds": [], "faults": [],
+            sides.append({"tree": str(tree), "job": job, "state": state, "seconds": [], "usage": [],
                           "digests": set(), "won": 0})
         for index in range(rounds):
             order = sides if index % 2 == 0 else sides[::-1]
             for side in order:
-                faults = _minflt()
+                usage = _usage()
                 start = time.perf_counter()
                 result = side["job"].run_pass(side["state"], index, None)
                 side["seconds"].append(time.perf_counter() - start)
-                side["faults"].append(_minflt() - faults)
+                side["usage"].append([after - before for after, before in zip(_usage(), usage)])
                 side["digests"].add(result.digest)
             a, b = (side["seconds"][-1] for side in sides)
             if a != b:
@@ -108,7 +116,9 @@ def compare(trees: list[Path], workload: str, rounds: int, seed: int) -> dict:
             "min_s": min(side["seconds"]),
             "median_s": statistics.median(side["seconds"]),
             "rounds_won": side["won"],
-            "minflt_per_pass": statistics.median(side["faults"]),
+            "cpu_s_per_pass": statistics.median(u[0] for u in side["usage"]),
+            "minflt_per_pass": statistics.median(u[1] for u in side["usage"]),
+            "child_minflt_per_pass": statistics.median(u[2] for u in side["usage"]),
             "pass_s": side["seconds"],
         }
     return summary
@@ -130,12 +140,15 @@ def main(argv: list[str] | None = None) -> int:
     for label in "ab":
         side = summary[label]
         print(f"{label}: min {side['min_s']:.4f} s, median {side['median_s']:.4f} s, "
-              f"won {side['rounds_won']}/{args.rounds}, minflt/pass {side['minflt_per_pass']:.0f}  ({side['tree']})")
+              f"cpu/pass {side['cpu_s_per_pass']:.4f} s, won {side['rounds_won']}/{args.rounds}, "
+              f"minflt/pass {side['minflt_per_pass']:.0f}, child minflt/pass {side['child_minflt_per_pass']:.0f}  "
+              f"({side['tree']})")
     print(f"outputs equal: {'yes' if summary['outputs_equal'] else 'no'}")
     faults = sorted(summary[label]["minflt_per_pass"] for label in "ab")
     if faults[1] > 10 * faults[0]:
         print(f"warning: one side's median minor faults per pass ({faults[1]:.0f}) are more than 10x the "
-              f"other's ({faults[0]:.0f}); the two trees share one heap here, so confirm this result with "
+              f"other's ({faults[0]:.0f}); the two trees share one heap here, and a tree that forks takes its "
+              "children's copy-on-write faults in its own count, so confirm this result with "
               "perfbench/run.py's alternated processes")
     print(json.dumps(summary, sort_keys=True))
     return 0 if summary["outputs_equal"] else 1

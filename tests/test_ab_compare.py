@@ -28,7 +28,11 @@ def test_one_round_of_the_checkout_against_itself():
     for side in (summary["a"], summary["b"]):
         assert side["tree"] == str(ROOT)
         assert len(side["pass_s"]) == 1 and side["min_s"] == side["median_s"] == side["pass_s"][0] > 0.0
-        assert side["minflt_per_pass"] >= 0
+        assert side["minflt_per_pass"] >= 0 and side["child_minflt_per_pass"] >= 0
+        assert side["cpu_s_per_pass"] > 0.0
+    for line, side in zip(lines[:2], (summary["a"], summary["b"])):
+        assert f"cpu/pass {side['cpu_s_per_pass']:.4f} s" in line
+        assert f"child minflt/pass {side['child_minflt_per_pass']:.0f}" in line
     assert summary["a"]["rounds_won"] + summary["b"]["rounds_won"] <= 1
 
 
@@ -39,7 +43,8 @@ def test_a_tree_without_sources_is_a_usage_error(tmp_path):
 
 
 def stub_summary(faults_a, faults_b):
-    side = {"tree": str(ROOT), "min_s": 0.5, "median_s": 0.5, "rounds_won": 0, "pass_s": [0.5]}
+    side = {"tree": str(ROOT), "min_s": 0.5, "median_s": 0.5, "rounds_won": 0, "pass_s": [0.5],
+            "cpu_s_per_pass": 0.9, "child_minflt_per_pass": 120}
     return {"workload": "brio-train", "seed": 1, "rounds": 1, "outputs_equal": True,
             "a": {**side, "minflt_per_pass": faults_a}, "b": {**side, "minflt_per_pass": faults_b}}
 
@@ -53,5 +58,6 @@ def test_a_tenfold_gap_in_minor_faults_is_flagged_as_heap_interference(monkeypat
         assert len(warnings) == flagged, faults
         if flagged:
             assert "share one heap" in warnings[0] and "perfbench/run.py" in warnings[0]
+            assert "copy-on-write" in warnings[0]
             assert "13368" in warnings[0] and "458" in warnings[0]
         assert lines[2] == "outputs equal: yes"

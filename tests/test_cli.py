@@ -744,6 +744,28 @@ def test_failed_stage_leaves_none_of_its_outputs(mini_config, tmp_path, monkeypa
     assert "no checkpoints to evaluate" in capsys.readouterr().err
 
 
+def test_interrupted_stage_exits_130_with_one_line_and_none_of_its_outputs(mini_config, tmp_path, monkeypatch,
+                                                                          capsys):
+    # finetune writes standard.ckpt, then Ctrl-C arrives inside the stage.
+    out = tmp_path / "run"
+    argv = ["--config", str(mini_config), "--out", str(out)]
+    assert main(["split", *argv]) == 0
+    real = cli.save_checkpoint
+
+    def interrupt_second_save(*args):
+        if (out / STANDARD_CKPT).exists():
+            raise KeyboardInterrupt
+        real(*args)
+
+    monkeypatch.setattr(cli, "save_checkpoint", interrupt_second_save)
+    capsys.readouterr()
+    assert main(["all", *argv]) == 130
+    captured = capsys.readouterr()
+    assert captured.err == "interrupted in stage 'finetune'\n"
+    assert "[finetune]" not in captured.out
+    assert sorted(p.name for p in out.iterdir()) == [SPLIT_FILE, VOCAB_FILE]
+
+
 def test_vocabulary_without_a_word_fails_the_split_stage(tmp_path, mini_corpus, capsys):
     ini = tmp_path / "rare.ini"
     ini.write_text(

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from briosum import autodiff as ad
+from briosum import model
 from briosum.corpus import BOS_ID, EOS_ID, PAD_ID
 from briosum.decode import (
     DecodeConfig,
@@ -499,6 +500,38 @@ def test_padded_source_batch_decodes_each_row_as_its_source_alone():
         for row, source in enumerate(sources):
             alone = incremental(DecoderCache.start(params, np.array([source])), targets[row : row + 1])
             np.testing.assert_allclose(batched[row], alone[0], rtol=0, atol=1e-12)
+
+
+def test_one_position_step_without_a_causal_mask_equals_the_step_with_its_zero_mask(monkeypatch):
+    # A step on one new position passes no self-attention mask; the mask it
+    # once built, causal_mask(t + 1)[:, :, t:, :], is all zeros.
+    params = tiny_params(seed=6)
+    targets = np.array([[BOS_ID, 9, 10, 11], [BOS_ID, 12, 4, 5]])
+    real_attend, self_masks = model._attend, []
+
+    def attend_with_zero_mask(params, prefix, queries, k, v, mask, residual):
+        if prefix.endswith(".self"):
+            self_masks.append(mask)
+            if mask is None:
+                mask = causal_mask(k.data.shape[1])[:, :, -1:, :]
+                assert not mask.any()
+        return real_attend(params, prefix, queries, k, v, mask, residual)
+
+    def steps():
+        tables = []
+        with ad.no_grad():
+            cache = DecoderCache.start(params, pad_ids([[BOS_ID, 4, 5, 6, 7, EOS_ID], [BOS_ID, 8, EOS_ID]]))
+            for t in range(targets.shape[1]):  # BOS, then 3 incremental steps
+                table, cache = decoder_logprobs(params, cache, targets[:, t : t + 1])
+                tables.append(table.data)
+        return tables
+
+    without = steps()
+    monkeypatch.setattr(model, "_attend", attend_with_zero_mask)
+    with_zero_mask = steps()
+    assert len(self_masks) == 4 and all(mask is None for mask in self_masks)
+    for a, b in zip(without, with_zero_mask):
+        assert np.array_equal(a, b)
 
 
 def test_searches_match_per_group_search_on_the_full_prefix_scorer():
