@@ -314,16 +314,10 @@ def mean_greedy_rouge(
     params: ModelParams,
     examples: Sequence[TokenizedExample],
     decode_config: DecodeConfig,
-) -> dict[str, float]:
-    """Mean ROUGE F1 of greedy decodes against references, in [0, 1]."""
+) -> float:
+    """Mean quality score of greedy decodes against references, in [0, 1]."""
     per_doc, _ = evaluate(params, examples, decode_config)
-    sums = {"rouge1": 0.0, "rouge2": 0.0, "rougeL": 0.0, "quality": 0.0}
-    for _, triple in per_doc:
-        sums["rouge1"] += triple.rouge1.f1
-        sums["rouge2"] += triple.rouge2.f1
-        sums["rougeL"] += triple.rougeL.f1
-        sums["quality"] += quality_score(triple)
-    return {key: value / len(per_doc) for key, value in sums.items()}
+    return sum(quality_score(triple) for _, triple in per_doc) / len(per_doc)
 
 
 def finetune_stage(
@@ -367,17 +361,17 @@ def finetune_stage(
             # Free this batch's graph before the next one is built.
             del loss, cache
             _checked_step(params, optimizer, lr, losses[-1], epoch)
-        val = mean_greedy_rouge(params, validation, decode_config)
+        val_quality = mean_greedy_rouge(params, validation, decode_config)
         history.append(
             {
                 "epoch": epoch,
                 "mean_train_loss": float(np.mean(losses)),
-                "val_quality": val["quality"],
+                "val_quality": val_quality,
                 "steps": optimizer.step,
             }
         )
-        if val["quality"] > best_quality:
-            best_quality = val["quality"]
+        if val_quality > best_quality:
+            best_quality = val_quality
             best_params = params.copy()
     return best_params, history
 
@@ -576,7 +570,7 @@ def brio_loop(
                 candidate_sink(iteration, ranked_sets)
             current, _ = brio_train_stage(current, ranked_sets, config, seed=seed * 1009 + iteration)
         _, test_means = evaluate(current, test, config.decode)
-        val_quality = mean_greedy_rouge(current, validation, config.decode)["quality"]
+        val_quality = mean_greedy_rouge(current, validation, config.decode)
         report.append({"iteration": iteration, **test_means, "val_quality": val_quality})
         if val_quality > best_quality:
             best_quality = val_quality

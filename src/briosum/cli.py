@@ -35,7 +35,6 @@ from typing import Sequence
 from .brio import (
     BrioConfig,
     FinetuneConfig,
-    NonFiniteError,
     RankedCandidateSet,
     brio_loop,
     brio_train_stage,
@@ -230,11 +229,16 @@ class ExperimentConfig:
         if self.min_count < 1:
             raise ConfigError(f"corpus.min_count must be >= 1, got {self.min_count}")
         try:
-            self.model_config(vocab_size=5)
+            model = self.model_config(vocab_size=5)
             self.finetune_config()
-            self.brio_config()
+            decode = self.brio_config().decode
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if decode.max_decode_len > model.max_target_len:
+            raise ConfigError(
+                f"decode.max_decode_len ({decode.max_decode_len}) exceeds "
+                f"model.max_target_len ({model.max_target_len})"
+            )
 
     def canonical(self) -> str:
         lines = [
@@ -493,11 +497,8 @@ def _stage_split(ctx: _Context) -> str:
         order = list(range(len(docs)))
         random.Random(ctx.config.seed).shuffle(order)
         docs = [docs[i] for i in sorted(order[:limit])]
-    try:
-        split = split_corpus(docs, ctx.config.seed)
-        vocab = build_vocab(split.train, ctx.config.max_vocab_size, ctx.config.min_count)
-    except CorpusError as exc:
-        raise StageError("split", str(exc)) from exc
+    split = split_corpus(docs, ctx.config.seed)
+    vocab = build_vocab(split.train, ctx.config.max_vocab_size, ctx.config.min_count)
     ids = {name: [d.id for d in getattr(split, name)] for name in ("train", "validation", "test")}
     _write_json(ctx, SPLIT_FILE, ids)
     _write_json(ctx, VOCAB_FILE, {"tokens": vocab.id_to_token})
@@ -611,15 +612,17 @@ _STAGE_FUNCS = {
 
 
 def _run_stage(ctx: _Context, stage: str) -> str:
-    """Run one stage; one that fails leaves none of its outputs behind."""
+    """Run one stage; one that fails leaves none of its outputs behind. An
+    exception it raises that is not already a StageError becomes one naming
+    this stage."""
     try:
         return _STAGE_FUNCS[stage](ctx)
     except BaseException as exc:
         for name in (name for name, producer in ctx.producers.items() if producer == stage):
             with contextlib.suppress(OSError):  # the stage's own error is the one to report
                 ctx.path(name).unlink(missing_ok=True)
-        if isinstance(exc, (NonFiniteError, OSError)):
-            raise StageError(stage, str(exc)) from exc
+        if isinstance(exc, Exception) and not isinstance(exc, StageError):
+            raise StageError(stage, str(exc) or type(exc).__name__) from exc
         raise
 
 

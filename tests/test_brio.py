@@ -386,6 +386,31 @@ def test_unk_never_matches_unk_in_greedy_evaluation(monkeypatch):
     assert means == {"r1": 50.0, "r2": 0.0, "rl": 50.0}
 
 
+def test_mean_greedy_rouge_is_the_mean_quality_of_the_evaluated_documents(monkeypatch):
+    """The validation figure is a reduction of ``evaluate``'s per-document
+    triples: equal to their mean quality to the bit, not approximately."""
+    rng = random.Random(1)
+    examples = [
+        TokenizedExample(f"d{i}", [rng.randrange(4, 13) for _ in range(10)],
+                         [BOS_ID, *(rng.randrange(4, 13) for _ in range(rng.randrange(3, 10))), EOS_ID])
+        for i in range(60)
+    ]
+
+    def greedy_decode(params, src, config):  # decodes of varied lengths give varied qualities
+        return Hypothesis((BOS_ID, *src[: 2 + src[0] % 8], EOS_ID), -1.0, True)
+
+    monkeypatch.setattr(brio, "greedy_decode", greedy_decode)
+    params, config = tiny_params(), decode_cfg()
+    qualities = [quality_score(triple) for _, triple in evaluate(params, examples, config)[0]]
+    got = mean_greedy_rouge(params, examples, config)
+    assert type(got) is float
+    assert got.hex() == (sum(qualities) / len(qualities)).hex()
+    backwards = 0.0
+    for quality in reversed(qualities):  # on this fixture another order rounds differently
+        backwards += quality
+    assert backwards / len(qualities) != got
+
+
 def test_unk_never_matches_unk_in_candidate_scoring(monkeypatch):
     unk = (BOS_ID, UNK_ID, EOS_ID)
     monkeypatch.setattr(brio, "diverse_beam_search", lambda *args: [Hypothesis(unk, -1.0, True)])
@@ -524,7 +549,7 @@ def test_finetune_returns_best_validation_checkpoint():
     decode_config = decode_cfg(max_decode_len=8)
     best, history = finetune_stage(params, examples, examples, config, decode_config, seed=2)
     best_recorded = max(h["val_quality"] for h in history)
-    reproduced = mean_greedy_rouge(best, examples, decode_config)["quality"]
+    reproduced = mean_greedy_rouge(best, examples, decode_config)
     assert reproduced == pytest.approx(best_recorded, abs=1e-12)
 
 
@@ -655,7 +680,7 @@ def test_loop_report_rows_and_candidate_regeneration(monkeypatch):
     assert report[0] == {
         "iteration": 1,
         **means,
-        "val_quality": mean_greedy_rouge(params, examples, config.decode)["quality"],
+        "val_quality": mean_greedy_rouge(params, examples, config.decode),
     }
     # only iteration 2 generates, from that model, and then trains once
     assert set(seen) == {2}
@@ -682,7 +707,7 @@ def test_loop_round_two_trains_the_round_one_model_on_its_own_candidates():
     assert report[1] == {
         "iteration": 2,
         **means,
-        "val_quality": mean_greedy_rouge(trained, examples, config.decode)["quality"],
+        "val_quality": mean_greedy_rouge(trained, examples, config.decode),
     }
 
 
@@ -692,5 +717,5 @@ def test_loop_keeps_best_validation_checkpoint():
     config = brio_cfg(loop_iterations=2, learning_rate=5e-3)
     best, report = brio_loop(params, examples, examples, examples, config, tiny_vocab(), seed=3)
     best_quality = max(row["val_quality"] for row in report)
-    got = mean_greedy_rouge(best, examples, config.decode)["quality"]
+    got = mean_greedy_rouge(best, examples, config.decode)
     assert got == pytest.approx(best_quality, abs=1e-12)

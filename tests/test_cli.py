@@ -668,6 +668,33 @@ def test_cut_artifact_fails_its_producing_stage(mini_full_run, tmp_path, capsys,
     assert "Traceback" not in captured.err + captured.out
 
 
+@pytest.mark.parametrize("message", ["disk quota", ""], ids=["message", "no-message"])
+@pytest.mark.parametrize("stage", sorted(set(STAMPED_ARTIFACTS.values())))
+def test_any_exception_in_a_stage_is_one_line_naming_it(mini_full_run, tmp_path, monkeypatch, capsys, stage,
+                                                        message):
+    # The stage writes its first output whole, then fails with an error no
+    # stage anticipates: that output and its old siblings all go.
+    ini, out = mini_full_run
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    config = ExperimentConfig.load(ini, out_dir=str(run))
+    real = cli._publish
+
+    def publish_then_fail(path, write):
+        real(path, write)
+        raise RuntimeError(message)
+
+    monkeypatch.setattr(cli, "_publish", publish_then_fail)
+    capsys.readouterr()
+    assert run_pipeline(config, [stage], force=True) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error in stage '{stage}': {message or 'RuntimeError'}\n"
+    assert captured.out == ""
+    left = {p.name for p in run.iterdir()}
+    assert left == {name for name, producer in STAMPED_ARTIFACTS.items() if producer != stage} | {
+        REPORT_TXT, REPORT_CSV}
+
+
 def test_a_run_reads_the_corpus_once(tmp_path, mini_corpus, monkeypatch, capsys):
     """A fresh run reads the corpus in 'split' and once more for every
     later stage; a rerun reads it once, to check the candidate caches."""
@@ -862,12 +889,14 @@ def test_cli_error_paths(tmp_path, capsys):
         (("max_vocab_size = 120", "max_vocab_size = 0"), [], "max_vocab_size"),
         (("[corpus]\n", "[corpus]\nmin_count = -1\n"), [], "min_count"),
         (("[model]\n", "[model]\ntie_embeddings = maybe\n"), [], "tie_embeddings"),
+        (("max_decode_len = 12", "max_decode_len = 20"), [], "max_target_len (16)"),
     ],
     ids=[
         "num_candidates", "model_dim", "num_beams", "epochs", "margin", "seed", "seed-flag",
         "finetune-lr-nan", "finetune-lr-inf", "brio-lr-nan", "brio-lr-inf",
         "diversity-penalty-nan", "length-penalty-nan", "length-penalty-inf",
         "corpus-not-an-integer", "vocab-size-0", "min-count-negative", "model-not-a-boolean",
+        "decode-longer-than-model-targets",
     ],
 )
 def test_out_of_range_settings_exit_2_without_a_traceback(tmp_path, mini_corpus, edit, argv, name):
@@ -877,11 +906,13 @@ def test_out_of_range_settings_exit_2_without_a_traceback(tmp_path, mini_corpus,
         text = text.replace(edit[0], edit[1], 1)
     path = tmp_path / "bad.ini"
     path.write_text(text, encoding="utf-8")
-    cmd = [sys.executable, "-m", "briosum", "split", "--config", str(path), "--out", str(tmp_path / "run"), *argv]
+    cmd = [sys.executable, "-m", "briosum", "all", "--config", str(path), "--out", str(tmp_path / "run"), *argv]
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and name in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1 and proc.stdout == ""
+    assert not (tmp_path / "run").exists()
 
 
 def test_run_pipeline_requires_out_dir(mini_config, capsys):
