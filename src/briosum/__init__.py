@@ -18,6 +18,7 @@ from .brio import (
     contrastive_loss,
     evaluate,
     finetune_stage,
+    generate_candidate_sets,
     generate_candidates,
     kendall_tau,
 )
@@ -37,7 +38,15 @@ from .corpus import (
     load_corpus,
     split_corpus,
 )
-from .decode import DecodeConfig, Hypothesis, beam_search, diverse_beam_search, greedy_decode
+from .decode import (
+    DecodeConfig,
+    Hypothesis,
+    beam_search,
+    diverse_beam_search,
+    diverse_beam_searches,
+    greedy_decode,
+    greedy_decodes,
+)
 from .model import (
     ModelConfig,
     ModelParams,
@@ -84,13 +93,16 @@ __all__ = [
     "contrastive_loss",
     "decode_tokens",
     "diverse_beam_search",
+    "diverse_beam_searches",
     "emit_report",
     "encode",
     "evaluate",
     "finetune_stage",
     "forward",
+    "generate_candidate_sets",
     "generate_candidates",
     "greedy_decode",
+    "greedy_decodes",
     "init_optimizer",
     "init_params",
     "kendall_tau",

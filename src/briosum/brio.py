@@ -29,7 +29,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import EOS_ID, UNK_ID, TokenizedExample, Vocabulary, decode_tokens, strip_special_ids
-from .decode import DecodeConfig, diverse_beam_search, greedy_decode
+from .decode import DecodeConfig, Hypothesis, diverse_beam_search, diverse_beam_searches, greedy_decodes
 from .model import (
     DecoderCache,
     ModelParams,
@@ -169,7 +169,31 @@ def generate_candidates(
     are dropped (keeping the best-scored instance) before truncation, with
     later hypotheses backfilling the freed slots.
     """
-    hyps = diverse_beam_search(params, example.source_ids, config.decode)
+    return _rank_candidates(
+        params, example, diverse_beam_search(params, example.source_ids, config.decode), config, vocab
+    )
+
+
+def generate_candidate_sets(
+    params: ModelParams,
+    examples: Sequence[TokenizedExample],
+    config: BrioConfig,
+    vocab: Vocabulary,
+) -> list[RankedCandidateSet]:
+    """``generate_candidates`` for each example, in order, with the
+    documents' searches batched by ``diverse_beam_searches``."""
+    hyp_lists = diverse_beam_searches(params, [ex.source_ids for ex in examples], config.decode)
+    return [_rank_candidates(params, ex, hyps, config, vocab) for ex, hyps in zip(examples, hyp_lists)]
+
+
+def _rank_candidates(
+    params: ModelParams,
+    example: TokenizedExample,
+    hyps: list[Hypothesis],
+    config: BrioConfig,
+    vocab: Vocabulary,
+) -> RankedCandidateSet:
+    """The candidate set that ``generate_candidates`` makes from a document's search ``hyps``."""
     if not hyps:
         raise RuntimeError(f"decoder produced no hypotheses for doc '{example.doc_id}'")
 
@@ -296,11 +320,11 @@ def evaluate(
     """
     if not examples:
         raise ValueError("cannot evaluate an empty split")
-    per_doc: list[tuple[str, RougeTriple]] = []
-    for ex in examples:
-        hyp = greedy_decode(params, ex.source_ids, decode_config)
-        triple = score_pair(_rouge_units(hyp.tokens), _rouge_units(ex.target_ids))
-        per_doc.append((ex.doc_id, triple))
+    hyps = greedy_decodes(params, [ex.source_ids for ex in examples], decode_config)
+    per_doc = [
+        (ex.doc_id, score_pair(_rouge_units(hyp.tokens), _rouge_units(ex.target_ids)))
+        for ex, hyp in zip(examples, hyps)
+    ]
     n = len(per_doc)
     means = {
         "r1": 100.0 * sum(t.rouge1.f1 for _, t in per_doc) / n,
@@ -565,7 +589,7 @@ def brio_loop(
     best_quality = -1.0
     for iteration in range(1, config.loop_iterations + 1):
         if iteration > 1:
-            ranked_sets = [generate_candidates(current, ex, config, vocab) for ex in train]
+            ranked_sets = generate_candidate_sets(current, train, config, vocab)
             if candidate_sink is not None:
                 candidate_sink(iteration, ranked_sets)
             current, _ = brio_train_stage(current, ranked_sets, config, seed=seed * 1009 + iteration)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -258,16 +258,20 @@ class DecoderCache:
     """The decoder's view of the source and of the prefixes decoded so far.
 
     ``cross[i]`` is decoder layer i's cross-attention (K, V) over the
-    encoder output, (Bs, Ts, model_dim) each, and ``mask`` the source's PAD
-    mask, both built once by ``start``; one source (Bs = 1) serves any
-    number of rows. ``past[i]`` is its self-attention (K, V) over the B
-    prefixes decoded so far, (B, t, model_dim) each: empty before the first
-    position, and decoded only under ``no_grad()``, as it holds no gradient.
+    encoder output, (Bs, Ts, model_dim) each, and ``mask`` the sources' PAD
+    mask, both built once by ``start``. Row b reads source b, except that
+    one source (Bs = 1) serves any number of rows, and that rows given
+    ``docs`` (``reading``) read source ``docs[b]``. ``past[i]`` is its
+    self-attention (K, V) over the B prefixes decoded so far, (B, t,
+    model_dim) each: empty before the first position. Caches with a past or
+    with ``docs`` are decoded only under ``no_grad()``, as they hold no
+    gradient.
     """
 
     cross: tuple[tuple[Tensor, Tensor], ...]
     mask: np.ndarray | None
     past: tuple[tuple[Tensor, Tensor], ...] = ()
+    docs: np.ndarray | None = None
 
     @classmethod
     def start(cls, params: ModelParams, src: np.ndarray) -> "DecoderCache":
@@ -280,10 +284,15 @@ class DecoderCache:
     def length(self) -> int:
         return self.past[0][0].shape[1] if self.past else 0
 
+    def reading(self, docs: Sequence[int]) -> "DecoderCache":
+        """This empty-prefix cache for rows that read the sources ``docs``;
+        one source is broadcast to them as it is, with no gather."""
+        return self if self.cross[0][0].shape[0] == 1 else replace(self, docs=np.asarray(docs))
+
     def rows(self, index: Sequence[int]) -> "DecoderCache":
         """The cache of the prefixes at ``index``, in that order."""
         past = tuple((Tensor(k.data[index]), Tensor(v.data[index])) for k, v in self.past)
-        return DecoderCache(self.cross, self.mask, past)
+        return DecoderCache(self.cross, self.mask, past, None if self.docs is None else self.docs[index])
 
 
 def decoder_logprobs(
@@ -298,11 +307,13 @@ def decoder_logprobs(
     the cache extended by them.
     """
     cfg = params.config
-    if cache.past and ad.grad_enabled():
-        raise ValueError("decoder_logprobs: a cache with a past is for inference only; use no_grad()")
+    docs = cache.docs
+    if (cache.past or docs is not None) and ad.grad_enabled():
+        raise ValueError("decoder_logprobs: a cache with a past or docs is for inference only; use no_grad()")
     offset = cache.length
     # One new position may attend to every cached one: its mask is all zeros.
     self_mask = causal_mask(offset + tgt_in.shape[1])[:, :, offset:, :] if tgt_in.shape[1] > 1 else None
+    cross_mask = cache.mask if docs is None or cache.mask is None else cache.mask[docs]
     x = ad.embed(params["tok_emb"], params["pos_emb_tgt"], tgt_in, offset)
     past = []
     for i in range(cfg.num_decoder_layers):
@@ -313,12 +324,15 @@ def decoder_logprobs(
             v = Tensor(np.concatenate([cache.past[i][1].data, v.data], axis=1))
         past.append((k, v))
         x = _attend(params, f"dec{i}.self", normed, k, v, self_mask, x)
-        x = _attend(params, f"dec{i}.cross", _norm(params, f"dec{i}.ln2", x), *cache.cross[i], cache.mask, x)
+        cross_k, cross_v = cache.cross[i]
+        if docs is not None:  # gathered one layer at a time, so one layer's copy is alive
+            cross_k, cross_v = Tensor(cross_k.data[docs]), Tensor(cross_v.data[docs])
+        x = _attend(params, f"dec{i}.cross", _norm(params, f"dec{i}.ln2", x), cross_k, cross_v, cross_mask, x)
         x = _ffn(params, f"dec{i}.ffn", _norm(params, f"dec{i}.ln3", x), x)
     x = _norm(params, "dec_ln", x)
     out_w = ad.transpose(params["tok_emb"], (1, 0)) if cfg.tie_embeddings else params["out.w"]
     logprobs = ad.log_softmax(ad.linear(x, out_w, params["out.b"]), axis=-1)
-    return logprobs, DecoderCache(cache.cross, cache.mask, tuple(past))
+    return logprobs, DecoderCache(cache.cross, cache.mask, tuple(past), docs)
 
 
 def _validate_ids(ids: Sequence[int], limit: int, max_len: int, label: str) -> None:

@@ -1,6 +1,6 @@
 """Time two briosum trees against each other, alternating in one process.
 
-    python tests/ab_compare.py DIR_A DIR_B --workload brio-train [--rounds 10] [--seed 1]
+    python tests/ab_compare.py DIR_A DIR_B --workload pipeline [--rounds 10] [--seed 1]
 
 Each tree's ``src/briosum`` is imported under its own package name
 (``briosum_a`` and ``briosum_b``). This checkout's
@@ -21,9 +21,12 @@ are more than 10 times the other's, it warns that the two trees share one
 heap, which can distort the timings, and that ``perfbench/run.py``'s
 alternated processes should confirm the result. A tree that forks takes
 the copy-on-write faults its children cause in its own count. It also says whether the two sides' pass outputs
-are equal: the workload's digest of the training history (``brio-train``)
-or of every decoded hypothesis and score (``decode-wide``). The last line
-is one JSON summary. Exit status: 0 when the outputs are equal, 1 when
+are equal: the workload's digest of the training history (``brio-train``),
+of every decoded hypothesis and score (``decode-wide``) or of
+``report.csv`` (``pipeline``). For a workload that times phases of its
+pass, the seven CLI stages of ``pipeline`` or the candidate and greedy
+phases of ``decode-wide``, it then prints each side's median seconds per
+phase. The last line is one JSON summary. Exit status: 0 when the outputs are equal, 1 when
 they differ.
 """
 
@@ -45,7 +48,7 @@ import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-WORKLOAD_NAMES = ("brio-train", "decode-wide")
+WORKLOAD_NAMES = ("pipeline", "brio-train", "decode-wide")
 
 
 def _load(name: str, path: Path, package_dir: Path | None = None):
@@ -95,7 +98,7 @@ def compare(trees: list[Path], workload: str, rounds: int, seed: int) -> dict:
             job = module.WORKLOADS[workload]
             state = job.setup(seed, Path(work) / label)
             sides.append({"tree": str(tree), "job": job, "state": state, "seconds": [], "usage": [],
-                          "digests": set(), "won": 0})
+                          "phases": [], "digests": set(), "won": 0})
         for index in range(rounds):
             order = sides if index % 2 == 0 else sides[::-1]
             for side in order:
@@ -104,6 +107,7 @@ def compare(trees: list[Path], workload: str, rounds: int, seed: int) -> dict:
                 result = side["job"].run_pass(side["state"], index, None)
                 side["seconds"].append(time.perf_counter() - start)
                 side["usage"].append([after - before for after, before in zip(_usage(), usage)])
+                side["phases"].append(result.phases)
                 side["digests"].add(result.digest)
             a, b = (side["seconds"][-1] for side in sides)
             if a != b:
@@ -120,6 +124,8 @@ def compare(trees: list[Path], workload: str, rounds: int, seed: int) -> dict:
             "minflt_per_pass": statistics.median(u[1] for u in side["usage"]),
             "child_minflt_per_pass": statistics.median(u[2] for u in side["usage"]),
             "pass_s": side["seconds"],
+            "phase_median_s": {name: statistics.median(p[name] for p in side["phases"] if name in p)
+                               for name in side["phases"][0]},
         }
     return summary
 
@@ -144,6 +150,9 @@ def main(argv: list[str] | None = None) -> int:
               f"minflt/pass {side['minflt_per_pass']:.0f}, child minflt/pass {side['child_minflt_per_pass']:.0f}  "
               f"({side['tree']})")
     print(f"outputs equal: {'yes' if summary['outputs_equal'] else 'no'}")
+    for label in "ab":
+        if phases := summary[label]["phase_median_s"]:
+            print(f"{label} phase medians: " + ", ".join(f"{name} {sec:.4f} s" for name, sec in phases.items()))
     faults = sorted(summary[label]["minflt_per_pass"] for label in "ab")
     if faults[1] > 10 * faults[0]:
         print(f"warning: one side's median minor faults per pass ({faults[1]:.0f}) are more than 10x the "

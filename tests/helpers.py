@@ -4,8 +4,9 @@ counter of BRIO training-stage calls, the per-tensor optimizer step that
 the steps on the parameter vector and on shape groups replace, the
 primitive ops and composed graphs that the fused autodiff ops replace, the
 BRIO loss graph before ``embed`` and the residual-taking layers with a
-counter of its tape nodes, and the dynamic-programming LCS that the
-bit-parallel ROUGE-L kernel replaces."""
+counter of its tape nodes, the dynamic-programming LCS that the
+bit-parallel ROUGE-L kernel replaces, and the check that a search of many
+documents found what each document's own search finds."""
 
 from __future__ import annotations
 
@@ -481,3 +482,15 @@ def dp_lcs_length(a, b) -> int:
                 cur[j] = max(prev[j], cur[j - 1])
         prev = cur
     return prev[-1]
+
+
+def assert_same_searches(got, want) -> None:
+    """Each document's hypotheses have equal tokens and ``finished`` flags
+    and log-probs within 1e-9 relative: a padded source's scores can move in
+    the last bits when its keys are blocked differently."""
+    assert [[(h.tokens, h.finished) for h in hyps] for hyps in got] == [
+        [(h.tokens, h.finished) for h in hyps] for hyps in want
+    ]
+    for hyps_got, hyps_want in zip(got, want):
+        for h, w in zip(hyps_got, hyps_want):
+            assert abs(h.log_prob - w.log_prob) <= 1e-9 * abs(w.log_prob), (h, w)

@@ -36,6 +36,21 @@ def test_one_round_of_the_checkout_against_itself():
     assert summary["a"]["rounds_won"] + summary["b"]["rounds_won"] <= 1
 
 
+def test_one_pipeline_round_reports_every_stage():
+    proc = run_tool(ROOT, ROOT, "--workload", "pipeline", "--rounds", "1", "--seed", "3")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[2] == "outputs equal: yes"
+    summary = json.loads(lines[-1])
+    assert summary["workload"] == "pipeline" and summary["outputs_equal"] is True
+    stages = ["split", "finetune", "gen-cands", "brio", "loop", "evaluate", "report"]
+    for label, line in zip("ab", lines[3:5]):
+        phases = summary[label]["phase_median_s"]
+        assert sorted(phases) == sorted(stages)  # the summary's keys are sorted
+        assert all(seconds > 0.0 for seconds in phases.values())
+        assert line == f"{label} phase medians: " + ", ".join(f"{name} {phases[name]:.4f} s" for name in stages)
+
+
 def test_a_tree_without_sources_is_a_usage_error(tmp_path):
     proc = run_tool(ROOT, tmp_path, "--workload", "decode-wide")
     assert proc.returncode == 2
@@ -44,7 +59,7 @@ def test_a_tree_without_sources_is_a_usage_error(tmp_path):
 
 def stub_summary(faults_a, faults_b):
     side = {"tree": str(ROOT), "min_s": 0.5, "median_s": 0.5, "rounds_won": 0, "pass_s": [0.5],
-            "cpu_s_per_pass": 0.9, "child_minflt_per_pass": 120}
+            "cpu_s_per_pass": 0.9, "child_minflt_per_pass": 120, "phase_median_s": {}}
     return {"workload": "brio-train", "seed": 1, "rounds": 1, "outputs_equal": True,
             "a": {**side, "minflt_per_pass": faults_a}, "b": {**side, "minflt_per_pass": faults_b}}
 

@@ -45,12 +45,20 @@ from briosum.corpus import (
     split_corpus,
     tokenize_documents,
 )
-from briosum.decode import DecodeConfig, beam_search, diverse_beam_search, greedy_decode, make_scorer
+from briosum.decode import (
+    DecodeConfig,
+    beam_search,
+    diverse_beam_search,
+    diverse_beam_searches,
+    greedy_decode,
+    greedy_decodes,
+    make_scorer,
+)
 from briosum.model import forward, load_checkpoint, mle_loss
 from briosum.rouge import rouge_l, rouge_n
 from briosum.synthetic import make_toy_corpus, write_corpus_jsonl
 
-from helpers import max_gradcheck_error, tiny_params, tiny_vocab
+from helpers import assert_same_searches, max_gradcheck_error, tiny_params, tiny_vocab
 from test_brio import dummy_ranked
 from test_rouge import exhaustive_lcs, naive_rouge_n_overlap
 
@@ -403,6 +411,27 @@ def test_pipeline_determinism(toy_pipeline):
         toy_pipeline["out2"] / REPORT_CSV
     ).read_bytes()
     criterion("determinism: two same-seed runs produce byte-identical reports", same_txt and same_csv)
+
+
+def test_document_searches_match_per_document_searches_on_the_finetuned_model(toy_pipeline):
+    # The searches that gen-cands, the loop and evaluate batch, on 200
+    # training documents of the acceptance run.
+    out, config = toy_pipeline["out1"], toy_pipeline["config"]
+    params, _ = load_checkpoint(out / FINETUNE_CKPT)
+    tokens = json.loads((out / "vocab.json").read_text())["tokens"]
+    train_ids = json.loads((out / "split.json").read_text())["train"][:200]
+    docs_by_id = {d.id: d for d in load_corpus(toy_pipeline["corpus_path"])}
+    model_config = params.config
+    vocab = Vocabulary(token_to_id={t: i for i, t in enumerate(tokens)}, id_to_token=tokens)
+    examples = tokenize_documents([docs_by_id[i] for i in train_ids], vocab, model_config.max_source_len,
+                                  model_config.max_target_len)
+    sources = [ex.source_ids for ex in examples]
+    assert len(sources) == 200
+    decode_config = config.decode_config()
+    assert_same_searches(diverse_beam_searches(params, sources, decode_config),
+                         [diverse_beam_search(params, source, decode_config) for source in sources])
+    assert_same_searches([greedy_decodes(params, sources, decode_config)],
+                         [[greedy_decode(params, source, decode_config) for source in sources]])
 
 
 # -- criterion 7: split arithmetic --------------------------------------------------------------

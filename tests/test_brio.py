@@ -375,7 +375,8 @@ def test_unk_never_matches_unk_in_greedy_evaluation(monkeypatch):
     a reference of <unk> overlaps in nothing, and a known word beside an
     <unk> still matches."""
     def greedy_score(tokens):
-        monkeypatch.setattr(brio, "greedy_decode", lambda *args: Hypothesis(tokens, -1.0, True))
+        monkeypatch.setattr(brio, "greedy_decodes", lambda params, sources, config: [
+            Hypothesis(tokens, -1.0, True) for _ in sources])
         example = TokenizedExample("d0", [4, 5], list(tokens))
         return evaluate(tiny_params(), [example], decode_cfg())
 
@@ -396,10 +397,10 @@ def test_mean_greedy_rouge_is_the_mean_quality_of_the_evaluated_documents(monkey
         for i in range(60)
     ]
 
-    def greedy_decode(params, src, config):  # decodes of varied lengths give varied qualities
-        return Hypothesis((BOS_ID, *src[: 2 + src[0] % 8], EOS_ID), -1.0, True)
+    def greedy_decodes(params, sources, config):  # decodes of varied lengths give varied qualities
+        return [Hypothesis((BOS_ID, *src[: 2 + src[0] % 8], EOS_ID), -1.0, True) for src in sources]
 
-    monkeypatch.setattr(brio, "greedy_decode", greedy_decode)
+    monkeypatch.setattr(brio, "greedy_decodes", greedy_decodes)
     params, config = tiny_params(), decode_cfg()
     qualities = [quality_score(triple) for _, triple in evaluate(params, examples, config)[0]]
     got = mean_greedy_rouge(params, examples, config)

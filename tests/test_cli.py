@@ -1,5 +1,6 @@
 """Harness behavior: config files, stage dependencies, reports, end to end."""
 
+import fcntl
 import json
 import re
 import shutil
@@ -21,6 +22,7 @@ from briosum.cli import (
     FINETUNE_METRICS,
     LOOP_CKPT,
     LOOP_REPORT,
+    LOCK_FILE,
     REPORT_CSV,
     REPORT_TXT,
     SPLIT_FILE,
@@ -638,7 +640,7 @@ def mini_full_run(tmp_path_factory):
 def test_mini_run_writes_exactly_the_stamped_artifacts_and_reports(mini_full_run):
     _, out = mini_full_run
     written = sorted(p.name for p in out.iterdir())
-    assert written == sorted([*STAMPED_ARTIFACTS, REPORT_TXT, REPORT_CSV])
+    assert written == sorted([*STAMPED_ARTIFACTS, REPORT_TXT, REPORT_CSV, LOCK_FILE])
 
 
 def _cut(raw: bytes, how: str) -> bytes:
@@ -692,7 +694,49 @@ def test_any_exception_in_a_stage_is_one_line_naming_it(mini_full_run, tmp_path,
     assert captured.out == ""
     left = {p.name for p in run.iterdir()}
     assert left == {name for name, producer in STAMPED_ARTIFACTS.items() if producer != stage} | {
-        REPORT_TXT, REPORT_CSV}
+        REPORT_TXT, REPORT_CSV, LOCK_FILE}
+
+
+def test_a_report_that_fails_between_its_two_writes_leaves_neither_table(mini_full_run, tmp_path, monkeypatch,
+                                                                         capsys):
+    ini, out = mini_full_run
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    config = ExperimentConfig.load(ini, out_dir=str(run))
+    real, published = cli._publish, []
+
+    def fail_second_write(path, write):
+        published.append(path.name)
+        if len(published) == 2:
+            raise OSError("No space left on device")
+        real(path, write)
+
+    monkeypatch.setattr(cli, "_publish", fail_second_write)
+    capsys.readouterr()
+    assert run_pipeline(config, ["report"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error in stage 'report': No space left on device\n"
+    assert captured.out == ""
+    assert published == [REPORT_TXT, REPORT_CSV]
+    assert not (run / REPORT_TXT).exists() and not (run / REPORT_CSV).exists()
+
+
+def test_a_run_on_a_directory_in_use_exits_2_and_writes_nothing(mini_full_run, tmp_path, capsys):
+    ini, out = mini_full_run
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    config = ExperimentConfig.load(ini, out_dir=str(run))
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    capsys.readouterr()
+    with (run / LOCK_FILE).open("a") as other_run:  # a separate descriptor, as another process holds it
+        fcntl.flock(other_run, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        assert run_pipeline(config, ["evaluate", "report"], force=True) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {run} is in use by another run\n"
+        assert captured.out == ""
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+    assert run_pipeline(config, ["evaluate", "report"], force=True) == 0
+    assert capsys.readouterr().out == "[evaluate] 4 systems\n[report] 4 rows\n"
 
 
 def test_a_run_reads_the_corpus_once(tmp_path, mini_corpus, monkeypatch, capsys):
@@ -766,7 +810,7 @@ def test_failed_stage_leaves_none_of_its_outputs(mini_config, tmp_path, monkeypa
     assert main(["finetune", *argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error in stage 'finetune': ") and "No space left" in err
-    assert sorted(p.name for p in out.iterdir()) == [SPLIT_FILE, VOCAB_FILE]
+    assert sorted(p.name for p in out.iterdir()) == [LOCK_FILE, SPLIT_FILE, VOCAB_FILE]
     assert main(["evaluate", *argv]) == 1
     assert "no checkpoints to evaluate" in capsys.readouterr().err
 
@@ -790,7 +834,7 @@ def test_interrupted_stage_exits_130_with_one_line_and_none_of_its_outputs(mini_
     captured = capsys.readouterr()
     assert captured.err == "interrupted in stage 'finetune'\n"
     assert "[finetune]" not in captured.out
-    assert sorted(p.name for p in out.iterdir()) == [SPLIT_FILE, VOCAB_FILE]
+    assert sorted(p.name for p in out.iterdir()) == [LOCK_FILE, SPLIT_FILE, VOCAB_FILE]
 
 
 def test_vocabulary_without_a_word_fails_the_split_stage(tmp_path, mini_corpus, capsys):
@@ -804,7 +848,7 @@ def test_vocabulary_without_a_word_fails_the_split_stage(tmp_path, mini_corpus, 
     captured = capsys.readouterr()
     assert captured.err == "error in stage 'split': no word occurs at least min_count=1000000 times\n"
     assert captured.out == ""
-    assert not list(out.iterdir())
+    assert [p.name for p in out.iterdir()] == [LOCK_FILE]
 
 
 def test_full_mini_pipeline_and_determinism(mini_config, tmp_path):

@@ -1,7 +1,10 @@
 """Decoding identities, fixed-logit fixtures, and the enumeration oracle."""
 
+import importlib.util
 import itertools
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +18,11 @@ from briosum.decode import (
     Hypothesis,
     beam_search,
     diverse_beam_search,
+    diverse_beam_searches,
     greedy_decode,
+    greedy_decodes,
     group_beam_search,
+    group_beam_searches,
     make_scorer,
 )
 from briosum.model import (
@@ -32,6 +38,7 @@ from briosum.model import (
 from helpers import (
     add,
     assert_relative_close,
+    assert_same_searches,
     composed_attention,
     composed_ffn,
     composed_linear,
@@ -321,6 +328,88 @@ def test_group_beam_search_matches_tuple_list_reference_under_ties(vocab_size):
         ]
 
 
+@pytest.mark.parametrize("vocab_size", [1, 2, 3, 6])
+def test_search_of_several_documents_equals_each_documents_own_search_under_ties(vocab_size):
+    # Each document has its own integer scorer; they finish at different
+    # steps, and every step is one scorer call over all active hypotheses.
+    for width, groups, penalty, seed in itertools.product((1, 2, 3), (1, 2, 3), (0.0, 0.5, 1.0), range(2)):
+        cfg = config(num_beams=width * groups, num_beam_groups=groups, diversity_penalty=penalty)
+        scorers = [integer_scorer(vocab_size, 10 * seed + d) for d in range(3)]
+        calls = []
+
+        def score(keys):
+            calls.append(keys)
+            return np.concatenate([scorers[d]([prefix]) for d, prefix in keys])
+
+        got = group_beam_searches(score, vocab_size, cfg, len(scorers))
+        want, alone_calls = [], []
+        for scorer in scorers:
+            alone_calls.append(0)
+
+            def counted(prefixes, scorer=scorer):
+                alone_calls[-1] += 1
+                return scorer(prefixes)
+
+            want.append(group_beam_search(counted, vocab_size, cfg))
+        assert [[(h.tokens, h.log_prob, h.finished) for h in hyps] for hyps in got] == [
+            [(h.tokens, h.log_prob, h.finished) for h in hyps] for hyps in want
+        ]
+        assert len(calls) == max(alone_calls)
+
+
+def test_a_document_decodes_alone_as_next_to_a_longer_padded_source():
+    beams = config(num_beams=4, num_beam_groups=2, diversity_penalty=0.5, max_decode_len=8)
+    greedy = config(max_decode_len=8)
+    for seed in range(6):
+        params = tiny_params(seed=seed)
+        short = [BOS_ID, 4 + seed % 5, EOS_ID]
+        longer = [BOS_ID, 5, 6, 7, 8, 9, EOS_ID]
+        assert_same_searches(diverse_beam_searches(params, [short, longer], beams)[:1],
+                             [diverse_beam_search(params, short, beams)])
+        assert_same_searches([greedy_decodes(params, [short, longer], greedy)[:1]],
+                             [[greedy_decode(params, short, greedy)]])
+
+
+def test_same_length_documents_and_one_document_lists_decode_bitwise_as_alone():
+    # Without PAD a row's arithmetic is its source's alone, gathered or broadcast.
+    beams = config(num_beams=4, num_beam_groups=2, diversity_penalty=0.5, max_decode_len=8)
+    greedy = config(max_decode_len=8)
+    for seed in range(6):
+        params = tiny_params(seed=seed)
+        sources = [[BOS_ID, 4 + (seed + d) % 7, 5 + d, EOS_ID] for d in range(3)]
+        exact = lambda hyps: [(h.tokens, h.log_prob, h.finished) for h in hyps]  # noqa: E731
+        for source, hyps in zip(sources, diverse_beam_searches(params, sources, beams)):
+            assert exact(hyps) == exact(diverse_beam_search(params, source, beams))
+        assert exact(greedy_decodes(params, sources, greedy)) == exact(
+            [greedy_decode(params, source, greedy) for source in sources])
+        assert exact(diverse_beam_searches(params, sources[:1], beams)[0]) == exact(
+            diverse_beam_search(params, sources[0], beams))
+        assert exact(greedy_decodes(params, sources[:1], greedy)) == exact([greedy_decode(params, sources[0], greedy)])
+
+
+def decode_wide_workload():
+    """The benchmark's decode-wide workload, from ``perfbench/workloads.py``."""
+    name = "decode_wide_workloads"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return sys.modules[name].WORKLOADS["decode-wide"]
+
+
+@pytest.mark.parametrize("seed", [1, 5, 7])
+def test_document_searches_match_per_document_searches_on_the_decode_wide_inputs(seed, tmp_path):
+    # All 51 documents, so the beam search spans several chunks.
+    state = decode_wide_workload().setup(seed, tmp_path)
+    params, decode_config = state.params, state.config.decode_config()
+    sources = [ex.source_ids for ex in state.cand_examples + state.greedy_examples]
+    assert_same_searches(diverse_beam_searches(params, sources, decode_config),
+                         [diverse_beam_search(params, source, decode_config) for source in sources])
+    assert_same_searches([greedy_decodes(params, sources, decode_config)],
+                         [[greedy_decode(params, source, decode_config) for source in sources]])
+
+
 # -- diverse beam fixtures -------------------------------------------------------------
 
 
@@ -475,6 +564,9 @@ def test_decoder_cache_refuses_gradient_mode():
     assert cache.length == 1
     with pytest.raises(ValueError, match="no_grad"):
         decoder_logprobs(params, cache, np.array([[4]]))
+    with pytest.raises(ValueError, match="no_grad"):  # rows gathered by document hold no gradient
+        decoder_logprobs(params, DecoderCache.start(params, np.array([[BOS_ID, 4, EOS_ID], [BOS_ID, 5, EOS_ID]]))
+                         .reading([1, 0, 1]), np.array([[BOS_ID]] * 3))
     start = DecoderCache.start(params, np.array([[BOS_ID, 4, EOS_ID]]))
     table, _ = decoder_logprobs(params, start, np.array([[BOS_ID, 4]]))
     mle_loss(table, np.array([[4, EOS_ID]])).backward()
