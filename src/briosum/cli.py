@@ -6,7 +6,8 @@ directory (each embeds the hash of the resolved configuration); re-running
 a completed stage is a no-op unless --force is given, and resuming against
 artifacts from a different configuration is refused. Artifacts are written
 whole or not at all, through ``_publish``, and read through one reader,
-``_load``: one that exists but does not load whole is an error naming its
+``_load``: one that is missing or does not load whole, or a checkpoint of
+another model than 'finetune' would build now, is an error naming its
 stage. A ``run_pipeline`` call tokenizes the corpus at most once, and it
 holds the output directory's ``.lock`` for its whole run: a second run on
 the directory meanwhile exits with status 2 and writes nothing.
@@ -68,8 +69,6 @@ from .model import (
     load_checkpoint,
     save_checkpoint,
 )
-
-STAGES = ("split", "finetune", "gen-cands", "brio", "loop", "evaluate", "report")
 
 SPLIT_FILE = "split.json"
 VOCAB_FILE = "vocab.json"
@@ -241,9 +240,11 @@ class ExperimentConfig:
             decode = self.brio_config().decode
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if decode.max_decode_len > model.max_target_len:
+        # Candidates keep a closing EOS after a length-capped search, so a
+        # search may use at most max_target_len - 1 of the target positions.
+        if decode.max_decode_len >= model.max_target_len:
             raise ConfigError(
-                f"decode.max_decode_len ({decode.max_decode_len}) exceeds "
+                f"decode.max_decode_len ({decode.max_decode_len}) must be below "
                 f"model.max_target_len ({model.max_target_len})"
             )
 
@@ -307,24 +308,6 @@ def parse_report_csv(text: str) -> list[ReportRow]:
 # -- pipeline ------------------------------------------------------------------
 
 
-# The stage that writes each artifact, besides the loop's candidate caches
-# for iterations 2 and up. The reports are not listed: they are re-rendered
-# on every run and carry no config hash, so they stay byte-identical.
-_PRODUCERS = {
-    SPLIT_FILE: "split",
-    VOCAB_FILE: "split",
-    STANDARD_CKPT: "finetune",
-    FINETUNE_CKPT: "finetune",
-    FINETUNE_METRICS: "finetune",
-    FINETUNE_CANDIDATES: "gen-cands",
-    BRIO_CKPT: "brio",
-    BRIO_METRICS: "brio",
-    LOOP_CKPT: "loop",
-    LOOP_REPORT: "loop",
-    EVAL_FILE: "evaluate",
-}
-
-
 def _strings(items) -> list[str]:
     if not isinstance(items, list) or not all(isinstance(item, str) for item in items):
         raise TypeError("expected a list of strings")
@@ -372,6 +355,10 @@ class _Context:
         iterations = range(2, self.config.brio_config().loop_iterations + 1)
         return _PRODUCERS | {LOOP_CANDIDATES.format(i): "loop" for i in iterations}
 
+    def outputs(self, stage: str) -> list[str]:
+        """The artifacts ``stage`` writes, the loop's candidate caches included."""
+        return [name for name, producer in self.producers.items() if producer == stage]
+
     @cached_property
     def prepared(self) -> _Corpus:
         """The split's documents, tokenized with the stored vocabulary."""
@@ -405,7 +392,9 @@ def _load(ctx: _Context, name: str):
     cache's candidate sets for the train split in split order, or a JSON
     payload whose checked fields hold what their checks return. One that is
     missing, unreadable, stamped by another configuration or fails its
-    content checks is a StageError naming the stage that writes it."""
+    content checks, or a checkpoint of another model than 'finetune' would
+    build now for the stored vocabulary, is a StageError naming the stage
+    that writes it."""
     stage = ctx.producers[name]
     path = ctx.path(name)
     if not path.exists():
@@ -431,6 +420,15 @@ def _load(ctx: _Context, name: str):
             f"{name} was produced by a different configuration "
             f"(hash {found}, expected {ctx.hash}); use --force to rebuild",
         )
+    if path.suffix == ".ckpt":
+        expected = ctx.config.model_config(ctx.prepared.vocab.size)
+        if value.config != expected:
+            changed = ", ".join(
+                f"{f.name} {getattr(value.config, f.name)} (expected {getattr(expected, f.name)})"
+                for f in fields(expected)
+                if getattr(value.config, f.name) != getattr(expected, f.name)
+            )
+            raise StageError(stage, f"{name} was built for another model: {changed}; use --force to rebuild")
     for field, check in _JSON_FIELDS.get(name, {}).items():
         try:
             value[field] = check(value.get(field))
@@ -489,7 +487,7 @@ def _write_cache(ctx: _Context, name: str, ranked: list[RankedCandidateSet]) -> 
 def _outputs_fresh(ctx: _Context, stage: str) -> bool:
     """True when the stage's outputs all exist and each loads whole through
     ``_load``; one that does not load is a StageError."""
-    names = [name for name, producer in ctx.producers.items() if producer == stage]
+    names = ctx.outputs(stage)
     if ctx.force or not names or not all(ctx.path(name).exists() for name in names):
         return False
     for name in names:
@@ -572,28 +570,17 @@ def _stage_loop(ctx: _Context) -> str:
 
 
 def _stage_evaluate(ctx: _Context) -> str:
-    prepared = ctx.prepared
+    systems = [(label, _load(ctx, filename)) for label, filename in _REPORT_SYSTEMS]
     decode_config = ctx.config.decode_config()
     rows = []
     per_doc_payload = {}
-    for label, filename in _REPORT_SYSTEMS:
-        if not ctx.path(filename).exists():
-            continue
-        params = _load(ctx, filename)
-        if params.config.vocab_size != prepared.vocab.size:
-            raise StageError(
-                "evaluate",
-                f"{filename} vocabulary size {params.config.vocab_size} does not match "
-                f"the current vocabulary ({prepared.vocab.size})",
-            )
-        per_doc, means = evaluate(params, prepared.test, decode_config)
+    for label, params in systems:
+        per_doc, means = evaluate(params, ctx.prepared.test, decode_config)
         rows.append({"system": label, **means})
         per_doc_payload[label] = [
             {"doc_id": doc_id, "r1": t.rouge1.f1, "r2": t.rouge2.f1, "rl": t.rougeL.f1}
             for doc_id, t in per_doc
         ]
-    if not rows:
-        raise StageError("finetune", "no checkpoints to evaluate; run 'finetune' first")
     _write_json(ctx, EVAL_FILE, {"rows": rows, "per_document": per_doc_payload})
     return f"{len(rows)} systems"
 
@@ -613,15 +600,22 @@ def _stage_report(ctx: _Context) -> str:
     return f"{len(rows)} rows"
 
 
-_STAGE_FUNCS = {
-    "split": _stage_split,
-    "finetune": _stage_finetune,
-    "gen-cands": _stage_gen_cands,
-    "brio": _stage_brio,
-    "loop": _stage_loop,
-    "evaluate": _stage_evaluate,
-    "report": _stage_report,
+# Each stage in pipeline order: its function and the artifacts it writes.
+# The loop also writes a candidate cache for each iteration from the second
+# on (``_Context.producers``). The reports are not listed: they are
+# re-rendered on every run and carry no config hash, so they stay
+# byte-identical.
+_STAGES = {
+    "split": (_stage_split, (SPLIT_FILE, VOCAB_FILE)),
+    "finetune": (_stage_finetune, (STANDARD_CKPT, FINETUNE_CKPT, FINETUNE_METRICS)),
+    "gen-cands": (_stage_gen_cands, (FINETUNE_CANDIDATES,)),
+    "brio": (_stage_brio, (BRIO_CKPT, BRIO_METRICS)),
+    "loop": (_stage_loop, (LOOP_CKPT, LOOP_REPORT)),
+    "evaluate": (_stage_evaluate, (EVAL_FILE,)),
+    "report": (_stage_report, ()),
 }
+STAGES = tuple(_STAGES)
+_PRODUCERS = {name: stage for stage, (_, outputs) in _STAGES.items() for name in outputs}
 
 
 def _run_stage(ctx: _Context, stage: str) -> str:
@@ -629,9 +623,9 @@ def _run_stage(ctx: _Context, stage: str) -> str:
     exception it raises that is not already a StageError becomes one naming
     this stage."""
     try:
-        return _STAGE_FUNCS[stage](ctx)
+        return _STAGES[stage][0](ctx)
     except BaseException as exc:
-        for name in (name for name, producer in ctx.producers.items() if producer == stage):
+        for name in ctx.outputs(stage):
             with contextlib.suppress(OSError):  # the stage's own error is the one to report
                 ctx.path(name).unlink(missing_ok=True)
         if isinstance(exc, Exception) and not isinstance(exc, StageError):
@@ -648,7 +642,7 @@ def run_pipeline(
     """Run the selected stages in order; returns a process exit status."""
     stream = stream if stream is not None else sys.stdout
     for stage in stages:
-        if stage not in _STAGE_FUNCS:
+        if stage not in _STAGES:
             print(f"error: unknown stage '{stage}'", file=sys.stderr)
             return 2
     try:

@@ -427,6 +427,45 @@ def test_corpus_damaged_after_split_fails_the_split_stage(mini_config, mini_corp
     assert not (out / STANDARD_CKPT).exists()
 
 
+def test_checkpoint_for_another_vocabulary_fails_the_finetune_stage(mini_config, mini_corpus, tmp_path, capsys):
+    """A corpus rewritten with more words, then split again: every reader of
+    the old checkpoints names 'finetune', whose checkpoints they are."""
+    out = tmp_path / "run"
+    config = ExperimentConfig.load(mini_config, out_dir=str(out))
+    assert run_pipeline(config, ["split", "finetune"]) == 0
+    write_corpus_jsonl(make_toy_corpus(30, seed=5, vocab_words=80), mini_corpus)
+    assert run_pipeline(config, ["split"], force=True) == 0
+    vocab_size = len(json.loads((out / VOCAB_FILE).read_text(encoding="utf-8"))["tokens"])
+    assert vocab_size != 45
+    # Each stage, and the checkpoint it reads first.
+    for stage, name in (("gen-cands", FINETUNE_CKPT), ("brio", FINETUNE_CKPT), ("evaluate", STANDARD_CKPT),
+                        ("finetune", STANDARD_CKPT)):
+        capsys.readouterr()
+        assert run_pipeline(config, [stage]) == 1, stage
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error in stage 'finetune': {name} was built for another model: "
+            f"vocab_size 45 (expected {vocab_size}); use --force to rebuild\n"
+        ), stage
+        assert captured.out == ""
+    assert (out / STANDARD_CKPT).exists() and (out / FINETUNE_CKPT).exists()
+    assert run_pipeline(config, ["finetune"], force=True) == 0
+
+
+def test_split_with_a_damaged_id_fails_the_split_stage_not_up_to_date(mini_config, tmp_path, capsys):
+    out = tmp_path / "run"
+    config = ExperimentConfig.load(mini_config, out_dir=str(out))
+    assert run_pipeline(config, ["split", "finetune"]) == 0
+    payload = json.loads((out / SPLIT_FILE).read_text(encoding="utf-8"))
+    payload["train"][0] = [payload["train"][0]]
+    (out / SPLIT_FILE).write_text(json.dumps(payload), encoding="utf-8")
+    capsys.readouterr()
+    assert run_pipeline(config, ["finetune"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error in stage 'split': {SPLIT_FILE} has no usable 'train'")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
 @pytest.fixture
 def mini_cands_run(mini_config, tmp_path):
     """A mini run through gen-cands, ready for the brio stage."""
@@ -670,6 +709,22 @@ def test_cut_artifact_fails_its_producing_stage(mini_full_run, tmp_path, capsys,
     assert "Traceback" not in captured.err + captured.out
 
 
+@pytest.mark.parametrize("name", [name for _, name in cli._REPORT_SYSTEMS])
+def test_evaluate_without_a_checkpoint_fails_its_producing_stage(mini_full_run, tmp_path, capsys, name):
+    ini, out = mini_full_run
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    config = ExperimentConfig.load(ini, out_dir=str(run))
+    (run / name).unlink()
+    capsys.readouterr()
+    assert run_pipeline(config, ["evaluate", "report"], force=True) == 1
+    captured = capsys.readouterr()
+    stage = STAMPED_ARTIFACTS[name]
+    assert captured.err == f"error in stage '{stage}': missing artifact {name}; run the '{stage}' stage first\n"
+    assert captured.out == ""
+    assert not (run / EVAL_FILE).exists()
+
+
 @pytest.mark.parametrize("message", ["disk quota", ""], ids=["message", "no-message"])
 @pytest.mark.parametrize("stage", sorted(set(STAMPED_ARTIFACTS.values())))
 def test_any_exception_in_a_stage_is_one_line_naming_it(mini_full_run, tmp_path, monkeypatch, capsys, stage,
@@ -812,7 +867,7 @@ def test_failed_stage_leaves_none_of_its_outputs(mini_config, tmp_path, monkeypa
     assert err.startswith("error in stage 'finetune': ") and "No space left" in err
     assert sorted(p.name for p in out.iterdir()) == [LOCK_FILE, SPLIT_FILE, VOCAB_FILE]
     assert main(["evaluate", *argv]) == 1
-    assert "no checkpoints to evaluate" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error in stage 'finetune': missing artifact standard.ckpt")
 
 
 def test_interrupted_stage_exits_130_with_one_line_and_none_of_its_outputs(mini_config, tmp_path, monkeypatch,
@@ -934,13 +989,14 @@ def test_cli_error_paths(tmp_path, capsys):
         (("[corpus]\n", "[corpus]\nmin_count = -1\n"), [], "min_count"),
         (("[model]\n", "[model]\ntie_embeddings = maybe\n"), [], "tie_embeddings"),
         (("max_decode_len = 12", "max_decode_len = 20"), [], "max_target_len (16)"),
+        (("max_decode_len = 12", "max_decode_len = 16"), [], "max_target_len (16)"),
     ],
     ids=[
         "num_candidates", "model_dim", "num_beams", "epochs", "margin", "seed", "seed-flag",
         "finetune-lr-nan", "finetune-lr-inf", "brio-lr-nan", "brio-lr-inf",
         "diversity-penalty-nan", "length-penalty-nan", "length-penalty-inf",
         "corpus-not-an-integer", "vocab-size-0", "min-count-negative", "model-not-a-boolean",
-        "decode-longer-than-model-targets",
+        "decode-longer-than-model-targets", "decode-as-long-as-model-targets",
     ],
 )
 def test_out_of_range_settings_exit_2_without_a_traceback(tmp_path, mini_corpus, edit, argv, name):
@@ -957,6 +1013,31 @@ def test_out_of_range_settings_exit_2_without_a_traceback(tmp_path, mini_corpus,
     assert "Traceback" not in proc.stderr
     assert proc.stderr.count("\n") == 1 and proc.stdout == ""
     assert not (tmp_path / "run").exists()
+
+
+def test_decode_one_below_the_target_length_runs_to_the_end(tmp_path, mini_corpus):
+    # A length-capped candidate gains a closing EOS: 15 decoded tokens plus
+    # EOS fill the 16 target positions exactly.
+    ini = tmp_path / "longest.ini"
+    ini.write_text(
+        MINI_CONFIG.format(corpus=mini_corpus).replace("max_decode_len = 12", "max_decode_len = 15"),
+        encoding="utf-8",
+    )
+    assert run_pipeline(ExperimentConfig.load(ini, out_dir=str(tmp_path / "run")), list(STAGES)) == 0
+
+
+def test_readme_artifact_table_lists_the_outputs_of_each_stage():
+    """The README's table of artifacts by stage is ``cli._STAGES``, plus
+    the loop's candidate caches and the two reports, which it leaves out."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("\n| Stage ", 1)[1].split("\n\n", 1)[0]
+    rows = re.findall(r"^\| `([\w-]+)` +\| (.*)\|$", table, flags=re.M)
+    listed = {stage: set(re.findall(r"`([^`]+)`", cell)) for stage, cell in rows}
+    expected = {stage: set(outputs) for stage, (_, outputs) in cli._STAGES.items()}
+    expected["loop"].add(cli.LOOP_CANDIDATES.format("<i>"))
+    expected["report"] |= {REPORT_TXT, REPORT_CSV}
+    assert [stage for stage, _ in rows] == list(STAGES)
+    assert listed == expected
 
 
 def test_run_pipeline_requires_out_dir(mini_config, capsys):
