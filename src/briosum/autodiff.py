@@ -2,11 +2,14 @@
 
 A tiny tape: every op returns a new Tensor holding the forward value and,
 while gradients are enabled, a closure that maps the output gradient to the
-input gradients. ``Tensor.backward()`` walks the graph once in reverse
-topological order and accumulates into the ``grad`` buffer of every leaf
-created with ``requires_grad=True``. Calling backward twice on the same
-graph adds the same gradients again (accumulation is the contract; clearing
-is the optimizer's job).
+input gradients. ``Tensor.backward()`` orders the graph's nodes by one
+depth-first pass, which also counts the edges into each leaf created with
+``requires_grad=True``, and then walks them once in reverse. A leaf that one
+edge feeds takes its contribution into its ``grad`` buffer as it is, with no
+map entry and no sum; a node, or a leaf that several edges feed, sums its
+contributions first, in the order the walk makes them. Calling backward twice on the same graph adds the
+same gradients again (accumulation is the contract; clearing is the
+optimizer's job).
 
 All arithmetic is float64.
 """
@@ -14,6 +17,7 @@ All arithmetic is float64.
 from __future__ import annotations
 
 import contextlib
+import functools
 from typing import Callable, Sequence
 
 import numpy as np
@@ -55,9 +59,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    def _in_graph(self) -> bool:
-        return self.requires_grad or self._vjp is not None
-
     def item(self) -> float:
         return float(self.data)
 
@@ -67,44 +68,73 @@ class Tensor:
         ``self`` must be a scalar (size-1) tensor. Gradient flow through
         intermediate nodes lives in a per-call map, so repeated calls on the
         same graph add identical contributions into the leaves.
+
+        One depth-first pass orders the nodes (tensors with a vjp) and counts
+        the edges into each requires_grad leaf. Then the nodes are walked in
+        reverse. A leaf fed by one edge takes its contribution as it is into
+        ``grad``; a node, or a leaf fed by several edges (a tied embedding,
+        ``mul(a, a)``), sums its contributions in the order the walk makes
+        them before it uses the sum. So every gradient equals, bit for bit,
+        that of a walk that joins every tensor's contributions first.
         """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
-        if not self._in_graph():
-            raise RuntimeError("backward() on a tensor with no graph attached")
+        if self._vjp is None:
+            if not self.requires_grad:
+                raise RuntimeError("backward() on a tensor with no graph attached")
+            self.grad += np.ones_like(self.data)
+            return
 
         topo: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        seen: set[Tensor] = set()
+        fan_in: dict[Tensor, int] = {}  # requires_grad leaf -> edges into it
+        # ``None`` above a node on the stack: its parents are done, emit it.
+        stack: list[Tensor | None] = [self]
         while stack:
-            node, done = stack.pop()
-            if done:
-                topo.append(node)
+            node = stack.pop()
+            if node is None:
+                topo.append(stack.pop())
                 continue
-            if id(node) in seen:
+            if node in seen:
                 continue
-            seen.add(id(node))
-            stack.append((node, True))
+            seen.add(node)
+            stack += (node, None)
             for parent in node._parents:
-                if id(parent) not in seen and parent._in_graph():
-                    stack.append((parent, False))
+                if parent._vjp is not None:
+                    if parent not in seen:
+                        stack.append(parent)
+                elif parent.requires_grad:
+                    fan_in[parent] = fan_in.get(parent, 0) + 1
 
-        flow: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
+        flow: dict[Tensor, np.ndarray] = {self: np.ones_like(self.data)}
+        single: list[tuple[Tensor, np.ndarray]] = []  # (leaf fed by one edge, its contribution)
         for node in reversed(topo):
-            out_grad = flow.pop(id(node), None)
+            out_grad = flow.pop(node, None)
             if out_grad is None:
                 continue
             if node.requires_grad:
                 node.grad += out_grad
-            if node._vjp is None:
-                continue
             for parent, contrib in zip(node._parents, node._vjp(out_grad)):
-                if contrib is None or not parent._in_graph():
+                if contrib is None:
                     continue
+                if parent._vjp is None:
+                    if not parent.requires_grad:
+                        continue
+                    if fan_in[parent] == 1:
+                        single.append((parent, contrib))
+                        continue
                 # Never add in place: a vjp may hand the same array to two
                 # parents (add's g), so ``held`` can alias another flow.
-                held = flow.get(id(parent))
-                flow[id(parent)] = contrib if held is None else held + contrib
+                held = flow.get(parent)
+                flow[parent] = contrib if held is None else held + contrib
+        # The leaves take their gradients once the walk is done. Freeing each
+        # contribution as it arrives lets glibc trim the heap's top after
+        # every document and fault it back in on the next: about ten times
+        # the minor faults of a BRIO training pass, and slower.
+        for leaf, contrib in single:
+            leaf.grad += contrib
+        for leaf, joined in flow.items():  # only leaves fed by several edges are left
+            leaf.grad += joined
 
     # -- operator sugar --------------------------------------------------
 
@@ -121,9 +151,12 @@ def _wrap(x) -> Tensor:
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
     out = Tensor(data)
-    if _GRAD_ENABLED and any(p._in_graph() for p in parents):
-        out._parents = parents
-        out._vjp = vjp
+    if _GRAD_ENABLED:
+        for p in parents:
+            if p.requires_grad or p._vjp is not None:
+                out._parents = parents
+                out._vjp = vjp
+                break
     return out
 
 
@@ -196,7 +229,8 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then scale and shift."""
+    """Normalize over the last axis, then scale and shift by the (n,)
+    ``gain`` and ``bias``."""
     x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
     n = x.data.shape[-1]
     mu = x.data.sum(axis=-1, keepdims=True) / n
@@ -208,8 +242,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     out += bias.data
 
     def vjp(g):
-        g_gain = _unbroadcast(g * xhat, gain.data.shape)
-        g_bias = _unbroadcast(g, bias.data.shape)
+        g_gain = _rows(g * xhat).sum(axis=0)
+        g_bias = _rows(g).sum(axis=0)
         g_x = g * gain.data
         m1 = g_x.sum(axis=-1, keepdims=True) / n
         m2 = (g_x * xhat).sum(axis=-1, keepdims=True) / n
@@ -250,14 +284,16 @@ def gold_logprob_sum(logprobs: Tensor, gold: np.ndarray, keep: np.ndarray, axis=
     axis; the sum runs over ``axis`` of that shape (all of it by default).
     """
     a = _wrap(logprobs)
-    idx = np.where(keep, gold, 0)[..., None]
+    # Row r of the (rows, vocab) view gives its entry at column cols[r].
+    rows = np.arange(keep.size)
+    cols = np.where(keep, gold, 0).reshape(-1)
     weight = keep.astype(np.float64)
-    out = (np.take_along_axis(a.data, idx, axis=-1)[..., 0] * weight).sum(axis=axis)
+    out = (_rows(a.data)[rows, cols].reshape(keep.shape) * weight).sum(axis=axis)
 
     def vjp(g):
         g_picked = (g if axis is None else np.expand_dims(g, axis)) * weight
-        full = np.zeros_like(a.data)
-        np.put_along_axis(full, idx, g_picked[..., None], axis=-1)
+        full = np.zeros(a.data.shape)
+        _rows(full)[rows, cols] = g_picked.reshape(-1)
         return (full,)
 
     return _node(out, (a,), vjp)
@@ -285,6 +321,18 @@ def _from_heads(a: np.ndarray) -> np.ndarray:
     """(B, heads, T, head_dim) -> (B, T, heads * head_dim)."""
     b, h, t, hd = a.shape
     return a.transpose(0, 2, 1, 3).reshape(b, t, h * hd)
+
+
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """``a.max(axis=-1, keepdims=True)``, the same values. numpy reduces a
+    row at a time, which costs more than copying once from 32 rows on (a
+    training pass's scores): then the maxima are taken elementwise over
+    a's columns, laid out as the rows of one contiguous copy. A maximum is
+    exact, so the order does not change it."""
+    n = a.shape[-1]
+    if a.size < 32 * n:  # one decoding step's scores: a few rows
+        return a.max(axis=-1, keepdims=True)
+    return np.ascontiguousarray(a.reshape(-1, n).T).max(axis=0).reshape(*a.shape[:-1], 1)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -333,7 +381,7 @@ def attention(
     probs *= scale
     if mask is not None:
         probs += mask
-    probs -= probs.max(axis=-1, keepdims=True)
+    probs -= _row_max(probs)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
     ctx = _from_heads(probs @ vh)
@@ -439,11 +487,19 @@ def pairwise_hinge(scores: np.ndarray, margin: float) -> tuple[np.float64, np.nd
     the (n, n) mask of the pairs whose argument is strictly positive (the
     active hinges; at the kink the subgradient taken is 0).
     """
-    n = scores.shape[0]
-    idx = np.arange(n, dtype=np.float64)
-    diffs = scores[None, :] - scores[:, None] + margin * (idx[None, :] - idx[:, None])
-    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    steps, upper = _pair_grid(scores.shape[0])
+    diffs = scores[None, :] - scores[:, None] + margin * steps
     return np.where(upper, np.maximum(0.0, diffs), 0.0).sum(), upper & (diffs > 0.0)
+
+
+@functools.cache
+def _pair_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, n) rank distances j - i and the mask of pairs i < j, read-only."""
+    idx = np.arange(n, dtype=np.float64)
+    steps = idx[None, :] - idx[:, None]
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    steps.flags.writeable = upper.flags.writeable = False
+    return steps, upper
 
 
 def brio_objective(

@@ -34,7 +34,7 @@ import sys
 from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .brio import (
     BrioConfig,
@@ -485,10 +485,13 @@ def _write_cache(ctx: _Context, name: str, ranked: list[RankedCandidateSet]) -> 
 
 
 def _outputs_fresh(ctx: _Context, stage: str) -> bool:
-    """True when the stage's outputs all exist and each loads whole through
-    ``_load``; one that does not load is a StageError."""
+    """True when the stage's inputs and outputs all exist and each output
+    loads whole through ``_load``; one that does not load is a StageError.
+    A stage with a missing input runs, and its read names the stage that
+    writes that input."""
     names = ctx.outputs(stage)
-    if ctx.force or not names or not all(ctx.path(name).exists() for name in names):
+    present = (*_STAGES[stage].reads, *names)
+    if ctx.force or not names or not all(ctx.path(name).exists() for name in present):
         return False
     for name in names:
         _load(ctx, name)
@@ -600,22 +603,31 @@ def _stage_report(ctx: _Context) -> str:
     return f"{len(rows)} rows"
 
 
-# Each stage in pipeline order: its function and the artifacts it writes.
-# The loop also writes a candidate cache for each iteration from the second
-# on (``_Context.producers``). The reports are not listed: they are
+class _Stage(NamedTuple):
+    run: Callable[[_Context], str]
+    reads: tuple[str, ...]
+    writes: tuple[str, ...]
+
+
+# Each stage in pipeline order: its function, the artifacts it reads and
+# the artifacts it writes. Every stage after ``split`` reads the split and
+# the vocabulary, through ``_Context.prepared``. The loop also writes a
+# candidate cache for each iteration from the second on
+# (``_Context.producers``). The reports are not listed: they are
 # re-rendered on every run and carry no config hash, so they stay
 # byte-identical.
+_SPLIT = (SPLIT_FILE, VOCAB_FILE)
 _STAGES = {
-    "split": (_stage_split, (SPLIT_FILE, VOCAB_FILE)),
-    "finetune": (_stage_finetune, (STANDARD_CKPT, FINETUNE_CKPT, FINETUNE_METRICS)),
-    "gen-cands": (_stage_gen_cands, (FINETUNE_CANDIDATES,)),
-    "brio": (_stage_brio, (BRIO_CKPT, BRIO_METRICS)),
-    "loop": (_stage_loop, (LOOP_CKPT, LOOP_REPORT)),
-    "evaluate": (_stage_evaluate, (EVAL_FILE,)),
-    "report": (_stage_report, ()),
+    "split": _Stage(_stage_split, (), _SPLIT),
+    "finetune": _Stage(_stage_finetune, _SPLIT, (STANDARD_CKPT, FINETUNE_CKPT, FINETUNE_METRICS)),
+    "gen-cands": _Stage(_stage_gen_cands, (*_SPLIT, FINETUNE_CKPT), (FINETUNE_CANDIDATES,)),
+    "brio": _Stage(_stage_brio, (*_SPLIT, FINETUNE_CKPT, FINETUNE_CANDIDATES), (BRIO_CKPT, BRIO_METRICS)),
+    "loop": _Stage(_stage_loop, (*_SPLIT, BRIO_CKPT), (LOOP_CKPT, LOOP_REPORT)),
+    "evaluate": _Stage(_stage_evaluate, (*_SPLIT, *(name for _, name in _REPORT_SYSTEMS)), (EVAL_FILE,)),
+    "report": _Stage(_stage_report, (EVAL_FILE,), ()),
 }
 STAGES = tuple(_STAGES)
-_PRODUCERS = {name: stage for stage, (_, outputs) in _STAGES.items() for name in outputs}
+_PRODUCERS = {name: stage for stage, entry in _STAGES.items() for name in entry.writes}
 
 
 def _run_stage(ctx: _Context, stage: str) -> str:
@@ -623,7 +635,7 @@ def _run_stage(ctx: _Context, stage: str) -> str:
     exception it raises that is not already a StageError becomes one naming
     this stage."""
     try:
-        return _STAGES[stage][0](ctx)
+        return _STAGES[stage].run(ctx)
     except BaseException as exc:
         for name in ctx.outputs(stage):
             with contextlib.suppress(OSError):  # the stage's own error is the one to report

@@ -19,6 +19,7 @@ pass and each layer's cross-attention K/V. Training and decoding alike call
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, replace
@@ -235,10 +236,14 @@ def source_pad_mask(src: np.ndarray) -> np.ndarray | None:
     return np.where(blocked, _NEG_INF, 0.0) if blocked.any() else None
 
 
+@functools.cache
 def causal_mask(length: int) -> np.ndarray:
-    """Additive mask (1, 1, T, T) hiding positions after the query position."""
+    """Additive mask (1, 1, T, T) hiding positions after the query position;
+    built once per length and read-only."""
     upper = np.triu(np.ones((length, length), dtype=bool), k=1)
-    return np.where(upper, _NEG_INF, 0.0)[None, None, :, :]
+    mask = np.where(upper, _NEG_INF, 0.0)[None, None, :, :]
+    mask.flags.writeable = False
+    return mask
 
 
 def encode_source(params: ModelParams, src: np.ndarray) -> tuple[Tensor, np.ndarray | None]:

@@ -4,7 +4,8 @@ counter of BRIO training-stage calls, the per-tensor optimizer step that
 the steps on the parameter vector and on shape groups replace, the
 primitive ops and composed graphs that the fused autodiff ops replace, the
 BRIO loss graph before ``embed`` and the residual-taking layers with a
-counter of its tape nodes, the dynamic-programming LCS that the
+counter of its tape nodes, the backward walk with one map of pending
+gradients that ``Tensor.backward`` replaces, the dynamic-programming LCS that the
 bit-parallel ROUGE-L kernel replaces, and the check that a search of many
 documents found what each document's own search finds."""
 
@@ -409,6 +410,51 @@ def composed_brio_objective(sums, lengths, mle_weight, ctr_weight, margin, lengt
     diffs = add(sub(ad.reshape(scores, (1, n)), ad.reshape(scores, (n, 1))), margins)
     ctr = tsum(relu(diffs) * ad.Tensor(np.triu(np.ones((n, n)), k=1)))
     return add(total, ctr * ctr_weight), mle.item(), ctr.item()
+
+
+def _in_graph(t: ad.Tensor) -> bool:
+    return t.requires_grad or t._vjp is not None
+
+
+def reference_backward(root: ad.Tensor) -> None:
+    """``Tensor.backward`` as one map of pending gradients keyed by ``id()``:
+    the reference for the walk that writes a leaf fed by one edge straight
+    into its ``grad``. Every tensor in the graph, leaves included, joins its
+    contributions as ``held + contrib`` in the order of the reverse walk and
+    takes the sum when the walk reaches it."""
+    if root.data.size != 1:
+        raise ValueError("backward() requires a scalar tensor")
+    if not _in_graph(root):
+        raise RuntimeError("backward() on a tensor with no graph attached")
+    topo: list[ad.Tensor] = []
+    seen: set[int] = set()
+    stack: list[tuple[ad.Tensor, bool]] = [(root, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if id(parent) not in seen and _in_graph(parent):
+                stack.append((parent, False))
+    flow: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
+    for node in reversed(topo):
+        out_grad = flow.pop(id(node), None)
+        if out_grad is None:
+            continue
+        if node.requires_grad:
+            node.grad += out_grad
+        if node._vjp is None:
+            continue
+        for parent, contrib in zip(node._parents, node._vjp(out_grad)):
+            if contrib is None or not _in_graph(parent):
+                continue
+            held = flow.get(id(parent))
+            flow[id(parent)] = contrib if held is None else held + contrib
 
 
 def count_tape_nodes(loss: ad.Tensor) -> int:

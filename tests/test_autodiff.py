@@ -19,6 +19,7 @@ from helpers import (
     gelu,
     getitem,
     matmul,
+    reference_backward,
     relu,
     softmax,
     sub,
@@ -315,6 +316,36 @@ def test_gold_logprob_sum_matches_composed_graph(axis):
 
 
 
+@pytest.mark.parametrize("axis", [None, 1])
+def test_gold_logprob_sum_equals_composed_graph_bit_for_bit(axis):
+    # The composed graph gathers and scatters with take_along_axis and
+    # put_along_axis; the fused op indexes rows of a (rows, vocab) view.
+    gold = np.array([[1, 4, 2, 0], [0, 0, 0, 0], [5, 5, 3, 0]])
+    keep = gold != 0
+    table = leaf((3, 4, 6))
+    assert check_bitwise(lambda: ad.gold_logprob_sum(table, gold, keep, axis),
+                         lambda: composed_gold_sum(table, gold, keep, axis), [table]) < 1e-6
+
+
+@pytest.mark.parametrize("shape", [(1, 4, 40, 40), (7, 4, 15, 15), (7, 4, 15, 40), (3, 1)])
+def test_row_max_equals_numpy_max_over_the_last_axis(shape):
+    a = RNG.normal(size=shape) + np.triu(np.full(shape[-2:], -1e9), k=1)  # masked as scores are
+    assert np.array_equal(ad._row_max(a), a.max(axis=-1, keepdims=True))
+
+
+def test_pairwise_hinge_reads_one_read_only_grid_per_length():
+    scores = np.array([-1.0, -0.7, -1.9, -1.6])
+    loss, active = ad.pairwise_hinge(scores, 0.1)
+    idx = np.arange(4)
+    args = scores[None, :] - scores[:, None] + 0.1 * (idx[None, :] - idx[:, None])
+    upper = np.triu(np.ones((4, 4), dtype=bool), k=1)
+    assert loss == np.where(upper, np.maximum(0.0, args), 0.0).sum()
+    assert np.array_equal(active, upper & (args > 0.0))
+    steps, mask = ad._pair_grid(4)
+    assert ad._pair_grid(4)[0] is steps
+    assert not steps.flags.writeable and not mask.flags.writeable
+
+
 # Candidate scores in quality order: some hinges active, some not.
 MIXED = [-1.0, -0.7, -1.9, -1.6, -2.5]
 LENGTHS = [5.0, 3.0, 6.0, 4.0, 2.0, 7.0]
@@ -400,6 +431,80 @@ def test_fan_in_through_add_does_not_alias_gradients():
     build().backward()
     np.testing.assert_allclose(x.grad, 5.0 + 12.0 * x.data)
     assert tensor_gradcheck(build, {"x": x}) < 1e-6
+
+
+def walks_agree(build, leaves, calls=1):
+    """Each leaf's gradient after ``calls`` walks of ``Tensor.backward`` and
+    of ``reference_backward`` over the graph ``build()`` makes, both from the
+    same non-zero gradients, compared bit for bit. Returns the starting
+    gradients and those the walk left."""
+    start = [RNG.normal(size=t.shape) for t in leaves]
+    results = []
+    for walk in (Tensor.backward, reference_backward):
+        for t, g in zip(leaves, start):
+            t.grad[...] = g
+        root = build()
+        for _ in range(calls):
+            walk(root)
+        results.append([t.grad.copy() for t in leaves])
+    for i, (got, want) in enumerate(zip(*results)):
+        assert np.array_equal(got, want), i
+    return start, results[0]
+
+
+def test_walk_joins_both_edges_of_mul_a_a_before_adding_them():
+    a = leaf((64,))
+    (start,), (got,) = walks_agree(lambda: tsum(ad.mul(a, a)), [a])
+    # Adding each edge's a on its own rounds differently, so this case tells
+    # the two orders apart.
+    assert not np.array_equal(got, (start + a.data) + a.data)
+
+
+def test_walk_from_a_scalar_leaf_adds_one():
+    a = Tensor(np.array(0.3), requires_grad=True)
+    (start,), (got,) = walks_agree(lambda: a, [a])
+    assert got == start + 1.0
+
+
+def test_walk_twice_on_one_graph_adds_twice():
+    x, b, w = leaf((3, 4)), leaf((4,)), leaf((4, 2))
+
+    def build():
+        shared = add(x, b) * x
+        return add(tsum(shared * 0.5), tsum(matmul(shared, w)))
+
+    walks_agree(build, [x, b, w], calls=2)
+
+
+def test_walk_with_a_none_contribution_to_a_leaf_of_two_consumers():
+    def first_only(a, b):
+        return ad._node(a.data + b.data, (a, b), lambda g: (g, None))
+
+    x, w, unused = leaf((5,)), leaf((5,)), leaf((5,))
+    # w feeds two nodes, one of which gives it nothing; ``unused`` feeds one
+    # node that gives it nothing.
+    (_, w_start, unused_start), (_, w_got, unused_got) = walks_agree(
+        lambda: tsum(first_only(ad.mul(first_only(x, w), w), unused)), [x, w, unused])
+    assert not np.array_equal(w_got, w_start)
+    assert np.array_equal(unused_got, unused_start)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_walk_on_random_graphs_with_shared_nodes_and_leaves(seed):
+    rng = np.random.default_rng(seed)
+    leaves = [leaf((4, 4)) for _ in range(4)]
+    constant = Tensor(rng.normal(size=(4, 4)))
+    # 14 ops, each on two earlier tensors: (op, first operand, second operand)
+    plan = [(rng.integers(4), *rng.integers(0, 5 + k, size=2)) for k in range(14)]
+
+    def build():
+        nodes = [*leaves, constant]
+        for op, i, j in plan:
+            a, b = nodes[i], nodes[j]
+            nodes.append(matmul(a, b) * 0.25 if op == 3 else (add, sub, ad.mul)[op](a, b))
+        return tsum(add(nodes[-1], nodes[-5]))
+
+    walks_agree(build, leaves)
 
 
 def test_no_grad_blocks_graph():

@@ -39,6 +39,7 @@ from helpers import (
     count_tape_nodes,
     count_train_stages,
     max_gradcheck_error,
+    reference_backward,
     relu,
     sub,
     tiny_params,
@@ -267,6 +268,29 @@ def test_brio_loss_on_the_acceptance_model_is_41_nodes_with_unfused_gradients():
     assert (nodes, unfused_nodes) == (41, 55)
     assert value == unfused_value
     assert np.array_equal(grad, unfused_grad)
+
+
+def test_brio_loss_walk_from_non_zero_gradients_equals_the_reference_walk():
+    # The acceptance-shaped document of the test above, differentiated into
+    # gradients that earlier documents left, as the main process adds a
+    # batch's documents into one gradient.
+    rng = random.Random(41)
+    body = lambda n: [rng.randrange(UNK_ID + 1, ACCEPTANCE_MODEL.vocab_size) for _ in range(n)]  # noqa: E731
+    triple = RougeTriple(*(RougeScore(0.5, 0.5, 0.5) for _ in range(3)))
+    cands = [CandSum("d0", (BOS_ID, *body(n), EOS_ID), "", 0.0, triple, quality_score(triple))
+             for n in (14, 9, 1, 12, 5, 7)]
+    ranked = RankedCandidateSet("d0", [BOS_ID, *body(38), EOS_ID], [BOS_ID, *body(10), EOS_ID], cands)
+    config = brio_cfg(num_candidates=6, decode=decode_cfg(num_beams=6, num_beam_groups=6),
+                      margin=0.001, ctr_weight=0.3, mle_weight=1.0)
+    params = init_params(ACCEPTANCE_MODEL, seed=7)
+    start = np.random.default_rng(3).normal(size=params.grad.shape)
+    grads = []
+    for walk in (ad.Tensor.backward, reference_backward):
+        params.grad[...] = start
+        walk(brio_loss(params, ranked, config) * 0.25)
+        grads.append(params.grad.copy())
+    assert np.array_equal(*grads)
+    assert not np.array_equal(grads[0], start)
 
 
 def test_brio_loss_zero_when_both_terms_vanish():

@@ -725,6 +725,45 @@ def test_evaluate_without_a_checkpoint_fails_its_producing_stage(mini_full_run, 
     assert not (run / EVAL_FILE).exists()
 
 
+@pytest.mark.parametrize("name", [name for _, name in cli._REPORT_SYSTEMS])
+def test_evaluate_after_a_checkpoint_is_deleted_is_not_up_to_date(mini_full_run, tmp_path, capsys, name):
+    # The same run without --force: eval.json still scores the deleted
+    # checkpoint, so evaluate must not count as up to date.
+    ini, out = mini_full_run
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    config = ExperimentConfig.load(ini, out_dir=str(run))
+    (run / name).unlink()
+    capsys.readouterr()
+    assert run_pipeline(config, ["evaluate", "report"]) == 1
+    captured = capsys.readouterr()
+    stage = STAMPED_ARTIFACTS[name]
+    assert captured.err == f"error in stage '{stage}': missing artifact {name}; run the '{stage}' stage first\n"
+    assert captured.out == ""
+    assert not (run / EVAL_FILE).exists()
+
+
+def test_brio_after_its_input_checkpoint_is_deleted_is_not_up_to_date(mini_full_run, tmp_path, capsys):
+    ini, out = mini_full_run
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    config = ExperimentConfig.load(ini, out_dir=str(run))
+    (run / FINETUNE_CKPT).unlink()
+    capsys.readouterr()
+    assert run_pipeline(config, ["brio"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error in stage 'finetune': missing artifact {FINETUNE_CKPT}; run the 'finetune' stage first\n"
+    )
+    assert captured.out == ""
+    assert not (run / BRIO_CKPT).exists()
+
+
+def test_each_stage_reads_only_what_an_earlier_stage_writes():
+    for index, (stage, entry) in enumerate(cli._STAGES.items()):
+        assert all(STAGES.index(cli._PRODUCERS[name]) < index for name in entry.reads), stage
+
+
 @pytest.mark.parametrize("message", ["disk quota", ""], ids=["message", "no-message"])
 @pytest.mark.parametrize("stage", sorted(set(STAMPED_ARTIFACTS.values())))
 def test_any_exception_in_a_stage_is_one_line_naming_it(mini_full_run, tmp_path, monkeypatch, capsys, stage,
@@ -1033,7 +1072,7 @@ def test_readme_artifact_table_lists_the_outputs_of_each_stage():
     table = readme.split("\n| Stage ", 1)[1].split("\n\n", 1)[0]
     rows = re.findall(r"^\| `([\w-]+)` +\| (.*)\|$", table, flags=re.M)
     listed = {stage: set(re.findall(r"`([^`]+)`", cell)) for stage, cell in rows}
-    expected = {stage: set(outputs) for stage, (_, outputs) in cli._STAGES.items()}
+    expected = {stage: set(entry.writes) for stage, entry in cli._STAGES.items()}
     expected["loop"].add(cli.LOOP_CANDIDATES.format("<i>"))
     expected["report"] |= {REPORT_TXT, REPORT_CSV}
     assert [stage for stage, _ in rows] == list(STAGES)

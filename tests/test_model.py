@@ -17,6 +17,7 @@ from briosum.model import (
     _attend,
     _param_specs,
     _project_kv,
+    causal_mask,
     decoder_logprobs,
     encode_source,
     forward,
@@ -521,3 +522,12 @@ def test_training_determinism_same_seed_same_losses():
         _, history = finetune_stage(params, examples, examples, config, decode_config, seed=3)
         histories.append(history)
     assert histories[0] == histories[1]
+
+
+def test_causal_mask_is_built_once_per_length_and_read_only():
+    mask = causal_mask(6)
+    assert causal_mask(6) is mask and not mask.flags.writeable
+    assert mask.shape == (1, 1, 6, 6)
+    assert np.array_equal(mask[0, 0], np.where(np.triu(np.ones((6, 6), dtype=bool), k=1), -1e9, 0.0))
+    with pytest.raises(ValueError):
+        mask[..., 2:, :] += 1.0
