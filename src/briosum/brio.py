@@ -34,6 +34,7 @@ from .model import (
     DecoderCache,
     ModelParams,
     candidate_scores,
+    check_candidates,
     decoder_logprobs,
     mle_loss,
     pad_ids,
@@ -200,26 +201,21 @@ def _rank_candidates(
     ranked_hyps = sorted(
         range(len(hyps)), key=lambda i: (-hyps[i].score(config.decode.length_penalty), i)
     )
-    unique: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
+    unique: dict[tuple[int, ...], float] = {}  # candidate -> its search's model log-prob
     for i in ranked_hyps:
         # Length-capped hypotheses get a closing EOS so every candidate is a
         # complete, scoreable summary; dedup runs on the closed form.
         tokens = hyps[i].tokens
         if not hyps[i].finished:
             tokens = tokens + (EOS_ID,)
-        if tokens in seen:
-            continue
-        seen.add(tokens)
-        unique.append(tokens)
+        unique.setdefault(tokens, hyps[i].model_log_prob)
         if len(unique) >= config.num_candidates:
             break
 
-    token_lists = [list(tokens) for tokens in unique]
-    with ad.no_grad():
-        scores = candidate_scores(
-            params, example.source_ids, token_lists, config.length_penalty
-        ).data
+    # candidate_scores's arithmetic, on the sums the search made as it decoded.
+    check_candidates(params.config, list(unique))
+    lengths = np.array([len(tokens) - 1 for tokens in unique], dtype=np.float64)
+    scores = np.array(list(unique.values())) * lengths**-config.length_penalty
 
     reference = _rouge_units(example.target_ids)
     cands: list[CandSum] = []

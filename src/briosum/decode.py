@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .corpus import BOS_ID, EOS_ID
+from .corpus import BOS_ID, EOS_ID, PAD_ID
 from .model import DecoderCache, ModelParams, decoder_logprobs, pad_ids
 
 # Next-token log-prob rows, (batch, vocab), for a batch of prefixes ...
@@ -90,11 +90,15 @@ class DecodeConfig:
 @dataclass(frozen=True)
 class Hypothesis:
     """A BOS-prefixed candidate with its cumulative (possibly diversity-
-    penalized) log-prob; ``finished`` means EOS was emitted."""
+    penalized) log-prob; ``finished`` means EOS was emitted.
+    ``model_log_prob`` sums the scorer's log-probs of the tokens with no
+    penalty and nothing for PAD, as ``model.score_rows`` does; a closing
+    search adds log p(EOS | tokens) for a hypothesis capped unfinished."""
 
     tokens: tuple[int, ...]
     log_prob: float
     finished: bool
+    model_log_prob: float = 0.0
 
     def scored_length(self) -> int:
         return len(self.tokens) - 1
@@ -157,7 +161,7 @@ def group_beam_search(
 
 
 def group_beam_searches(
-    scorer: DocumentScorer, vocab_size: int, config: DecodeConfig, documents: int
+    scorer: DocumentScorer, vocab_size: int, config: DecodeConfig, documents: int, close: bool = False
 ) -> list[list[Hypothesis]]:
     """Run grouped beam search of ``documents`` documents against one scorer.
 
@@ -166,7 +170,8 @@ def group_beam_searches(
     not refilled, so each group contributes at most ``num_beams /
     num_beam_groups`` hypotheses (exactly that many when the vocabulary is
     wide enough). A document's search does not depend on the others': they
-    only share each step's scorer call.
+    only share each step's scorer call. With ``close``, one more call scores
+    EOS after every hypothesis capped at ``max_decode_len``.
     """
     groups = range(config.num_beam_groups)
     active = [[[Hypothesis((BOS_ID,), 0.0, False)] for _ in groups] for _ in range(documents)]
@@ -186,6 +191,13 @@ def group_beam_searches(
             if rows:
                 _extend_groups(active[d], done[d], stacked[row : row + rows], vocab_size, config)
                 row += rows
+    capped = [(d, g, i) for d in range(documents) for g in groups for i, h in enumerate(done[d][g])
+              if close and not h.finished]
+    if capped:  # each capped prefix extends a row of the last call
+        eos = scorer([(d, done[d][g][i].tokens) for d, g, i in capped])[:, EOS_ID]
+        for (d, g, i), logp in zip(capped, eos):
+            h = done[d][g][i]
+            done[d][g][i] = replace(h, model_log_prob=h.model_log_prob + float(logp))
 
     ranked = lambda hyps: sorted(hyps, key=lambda h: -h.score(config.length_penalty))  # noqa: E731
     return [[h for g in groups for h in ranked(done[d][g] + active[d][g])] for d in range(documents)]
@@ -206,10 +218,10 @@ def _extend_groups(
     for g in range(config.num_beam_groups):
         if not active[g]:
             continue
-        logps = stacked[row : row + len(active[g])]
+        logps = scores = stacked[row : row + len(active[g])]
         row += len(active[g])
-        if config.diversity_penalty != 0.0:
-            logps = logps - config.diversity_penalty * chosen_counts
+        if g and config.diversity_penalty != 0.0:  # group 0 comes first: no token is chosen yet
+            logps = scores - config.diversity_penalty * chosen_counts
         budget = width - len(done[g])
         # Token-major, so flat index order is (token, hypothesis): the
         # first maximum and a stable sort on the negated sums both break
@@ -226,10 +238,12 @@ def _extend_groups(
         next_active: list[Hypothesis] = []
         for k in picked:
             token, i = divmod(int(k), len(active[g]))
+            parent = active[g][i]
             hyp = Hypothesis(
-                tokens=active[g][i].tokens + (token,),
+                tokens=parent.tokens + (token,),
                 log_prob=float(sums[k]),
                 finished=token == EOS_ID,
+                model_log_prob=parent.model_log_prob + (0.0 if token == PAD_ID else float(scores[i, token])),
             )
             chosen_counts[token] += 1.0
             if hyp.finished or len(hyp.tokens) >= config.max_decode_len:
@@ -240,26 +254,27 @@ def _extend_groups(
 
 
 def diverse_beam_searches(
-    params: ModelParams, sources: Sequence[Sequence[int]], config: DecodeConfig
+    params: ModelParams, sources: Sequence[Sequence[int]], config: DecodeConfig, close: bool = True
 ) -> list[list[Hypothesis]]:
     """``diverse_beam_search`` of each source, in order; chunks of documents
-    (``_ROWS_PER_STEP``) share each step's decoder call."""
+    (``_ROWS_PER_STEP``) share each step's decoder call. ``close`` is
+    ``group_beam_searches``'s, run from the last step's cache."""
     _check_budget(params, config)
     size = max(1, _ROWS_PER_STEP // config.num_beams)
     results: list[list[Hypothesis]] = []
     for first in range(0, len(sources), size):
         chunk = sources[first : first + size]
         scorer = make_document_scorer(params, chunk)
-        results += group_beam_searches(scorer, params.config.vocab_size, config, len(chunk))
+        results += group_beam_searches(scorer, params.config.vocab_size, config, len(chunk), close)
     return results
 
 
 def greedy_decodes(
     params: ModelParams, sources: Sequence[Sequence[int]], config: DecodeConfig
 ) -> list[Hypothesis]:
-    """``greedy_decode`` of each source, in order, searched as ``diverse_beam_searches`` does."""
+    """``greedy_decode`` of each source, in order: ``diverse_beam_searches`` with no closing call."""
     greedy = replace(config, num_beams=1, num_beam_groups=1)
-    return [hyps[0] for hyps in diverse_beam_searches(params, sources, greedy)]
+    return [hyps[0] for hyps in diverse_beam_searches(params, sources, greedy, close=False)]
 
 
 def greedy_decode(

@@ -295,7 +295,10 @@ class DecoderCache:
         return self if self.cross[0][0].shape[0] == 1 else replace(self, docs=np.asarray(docs))
 
     def rows(self, index: Sequence[int]) -> "DecoderCache":
-        """The cache of the prefixes at ``index``, in that order."""
+        """The cache of the prefixes at ``index``, in that order: itself when
+        that is every prefix in its own order."""
+        if self.past and list(index) == list(range(self.past[0][0].shape[0])):
+            return self
         past = tuple((Tensor(k.data[index]), Tensor(v.data[index])) for k, v in self.past)
         return DecoderCache(self.cross, self.mask, past, None if self.docs is None else self.docs[index])
 

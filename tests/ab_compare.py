@@ -26,7 +26,11 @@ of every decoded hypothesis and score (``decode-wide``) or of
 ``report.csv`` (``pipeline``). For a workload that times phases of its
 pass, the seven CLI stages of ``pipeline`` or the candidate and greedy
 phases of ``decode-wide``, it then prints each side's median seconds per
-phase. The last line is one JSON summary. Exit status: 0 when the outputs are equal, 1 when
+phase. When the two sides' ``decode-wide`` outputs differ, one more line
+says how: whether every candidate and greedy token sequence and every
+greedy ``finished`` flag is equal, and the largest relative gap, taken
+against the first tree, in candidate ``model_score`` and in greedy
+``log_prob``. The last line is one JSON summary. Exit status: 0 when the outputs are equal, 1 when
 they differ.
 """
 
@@ -98,7 +102,7 @@ def compare(trees: list[Path], workload: str, rounds: int, seed: int) -> dict:
             job = module.WORKLOADS[workload]
             state = job.setup(seed, Path(work) / label)
             sides.append({"tree": str(tree), "job": job, "state": state, "seconds": [], "usage": [],
-                          "phases": [], "digests": set(), "won": 0})
+                          "phases": [], "digests": set(), "won": 0, "output": None})
         for index in range(rounds):
             order = sides if index % 2 == 0 else sides[::-1]
             for side in order:
@@ -109,11 +113,14 @@ def compare(trees: list[Path], workload: str, rounds: int, seed: int) -> dict:
                 side["usage"].append([after - before for after, before in zip(_usage(), usage)])
                 side["phases"].append(result.phases)
                 side["digests"].add(result.digest)
+                side["output"] = result.output
             a, b = (side["seconds"][-1] for side in sides)
             if a != b:
                 sides[0 if a < b else 1]["won"] += 1
     summary = {"workload": workload, "seed": seed, "rounds": rounds,
                "outputs_equal": len(sides[0]["digests"] | sides[1]["digests"]) == 1}
+    if workload == "decode-wide" and not summary["outputs_equal"]:
+        summary.update(decode_wide_gaps(sides[0]["output"], sides[1]["output"]))
     for label, side in zip("ab", sides):
         summary[label] = {
             "tree": side["tree"],
@@ -128,6 +135,25 @@ def compare(trees: list[Path], workload: str, rounds: int, seed: int) -> dict:
                                for name in side["phases"][0]},
         }
     return summary
+
+
+def _max_relative_gap(first: list[float], second: list[float]) -> float:
+    return max((abs(b - a) / abs(a) for a, b in zip(first, second) if a != b), default=0.0)
+
+
+def decode_wide_gaps(a, b) -> dict:
+    """How two ``decode-wide`` pass outputs, (candidate sets, greedy
+    hypotheses) each, differ; gaps are relative to ``a``'s values."""
+    (sets_a, greedy_a), (sets_b, greedy_b) = a, b
+    tokens = lambda sets, greedy: ([[c.token_ids for c in rs.candidates] for rs in sets],  # noqa: E731
+                                   [(h.tokens, h.finished) for h in greedy])
+    scores = lambda sets: [c.model_score for rs in sets for c in rs.candidates]  # noqa: E731
+    return {
+        "tokens_equal": tokens(sets_a, greedy_a) == tokens(sets_b, greedy_b),
+        "max_model_score_rel_gap": _max_relative_gap(scores(sets_a), scores(sets_b)),
+        "max_greedy_log_prob_rel_gap": _max_relative_gap([h.log_prob for h in greedy_a],
+                                                         [h.log_prob for h in greedy_b]),
+    }
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -150,6 +176,10 @@ def main(argv: list[str] | None = None) -> int:
               f"minflt/pass {side['minflt_per_pass']:.0f}, child minflt/pass {side['child_minflt_per_pass']:.0f}  "
               f"({side['tree']})")
     print(f"outputs equal: {'yes' if summary['outputs_equal'] else 'no'}")
+    if "tokens_equal" in summary:
+        print(f"decode-wide tokens and finished flags equal: {'yes' if summary['tokens_equal'] else 'no'}; "
+              f"largest relative gap in candidate model_score {summary['max_model_score_rel_gap']:.3g}, "
+              f"in greedy log_prob {summary['max_greedy_log_prob_rel_gap']:.3g}")
     for label in "ab":
         if phases := summary[label]["phase_median_s"]:
             print(f"{label} phase medians: " + ", ".join(f"{name} {sec:.4f} s" for name, sec in phases.items()))

@@ -6,8 +6,9 @@ primitive ops and composed graphs that the fused autodiff ops replace, the
 BRIO loss graph before ``embed`` and the residual-taking layers with a
 counter of its tape nodes, the backward walk with one map of pending
 gradients that ``Tensor.backward`` replaces, the dynamic-programming LCS that the
-bit-parallel ROUGE-L kernel replaces, and the check that a search of many
-documents found what each document's own search finds."""
+bit-parallel ROUGE-L kernel replaces, the check that a search of many
+documents found what each document's own search finds, and the
+teacher-forced rescoring that the search's own candidate scores replace."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from briosum import autodiff as ad
 from briosum import brio, model, optim
-from briosum.corpus import PAD_ID, Vocabulary
+from briosum.corpus import EOS_ID, PAD_ID, Vocabulary
 from briosum.model import ModelConfig, ModelParams, init_params
 
 GRADCHECK_EPS = 1e-4
@@ -532,11 +533,46 @@ def dp_lcs_length(a, b) -> int:
 
 def assert_same_searches(got, want) -> None:
     """Each document's hypotheses have equal tokens and ``finished`` flags
-    and log-probs within 1e-9 relative: a padded source's scores can move in
-    the last bits when its keys are blocked differently."""
+    and log-probs and model log-probs within 1e-9 relative: a padded
+    source's scores can move in the last bits when its keys are blocked
+    differently."""
     assert [[(h.tokens, h.finished) for h in hyps] for hyps in got] == [
         [(h.tokens, h.finished) for h in hyps] for hyps in want
     ]
     for hyps_got, hyps_want in zip(got, want):
         for h, w in zip(hyps_got, hyps_want):
             assert abs(h.log_prob - w.log_prob) <= 1e-9 * abs(w.log_prob), (h, w)
+            assert abs(h.model_log_prob - w.model_log_prob) <= 1e-9 * abs(w.model_log_prob), (h, w)
+
+
+def closed_tokens(hyp) -> tuple[int, ...]:
+    """The candidate a hypothesis stands for: its tokens, closed by EOS when capped."""
+    return hyp.tokens if hyp.finished else hyp.tokens + (EOS_ID,)
+
+
+def rescoring_gap(params: ModelParams, source, rows, scores, length_penalty: float) -> float:
+    """The largest relative gap between ``scores`` and ``model.candidate_scores``
+    of the token ``rows``: the teacher-forced pass that candidate generation
+    ran before the search scored its own candidates."""
+    with ad.no_grad():
+        want = model.candidate_scores(params, source, rows, length_penalty).data
+    return float(np.max(np.abs(np.asarray(scores) - want) / np.abs(want)))
+
+
+def search_score_gap(params: ModelParams, sources, searches, length_penalty: float) -> float:
+    """``rescoring_gap`` of every hypothesis of each document's search: its
+    ``model_log_prob`` length-penalized as candidate generation does, against
+    the rescored closed tokens."""
+    worst = 0.0
+    for source, hyps in zip(sources, searches):
+        rows = [closed_tokens(h) for h in hyps]
+        lengths = np.array([len(row) - 1 for row in rows], dtype=np.float64)
+        scores = np.array([h.model_log_prob for h in hyps]) * lengths**-length_penalty
+        worst = max(worst, rescoring_gap(params, source, rows, scores, length_penalty))
+    return worst
+
+
+def candidate_set_score_gap(params: ModelParams, ranked_sets, length_penalty: float) -> float:
+    """``rescoring_gap`` of the ``model_score`` of every candidate of every set."""
+    return max(rescoring_gap(params, rs.source_ids, [c.token_ids for c in rs.candidates],
+                             [c.model_score for c in rs.candidates], length_penalty) for rs in ranked_sets)

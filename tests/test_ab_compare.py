@@ -76,3 +76,32 @@ def test_a_tenfold_gap_in_minor_faults_is_flagged_as_heap_interference(monkeypat
             assert "copy-on-write" in warnings[0]
             assert "13368" in warnings[0] and "458" in warnings[0]
         assert lines[2] == "outputs equal: yes"
+
+
+def decode_wide_output(score_scale=1.0, log_prob_shift=0.0, last_token=7):
+    from briosum.brio import CandSum, RankedCandidateSet
+    from briosum.decode import Hypothesis
+
+    cands = [CandSum("d0", (1, 5, last_token, 2), "w", -2.5 * score_scale, None, 0.5),
+             CandSum("d0", (1, 6, 2), "v", -1.25, None, 0.25)]
+    greedy = [Hypothesis((1, 5, 6, 2), -3.0 + log_prob_shift, True), Hypothesis((1, 4, 4), -0.75, False)]
+    return [RankedCandidateSet("d0", [1, 5, 2], [1, 5, 2], cands)], greedy
+
+
+def test_differing_decode_wide_outputs_are_told_apart_by_tokens_and_score_gaps(monkeypatch, capsys):
+    gaps = ab_compare.decode_wide_gaps(decode_wide_output(), decode_wide_output(1.0 + 2e-15, 3e-9))
+    assert gaps["tokens_equal"] is True
+    assert gaps["max_model_score_rel_gap"] == abs(-2.5 * (1.0 + 2e-15) + 2.5) / 2.5
+    assert gaps["max_greedy_log_prob_rel_gap"] == abs(-3.0 + 3e-9 + 3.0) / 3.0
+    assert ab_compare.decode_wide_gaps(decode_wide_output(), decode_wide_output()) == {
+        "tokens_equal": True, "max_model_score_rel_gap": 0.0, "max_greedy_log_prob_rel_gap": 0.0}
+    assert ab_compare.decode_wide_gaps(decode_wide_output(), decode_wide_output(last_token=8))["tokens_equal"] is False
+
+    summary = {**stub_summary(400, 400), "workload": "decode-wide", "outputs_equal": False, **gaps}
+    monkeypatch.setattr(ab_compare, "compare", lambda *args: summary)
+    assert ab_compare.main([str(ROOT), str(ROOT), "--workload", "decode-wide", "--rounds", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2:4] == ["outputs equal: no",
+                          "decode-wide tokens and finished flags equal: yes; largest relative gap in candidate "
+                          f"model_score {gaps['max_model_score_rel_gap']:.3g}, in greedy log_prob 1e-09"]
+    assert json.loads(lines[-1])["max_model_score_rel_gap"] == gaps["max_model_score_rel_gap"]

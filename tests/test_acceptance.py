@@ -23,6 +23,7 @@ from briosum.brio import (
     BrioConfig,
     brio_loss,
     contrastive_loss,
+    generate_candidate_sets,
     generate_candidates,
     mean_ranking_agreement,
 )
@@ -58,7 +59,14 @@ from briosum.model import forward, load_checkpoint, mle_loss
 from briosum.rouge import rouge_l, rouge_n
 from briosum.synthetic import make_toy_corpus, write_corpus_jsonl
 
-from helpers import assert_same_searches, max_gradcheck_error, tiny_params, tiny_vocab
+from helpers import (
+    assert_same_searches,
+    candidate_set_score_gap,
+    max_gradcheck_error,
+    search_score_gap,
+    tiny_params,
+    tiny_vocab,
+)
 from test_brio import dummy_ranked
 from test_rouge import exhaustive_lcs, naive_rouge_n_overlap
 
@@ -413,10 +421,9 @@ def test_pipeline_determinism(toy_pipeline):
     criterion("determinism: two same-seed runs produce byte-identical reports", same_txt and same_csv)
 
 
-def test_document_searches_match_per_document_searches_on_the_finetuned_model(toy_pipeline):
-    # The searches that gen-cands, the loop and evaluate batch, on 200
-    # training documents of the acceptance run.
-    out, config = toy_pipeline["out1"], toy_pipeline["config"]
+def finetuned_training_examples(toy_pipeline):
+    """The acceptance run's fine-tuned model and vocabulary, and its first 200 training documents."""
+    out = toy_pipeline["out1"]
     params, _ = load_checkpoint(out / FINETUNE_CKPT)
     tokens = json.loads((out / "vocab.json").read_text())["tokens"]
     train_ids = json.loads((out / "split.json").read_text())["train"][:200]
@@ -425,13 +432,35 @@ def test_document_searches_match_per_document_searches_on_the_finetuned_model(to
     vocab = Vocabulary(token_to_id={t: i for i, t in enumerate(tokens)}, id_to_token=tokens)
     examples = tokenize_documents([docs_by_id[i] for i in train_ids], vocab, model_config.max_source_len,
                                   model_config.max_target_len)
+    assert len(examples) == 200
+    return params, vocab, examples
+
+
+def test_document_searches_match_per_document_searches_on_the_finetuned_model(toy_pipeline):
+    # The searches that gen-cands, the loop and evaluate batch, on 200
+    # training documents of the acceptance run.
+    params, _, examples = finetuned_training_examples(toy_pipeline)
     sources = [ex.source_ids for ex in examples]
-    assert len(sources) == 200
-    decode_config = config.decode_config()
+    decode_config = toy_pipeline["config"].decode_config()
     assert_same_searches(diverse_beam_searches(params, sources, decode_config),
                          [diverse_beam_search(params, source, decode_config) for source in sources])
     assert_same_searches([greedy_decodes(params, sources, decode_config)],
                          [[greedy_decode(params, source, decode_config) for source in sources]])
+
+
+def test_search_scores_match_candidate_scores_on_the_finetuned_model(toy_pipeline):
+    # Chunks of padded sources whose 6 groups hold finished and capped
+    # hypotheses, scored as the teacher-forced pass scores them.
+    params, vocab, examples = finetuned_training_examples(toy_pipeline)
+    sources = [ex.source_ids for ex in examples]
+    brio_config = toy_pipeline["config"].brio_config()
+    assert brio_config.decode.num_beam_groups == 6 and len(set(map(len, sources))) > 1
+    searches = diverse_beam_searches(params, sources, brio_config.decode)
+    finished = [h.finished for hyps in searches for h in hyps]
+    assert any(finished) and not all(finished)
+    assert search_score_gap(params, sources, searches, brio_config.length_penalty) <= 1e-12
+    sets = generate_candidate_sets(params, examples, brio_config, vocab)
+    assert candidate_set_score_gap(params, sets, brio_config.length_penalty) <= 1e-12
 
 
 # -- criterion 7: split arithmetic --------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from briosum import autodiff as ad
-from briosum import brio
+from briosum import brio, decode
 from briosum.brio import (
     BrioConfig,
     CandSum,
@@ -19,6 +19,7 @@ from briosum.brio import (
     contrastive_loss,
     evaluate,
     finetune_stage,
+    generate_candidate_sets,
     generate_candidates,
     kendall_tau,
     load_candidate_cache,
@@ -454,6 +455,28 @@ def test_generate_candidates_tie_order_by_model_score():
     for a, b in zip(ranked.candidates, ranked.candidates[1:]):
         if a.quality == b.quality:
             assert a.model_score >= b.model_score
+
+
+def test_candidates_capped_at_the_model_target_length_are_refused_without_reading_past_it(monkeypatch):
+    # A hypothesis capped at max_target_len tokens is one token too long once
+    # closed by EOS; its closing step reads the last target position only.
+    params, vocab = tiny_params(seed=2), tiny_vocab()
+    limit = params.config.max_target_len
+    config = brio_cfg(decode=decode_cfg(max_decode_len=limit))
+    examples = [TokenizedExample(f"d{i}", [BOS_ID, 4 + i, 5, EOS_ID], [BOS_ID, 6, 7, EOS_ID]) for i in range(3)]
+    reached, decoder = [], decode.decoder_logprobs
+
+    def counted(params, cache, tgt_in):
+        reached.append(cache.length + tgt_in.shape[1])
+        return decoder(params, cache, tgt_in)
+
+    monkeypatch.setattr(decode, "decoder_logprobs", counted)
+    for generate in (lambda: generate_candidates(params, examples[0], config, vocab),
+                     lambda: generate_candidate_sets(params, examples, config, vocab)):
+        reached.clear()
+        with pytest.raises(ValueError, match=f"candidate length {limit + 1} exceeds maximum {limit}"):
+            generate()
+        assert max(reached) == limit
 
 
 def test_generate_candidates_dedups_token_sequences():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from briosum import autodiff as ad
-from briosum import model
+from briosum import brio, decode, model
 from briosum.corpus import BOS_ID, EOS_ID, PAD_ID
 from briosum.decode import (
     DecodeConfig,
@@ -39,11 +39,14 @@ from helpers import (
     add,
     assert_relative_close,
     assert_same_searches,
+    candidate_set_score_gap,
+    closed_tokens,
     composed_attention,
     composed_ffn,
     composed_linear,
     embedding,
     matmul,
+    search_score_gap,
     tiny_config,
     tiny_params,
 )
@@ -408,6 +411,92 @@ def test_document_searches_match_per_document_searches_on_the_decode_wide_inputs
                          [diverse_beam_search(params, source, decode_config) for source in sources])
     assert_same_searches([greedy_decodes(params, sources, decode_config)],
                          [[greedy_decode(params, source, decode_config) for source in sources]])
+
+
+@pytest.mark.parametrize("seed", [1, 5, 7])
+def test_search_scores_match_candidate_scores_on_the_decode_wide_inputs(seed, tmp_path):
+    # The untrained model at vocabulary 2000 caps every hypothesis of its 6
+    # groups, so each score holds the closing step's EOS.
+    state = decode_wide_workload().setup(seed, tmp_path)
+    params, brio_config = state.params, state.config.brio_config()
+    sources = [ex.source_ids for ex in state.cand_examples]
+    searches = [diverse_beam_search(params, source, brio_config.decode) for source in sources]
+    assert brio_config.decode.num_beam_groups == 6
+    assert not any(h.finished for hyps in searches for h in hyps)
+    assert search_score_gap(params, sources, searches, brio_config.length_penalty) <= 1e-12
+    ranked = [brio.generate_candidates(params, ex, brio_config, state.vocab) for ex in state.cand_examples]
+    assert candidate_set_score_gap(params, ranked, brio_config.length_penalty) <= 1e-12
+
+
+def pad_forcing_scorer(vocab_size, seed):
+    """``integer_scorer`` with PAD the best next token of every one-token prefix."""
+    scorer = integer_scorer(vocab_size, seed)
+
+    def step(prefixes):
+        rows = scorer(prefixes)
+        rows[[len(p) == 2 for p in prefixes], PAD_ID] = 0.0
+        return rows
+
+    return step
+
+
+def teacher_forced_sum(scorer, tokens):
+    """What ``model.score_rows`` sums for ``tokens``: each token's log-prob
+    given the tokens before it, except where the token is PAD."""
+    return sum(float(scorer([tokens[:t]])[0][tokens[t]]) for t in range(1, len(tokens)) if tokens[t] != PAD_ID)
+
+
+def test_search_model_log_probs_skip_pad_and_close_capped_hypotheses_as_teacher_forcing_does():
+    # The search masks no special id, so PAD can sit mid-hypothesis; its
+    # model log-prob leaves PAD out and keeps no diversity penalty.
+    counts = {"pad": 0, "capped": 0, "finished": 0, "penalized": 0}
+    for groups, penalty, seed in itertools.product((1, 2, 3), (0.0, 1.0), range(3)):
+        cfg = config(num_beams=2 * groups, num_beam_groups=groups, diversity_penalty=penalty)
+        scorers = [pad_forcing_scorer(6, 10 * seed + d) for d in range(2)]
+
+        def score(keys):
+            return np.concatenate([scorers[d]([prefix]) for d, prefix in keys])
+
+        for close in (False, True):
+            for scorer, hyps in zip(scorers, group_beam_searches(score, 6, cfg, len(scorers), close)):
+                for h in hyps:
+                    assert h.model_log_prob == teacher_forced_sum(scorer, closed_tokens(h) if close else h.tokens)
+                    counts["pad"] += PAD_ID in h.tokens[1:-1]
+                    counts["capped" if not h.finished else "finished"] += 1
+                    counts["penalized"] += h.log_prob != h.model_log_prob
+    assert all(counts.values()), counts
+
+
+def test_only_a_candidate_search_closes_capped_hypotheses_with_one_incremental_step(monkeypatch):
+    params, src = tiny_params(seed=2), [BOS_ID, 4, 5, EOS_ID]
+    calls, decoder = [], decode.decoder_logprobs
+
+    def counted(params, cache, tgt_in):
+        calls.append((cache.length, tgt_in.shape))
+        return decoder(params, cache, tgt_in)
+
+    monkeypatch.setattr(decode, "decoder_logprobs", counted)
+    beams = config(num_beams=4, num_beam_groups=2, diversity_penalty=0.5, max_decode_len=8)
+    hyps = diverse_beam_search(params, src, beams)
+    capped = [h for h in hyps if not h.finished]
+    assert capped and len(capped) < len(hyps)
+    assert len(calls) == beams.max_decode_len and calls[-1] == (beams.max_decode_len - 1, (len(capped), 1))
+    calls.clear()
+    assert not greedy_decode(params, src, config(max_decode_len=8)).finished
+    assert len(calls) == 7 and calls[-1] == (6, (1, 1))
+
+
+def test_a_cache_asked_for_every_row_in_order_is_returned_as_it_is():
+    params = tiny_params(seed=2)
+    with ad.no_grad():
+        start = DecoderCache.start(params, pad_ids([[BOS_ID, 4, EOS_ID], [BOS_ID, 5, 6, EOS_ID]]))
+        _, cache = decoder_logprobs(params, start.reading([0, 1, 1]), np.array([[BOS_ID]] * 3))
+    assert cache.rows([0, 1, 2]) is cache
+    for index in ([0, 2, 1], [0, 1], [0, 1, 2, 2]):
+        moved = cache.rows(index)
+        assert moved is not cache and list(moved.docs) == [[0, 1, 1][i] for i in index]
+        for (k, v), (want_k, want_v) in zip(moved.past, cache.past):
+            assert np.array_equal(k.data, want_k.data[index]) and np.array_equal(v.data, want_v.data[index])
 
 
 # -- diverse beam fixtures -------------------------------------------------------------
