@@ -362,15 +362,20 @@ def attention(
     """Multi-head attention from the query projection to the output projection.
 
     ``queries`` is (B, Tq, d). ``k`` and ``v`` are projected keys and values
-    in the merged layout, (B, Tk, d) or (1, Tk, d); a one-row K/V serves all
-    B query rows. ``mask`` is an additive array broadcastable to
-    (B, heads, Tq, Tk), or None. Scores are scaled by 1/sqrt(d / heads). The
-    softmax probabilities are kept for the vjp rather than recomputed
-    (Dao et al. 2022 recompute them; at these sizes storing is cheaper).
-    A ``residual`` stream, (B, Tq, d), is added to the output and becomes
-    the node's first parent.
+    in the merged layout, (Bs, Tk, d) for Bs sources that serve B = r * Bs
+    query rows, r consecutive rows each. One source (Bs = 1) is broadcast
+    over all B rows, and Bs = B pairs row b with source b. In between, the
+    queries are viewed as (Bs, r * Tq, d), so each source serves one block
+    of rows in one batched product, with no gather. ``mask`` is an additive
+    array broadcastable to (Bs, heads, r * Tq, Tk), or None. Scores are
+    scaled by 1/sqrt(d / heads). The softmax probabilities are kept for the
+    vjp rather than recomputed (Dao et al. 2022 recompute them; at these
+    sizes storing is cheaper). A ``residual`` stream, (B, Tq, d), is added
+    to the output and becomes the node's first parent.
     """
     x = queries.data
+    if 1 < k.data.shape[0] < x.shape[0]:
+        x = x.reshape(k.data.shape[0], -1, x.shape[-1])
     scale = 1.0 / np.sqrt(x.shape[-1] // heads)
     q = x @ wq.data
     q += bq.data
@@ -388,9 +393,10 @@ def attention(
     out = ctx @ wo.data
     out += bo.data
     if residual is not None:
-        out += residual.data
+        out += residual.data.reshape(out.shape)
 
-    def vjp(g):
+    def vjp(g_out):
+        g = g_out.reshape(x.shape)
         g_rows = _rows(g)
         g_ctx = _to_heads(g @ wo.data.T, heads)
         g_scores = g_ctx @ vh.transpose(0, 1, 3, 2)
@@ -403,7 +409,7 @@ def attention(
             g_kh, g_vh = g_kh.sum(axis=0, keepdims=True), g_vh.sum(axis=0, keepdims=True)
         g_q = _rows(_from_heads(g_scores @ kh))
         grads = (
-            (g_q @ wq.data.T).reshape(x.shape),
+            (g_q @ wq.data.T).reshape(queries.data.shape),
             _from_heads(g_kh),
             _from_heads(g_vh),
             _rows(x).T @ g_q,
@@ -411,10 +417,10 @@ def attention(
             _rows(ctx).T @ g_rows,
             g_rows.sum(axis=0),
         )
-        return grads if residual is None else (g, *grads)
+        return grads if residual is None else (g_out, *grads)
 
     parents = (queries, k, v, wq, bq, wo, bo)
-    return _node(out, parents if residual is None else (residual, *parents), vjp)
+    return _node(out.reshape(queries.data.shape), parents if residual is None else (residual, *parents), vjp)
 
 
 _GELU_C = np.sqrt(2.0 / np.pi)
@@ -509,33 +515,44 @@ def brio_objective(
     ctr_weight: float,
     margin: float,
     length_penalty: float,
-) -> tuple[Tensor, float, float]:
-    """One document's BRIO loss from its (N+1,) per-row log-prob sums.
+) -> tuple[Tensor, list[tuple[float, float, float]]]:
+    """The BRIO loss of k documents from their per-row log-prob sums.
 
-    Row 0 is the reference: ``mle = sums[0] * (-1 / lengths[0])``. Rows
-    1..N, if given, are the candidates in quality order, scored
+    ``lengths`` is (R,) for one document or (k, R) for k, and document j owns
+    rows j * R .. j * R + R - 1 of ``sums``: its rows of non-zero length,
+    then empty rows of length 0 that it ignores. A document's row 0 is the
+    reference: ``mle = sums[0] * (-1 / lengths[0])``. Its rows 1..N, if
+    given, are the candidates in quality order, scored
     ``sums[k] * lengths[k] ** -length_penalty`` and ranked by
-    ``pairwise_hinge``. Returns the scalar ``mle * mle_weight + ctr *
-    ctr_weight`` (the ranking term only when candidate rows are given)
-    together with the values of ``mle`` and ``ctr``.
+    ``pairwise_hinge``. Its loss is ``mle * mle_weight + ctr * ctr_weight``
+    (the ranking term only when candidate rows are given). Returns the
+    scalar sum of the documents' losses and each one's (loss, mle, ctr).
     """
-    s = sums.data
-    inv_len0 = -1.0 / lengths[0]
-    mle = s[0] * inv_len0
-    out = mle * mle_weight
-    ctr, active, scale = 0.0, None, None
-    if s.shape[0] > 1:
-        scale = lengths[1:] ** -length_penalty
-        ctr, active = pairwise_hinge(s[1:] * scale, margin)
-        out = out + ctr * ctr_weight
+    lengths = np.atleast_2d(lengths)
+    s = sums.data.reshape(lengths.shape)
+    values, blocks = [], []  # per document: (loss, mle, ctr); (inv_len0, n, active, scale)
+    for s_doc, len_doc in zip(s, lengths):
+        n = np.count_nonzero(len_doc)
+        inv_len0 = -1.0 / len_doc[0]
+        mle = s_doc[0] * inv_len0
+        out = mle * mle_weight
+        ctr, active, scale = 0.0, None, None
+        if n > 1:
+            scale = len_doc[1:n] ** -length_penalty
+            ctr, active = pairwise_hinge(s_doc[1:n] * scale, margin)
+            out = out + ctr * ctr_weight
+        values.append((float(out), float(mle), float(ctr)))
+        blocks.append((inv_len0, n, active, scale))
+    total = sum((loss for loss, _, _ in values[1:]), values[0][0])  # one document: its loss as it is
 
     def vjp(g):
         grad = np.zeros_like(s)
-        grad[0] = g * (mle_weight * inv_len0)
-        if active is not None:
-            # A candidate gains +1 from every active pair in which it is the
-            # lower-ranked one and -1 from every one in which it is higher.
-            grad[1:] = g * ctr_weight * (active.sum(axis=0) - active.sum(axis=1)) * scale
-        return (grad,)
+        for grad_doc, (inv_len0, n, active, scale) in zip(grad, blocks):
+            grad_doc[0] = g * (mle_weight * inv_len0)
+            if active is not None:
+                # A candidate gains +1 from every active pair in which it is the
+                # lower-ranked one and -1 from every one in which it is higher.
+                grad_doc[1:n] = g * ctr_weight * (active.sum(axis=0) - active.sum(axis=1)) * scale
+        return (grad.reshape(sums.data.shape),)
 
-    return _node(out, (sums,), vjp), float(mle), float(ctr)
+    return _node(total, (sums,), vjp), values

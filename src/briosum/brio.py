@@ -262,17 +262,21 @@ def contrastive_loss(
 
 
 def _brio_terms(
-    params: ModelParams, ranked: RankedCandidateSet, config: BrioConfig
-) -> tuple[Tensor, float, float]:
-    """The weighted loss graph plus the values of its MLE and ranking terms.
+    params: ModelParams, ranked_sets: Sequence[RankedCandidateSet], config: BrioConfig
+) -> tuple[Tensor, list[tuple[float, float, float]]]:
+    """The graph of the documents' summed weighted losses, and each one's
+    values of its loss, MLE term and ranking term.
 
-    One decoder pass scores the gold summary as row 0 and the candidates as
-    rows 1..N; row 0 alone is scored when the ranking term is off.
+    One decoder pass scores each document's gold summary as its row 0 and
+    its candidates as rows 1..N; row 0 alone when the ranking term is off.
     """
-    rows = [ranked.reference_ids]
-    if config.ctr_weight > 0.0 and len(ranked.candidates) >= 2:
-        rows += [list(c.token_ids) for c in ranked.candidates]
-    sums, lengths = score_rows(params, ranked.source_ids, rows)
+    row_sets = []
+    for ranked in ranked_sets:
+        rows = [ranked.reference_ids]
+        if config.ctr_weight > 0.0 and len(ranked.candidates) >= 2:
+            rows += [list(c.token_ids) for c in ranked.candidates]
+        row_sets.append(rows)
+    sums, lengths = score_rows(params, [ranked.source_ids for ranked in ranked_sets], row_sets)
     return ad.brio_objective(
         sums, lengths, config.mle_weight, config.ctr_weight, config.margin, config.length_penalty
     )
@@ -287,7 +291,7 @@ def brio_loss(
     into the same parameters. Candidate sets with fewer than two members
     contribute the MLE term only.
     """
-    return _brio_terms(params, ranked, config)[0]
+    return _brio_terms(params, [ranked], config)[0]
 
 
 # -- training stages ----------------------------------------------------------
@@ -396,11 +400,18 @@ def finetune_stage(
     return best_params, history
 
 
-def _score(params: ModelParams, ranked: RankedCandidateSet, config: BrioConfig, scale: float) -> tuple:
-    """Add ``scale`` times a document's loss gradient to ``params.grad``; return (loss, MLE, ranking)."""
-    total, mle_value, ctr_value = _brio_terms(params, ranked, config)
+# Documents differentiated in one graph. A pair costs less per document than
+# two single passes (fewer, larger ops), and a batch of 4 still makes two
+# graphs, one for each of two processes; larger groups leave cores idle.
+_DOCS_PER_GRAPH = 2
+
+
+def _score(params: ModelParams, group: list[RankedCandidateSet], config: BrioConfig, scale: float) -> list:
+    """Add ``scale`` times the gradient of a group of documents' summed loss
+    to ``params.grad``; return each one's (loss, MLE, ranking)."""
+    total, values = _brio_terms(params, group, config)
     (total * scale).backward()
-    return total.item(), mle_value, ctr_value
+    return values
 
 
 def _worker_count() -> int:
@@ -410,18 +421,24 @@ def _worker_count() -> int:
     return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1) - 1
 
 
-_REQUEST = struct.Struct("<qqd")  # candidate set index, gradient slot, loss scale
-_REPLY = struct.Struct("<ddd")  # loss, MLE term, ranking term
+# A group's candidate set indices (-1 past a short last group), gradient slot, loss scale.
+_REQUEST = struct.Struct(f"<{_DOCS_PER_GRAPH}qqd")
+_REPLY = struct.Struct("<ddd")  # loss, MLE term, ranking term; one per document of the group
+
+
+def _groups(batch: Sequence[int]) -> list[Sequence[int]]:
+    """``batch`` in groups of ``_DOCS_PER_GRAPH`` documents, in order; the last may be short."""
+    return [batch[i : i + _DOCS_PER_GRAPH] for i in range(0, len(batch), _DOCS_PER_GRAPH)]
 
 
 class _Workers:
-    """Forked processes that differentiate a batch's documents beside this one.
+    """Forked processes that differentiate a batch's document groups beside this one.
 
     They share ``params.flat`` with this process, so each optimizer step
-    reaches them, and write each document's gradient into its own slot of a
-    shared table. ``score`` adds the slots into ``params.grad`` in document
+    reaches them, and write each group's gradient into its own slot of a
+    shared table. ``score`` adds the slots into ``params.grad`` in group
     order, the sum one process makes alone. A worker that fails to deliver is
-    killed and its documents are scored here, raising what they raise here.
+    killed and its groups are scored here, raising what they raise here.
     """
 
     def __init__(self, params: ModelParams, ranked_sets, config: BrioConfig):
@@ -429,8 +446,9 @@ class _Workers:
         self.procs: list[tuple] = []  # (pid, request pipe, reply pipe) of each worker
 
     def start(self, count: int, batch: int) -> None:
-        """Fork ``count`` workers, with a slot for each document they score of a full batch."""
-        self.slots = _shared(batch - -(-batch // (count + 1)), self.params.flat.size)
+        """Fork ``count`` workers, with a slot for each group they score of a full batch."""
+        groups = len(_groups(range(batch)))
+        self.slots = _shared(groups - -(-groups // (count + 1)), self.params.flat.size)
         for _ in range(count):
             (requests, to_worker), (from_worker, replies) = os.pipe(), os.pipe()
             # A SIGINT waits until the child is inside the try that ends in _exit.
@@ -445,7 +463,7 @@ class _Workers:
                     finally:
                         os._exit(0)  # silently, on an error or an interrupt too
                 self.procs.append((pid, os.fdopen(to_worker, "wb", 0), os.fdopen(from_worker, "rb")))
-            except OSError:  # fewer workers: their documents are scored here
+            except OSError:  # fewer workers: their groups are scored here
                 os.close(to_worker)
                 os.close(from_worker)
             finally:
@@ -455,35 +473,38 @@ class _Workers:
 
     def _serve(self, requests, replies) -> None:
         while len(request := requests.read(_REQUEST.size)) == _REQUEST.size:
-            index, slot, scale = _REQUEST.unpack(request)
+            *indices, slot, scale = _REQUEST.unpack(request)
             self.params.zero_grads()
-            reply = _score(self.params, self.ranked_sets[index], self.config, scale)
+            values = _score(self.params, [self.ranked_sets[i] for i in indices if i >= 0], self.config, scale)
             self.slots[slot] = self.params.grad
-            replies.write(_REPLY.pack(*reply))
+            replies.write(b"".join(_REPLY.pack(*doc) for doc in values))
 
     def score(self, batch: Sequence[int], scale: float) -> list[tuple]:
-        """Differentiate ``batch`` into ``params.grad``: this process takes
-        the first share of documents, each worker the next."""
-        share = -(-len(batch) // (len(self.procs) + 1))
-        owners = [None] * share + [self.procs[p // share - 1] for p in range(share, len(batch))]
-        for p in range(share, len(batch)):
+        """Differentiate ``batch`` into ``params.grad``, in groups of
+        ``_DOCS_PER_GRAPH`` documents: this process takes the first share of
+        groups, each worker the next. Returns each document's values."""
+        groups = _groups(batch)
+        share = -(-len(groups) // (len(self.procs) + 1))
+        owners = [None] * share + [self.procs[p // share - 1] for p in range(share, len(groups))]
+        for p in range(share, len(groups)):
+            indices = [*groups[p], *[-1] * (_DOCS_PER_GRAPH - len(groups[p]))]
             with contextlib.suppress(OSError):  # a dead worker fails at its reply
-                owners[p][1].write(_REQUEST.pack(batch[p], p - share, scale))
+                owners[p][1].write(_REQUEST.pack(*indices, p - share, scale))
         results = []
-        for p, index in enumerate(batch):
-            if (reply := self._reply(owners[p])) is not None:
+        for p, group in enumerate(groups):
+            if (reply := self._reply(owners[p], len(group))) is not None:
                 self.params.grad += self.slots[p - share]
-                results.append(_REPLY.unpack(reply))
+                results += _REPLY.iter_unpack(reply)
             else:
-                results.append(_score(self.params, self.ranked_sets[index], self.config, scale))
+                results += _score(self.params, [self.ranked_sets[i] for i in group], self.config, scale)
         return results
 
-    def _reply(self, worker) -> bytes | None:
-        """The worker's next reply; None if it is not in use or fails, and
-        then it is ended."""
+    def _reply(self, worker, docs: int) -> bytes | None:
+        """The worker's next reply, on ``docs`` documents; None if it is not
+        in use or fails, and then it is ended."""
         if worker in self.procs:
             with contextlib.suppress(OSError):
-                if len(reply := worker[2].read(_REPLY.size)) == _REPLY.size:
+                if len(reply := worker[2].read(docs * _REPLY.size)) == docs * _REPLY.size:
                     return reply
             self.close([worker], 0.0)
         return None
@@ -522,14 +543,15 @@ def brio_train_stage(
     Documents whose candidate set collapsed to fewer than two members
     contribute only the MLE term; their count is logged. A non-finite loss
     or parameter raises ``NonFiniteError``. A batch's documents are
-    differentiated on every usable core (``_worker_count``), and their
-    gradients are summed in document order, so the result does not depend
-    on the number of processes.
+    differentiated in groups of ``_DOCS_PER_GRAPH``, one graph per group,
+    on every usable core (``_worker_count``), and the groups' gradients are
+    summed in batch order, so the result does not depend on the number of
+    processes.
     """
     if not ranked_sets:
         raise ValueError("brio_train_stage requires at least one candidate set")
     width = min(config.batch_size, len(ranked_sets))
-    count = min(_worker_count(), width - 1)
+    count = min(_worker_count(), len(_groups(range(width))) - 1)
     flat = _shared(params.flat.size) if count else np.empty_like(params.flat)
     flat[...] = params.flat
     params = ModelParams(params.config, flat)

@@ -264,9 +264,9 @@ class DecoderCache:
 
     ``cross[i]`` is decoder layer i's cross-attention (K, V) over the
     encoder output, (Bs, Ts, model_dim) each, and ``mask`` the sources' PAD
-    mask, both built once by ``start``. Row b reads source b, except that
-    one source (Bs = 1) serves any number of rows, and that rows given
-    ``docs`` (``reading``) read source ``docs[b]``. ``past[i]`` is its
+    mask, both built once by ``start``. Bs sources serve B = r * Bs rows, r
+    consecutive rows each (one source serves any number of rows), except
+    that rows given ``docs`` (``reading``) read source ``docs[b]``. ``past[i]`` is its
     self-attention (K, V) over the B prefixes decoded so far, (B, t,
     model_dim) each: empty before the first position. Caches with a past or
     with ``docs`` are decoded only under ``no_grad()``, as they hold no
@@ -412,19 +412,26 @@ def check_candidates(config: ModelConfig, candidates: Sequence[Sequence[int]]) -
 
 
 def score_rows(
-    params: ModelParams, source_ids: Sequence[int], rows: Sequence[Sequence[int]]
+    params: ModelParams, sources: Sequence[Sequence[int]], row_sets: Sequence[Sequence[Sequence[int]]]
 ) -> tuple[Tensor, np.ndarray]:
-    """Teacher-forced log-prob sums of BOS/EOS-framed ``rows`` given one source.
+    """Teacher-forced log-prob sums of BOS/EOS-framed rows for k documents,
+    ``row_sets[j]`` given ``sources[j]``.
 
-    One encoder pass over ``source_ids`` is broadcast over one decoder pass
-    on all rows. Returns the (N,) per-row sums of gold next-token log-probs
-    (PAD targets excluded) and the (N,) float token counts ``len(row) - 1``.
+    One encoder pass over the k padded sources serves one decoder pass over
+    k * R rows, document after document, where R is the largest row count:
+    a document with fewer rows is padded with empty rows, which score no
+    token. Returns the (k * R,) per-row sums of gold next-token log-probs
+    (PAD targets excluded) and the (k, R) float token counts
+    ``len(row) - 1``, 0 for an empty row.
     """
-    cache = DecoderCache.start(params, np.asarray([source_ids], dtype=np.int64))
-    tgt_in, gold = teacher_forcing(rows)
+    width = max(len(rows) for rows in row_sets)
+    lengths = np.zeros((len(row_sets), width))
+    for counts, rows in zip(lengths, row_sets):
+        counts[: len(rows)] = [len(row) - 1 for row in rows]
+    cache = DecoderCache.start(params, pad_ids(sources))
+    tgt_in, gold = teacher_forcing([row for rows in row_sets for row in (*rows, *[()] * (width - len(rows)))])
     table, _ = decoder_logprobs(params, cache, tgt_in)
-    sums = ad.gold_logprob_sum(table, gold, gold != PAD_ID, axis=1)
-    return sums, np.array([len(row) - 1 for row in rows], dtype=np.float64)
+    return ad.gold_logprob_sum(table, gold, gold != PAD_ID, axis=1), lengths
 
 
 def candidate_scores(
@@ -439,8 +446,8 @@ def candidate_scores(
     encoder pass over ``source_ids`` is shared by all candidates.
     """
     check_candidates(params.config, candidates)
-    sums, lengths = score_rows(params, source_ids, candidates)
-    return sums * Tensor(lengths**-length_penalty)
+    sums, lengths = score_rows(params, [source_ids], [candidates])
+    return sums * Tensor(lengths[0] ** -length_penalty)
 
 
 def sequence_log_prob(

@@ -30,7 +30,10 @@ phase. When the two sides' ``decode-wide`` outputs differ, one more line
 says how: whether every candidate and greedy token sequence and every
 greedy ``finished`` flag is equal, and the largest relative gap, taken
 against the first tree, in candidate ``model_score`` and in greedy
-``log_prob``. The last line is one JSON summary. Exit status: 0 when the outputs are equal, 1 when
+``log_prob``. When the two sides' ``brio-train`` histories differ, one more
+line gives the first step whose history row differs and the largest
+relative gap, taken against the first tree, in the loss, the MLE term and
+the ranking term. The last line is one JSON summary. Exit status: 0 when the outputs are equal, 1 when
 they differ.
 """
 
@@ -119,8 +122,8 @@ def compare(trees: list[Path], workload: str, rounds: int, seed: int) -> dict:
                 sides[0 if a < b else 1]["won"] += 1
     summary = {"workload": workload, "seed": seed, "rounds": rounds,
                "outputs_equal": len(sides[0]["digests"] | sides[1]["digests"]) == 1}
-    if workload == "decode-wide" and not summary["outputs_equal"]:
-        summary.update(decode_wide_gaps(sides[0]["output"], sides[1]["output"]))
+    if not summary["outputs_equal"] and workload in OUTPUT_GAPS:
+        summary.update(OUTPUT_GAPS[workload](sides[0]["output"], sides[1]["output"]))
     for label, side in zip("ab", sides):
         summary[label] = {
             "tree": side["tree"],
@@ -156,6 +159,23 @@ def decode_wide_gaps(a, b) -> dict:
     }
 
 
+def brio_train_gaps(a, b) -> dict:
+    """How two ``brio-train`` pass outputs, (history, parameters finite)
+    each, differ: the step of the first history row that differs (None if
+    none does) and, per field, the largest gap relative to ``a``'s values."""
+    (rows_a, _), (rows_b, _) = a, b
+    differing = [ra.get("step") for ra, rb in zip(rows_a, rows_b) if ra != rb]
+    if not differing and len(rows_a) != len(rows_b):
+        differing = [min(len(rows_a), len(rows_b)) + 1]  # one history stops early
+    field = lambda rows, name: [row[name] for row in rows]  # noqa: E731
+    return {"first_differing_step": differing[0] if differing else None,
+            **{f"max_{name}_rel_gap": _max_relative_gap(field(rows_a, name), field(rows_b, name))
+               for name in ("loss", "mle", "ctr")}}
+
+
+OUTPUT_GAPS = {"decode-wide": decode_wide_gaps, "brio-train": brio_train_gaps}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="Alternate passes of two briosum trees in one process.")
     parser.add_argument("trees", nargs=2, type=Path, metavar="DIR")
@@ -180,6 +200,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"decode-wide tokens and finished flags equal: {'yes' if summary['tokens_equal'] else 'no'}; "
               f"largest relative gap in candidate model_score {summary['max_model_score_rel_gap']:.3g}, "
               f"in greedy log_prob {summary['max_greedy_log_prob_rel_gap']:.3g}")
+    if "first_differing_step" in summary:
+        print(f"brio-train histories first differ at step {summary['first_differing_step']}; largest relative gap "
+              f"in loss {summary['max_loss_rel_gap']:.3g}, in MLE {summary['max_mle_rel_gap']:.3g}, "
+              f"in ranking {summary['max_ctr_rel_gap']:.3g}")
     for label in "ab":
         if phases := summary[label]["phase_median_s"]:
             print(f"{label} phase medians: " + ", ".join(f"{name} {sec:.4f} s" for name, sec in phases.items()))

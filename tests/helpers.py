@@ -399,18 +399,20 @@ def composed_gold_sum(logprobs, gold: np.ndarray, keep: np.ndarray, axis=None) -
 def composed_brio_objective(sums, lengths, mle_weight, ctr_weight, margin, length_penalty):
     """The BRIO loss from per-row sums, one primitive op at a time: row 0's
     MLE term, plus the pairwise ranking hinge when candidate rows are given.
-    Returns the loss and the values of the MLE and ranking terms."""
+    Returns the loss and, as ``brio_objective`` does for one document, a
+    list of the one (loss, MLE, ranking) value triple."""
     mle = getitem(sums, 0) * (-1.0 / lengths[0])
     total = mle * mle_weight
     if sums.shape[0] == 1:
-        return total, mle.item(), 0.0
+        return total, [(total.item(), mle.item(), 0.0)]
     scores = getitem(sums, slice(1, None)) * ad.Tensor(lengths[1:] ** -length_penalty)
     n = scores.shape[0]
     idx = np.arange(n, dtype=np.float64)
     margins = ad.Tensor(margin * (idx[None, :] - idx[:, None]))
     diffs = add(sub(ad.reshape(scores, (1, n)), ad.reshape(scores, (n, 1))), margins)
     ctr = tsum(relu(diffs) * ad.Tensor(np.triu(np.ones((n, n)), k=1)))
-    return add(total, ctr * ctr_weight), mle.item(), ctr.item()
+    total = add(total, ctr * ctr_weight)
+    return total, [(total.item(), mle.item(), ctr.item())]
 
 
 def _in_graph(t: ad.Tensor) -> bool:

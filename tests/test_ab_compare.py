@@ -1,6 +1,7 @@
 """The in-process A/B timing tool, run on this checkout against itself."""
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -105,3 +106,47 @@ def test_differing_decode_wide_outputs_are_told_apart_by_tokens_and_score_gaps(m
                           "decode-wide tokens and finished flags equal: yes; largest relative gap in candidate "
                           f"model_score {gaps['max_model_score_rel_gap']:.3g}, in greedy log_prob 1e-09"]
     assert json.loads(lines[-1])["max_model_score_rel_gap"] == gaps["max_model_score_rel_gap"]
+
+
+def brio_train_output(loss_scale=1.0, ctr_shift=0.0, steps=3):
+    rows = [{"step": step, "loss": 2.0 / step, "mle": 1.5 / step, "ctr": 0.5 / step, "num_docs": 4}
+            for step in range(1, steps + 1)]
+    rows[1] = {**rows[1], "loss": rows[1]["loss"] * loss_scale, "ctr": rows[1]["ctr"] + ctr_shift}
+    return rows, True
+
+
+def test_differing_brio_train_histories_are_told_apart_by_step_and_field_gaps(monkeypatch, capsys):
+    gaps = ab_compare.brio_train_gaps(brio_train_output(), brio_train_output(1.0 + 4e-15, 2.5e-13))
+    assert gaps == {"first_differing_step": 2, "max_loss_rel_gap": abs(1.0 * (1.0 + 4e-15) - 1.0),
+                    "max_mle_rel_gap": 0.0, "max_ctr_rel_gap": abs(0.25 + 2.5e-13 - 0.25) / 0.25}
+    assert ab_compare.brio_train_gaps(brio_train_output(), brio_train_output()) == {
+        "first_differing_step": None, "max_loss_rel_gap": 0.0, "max_mle_rel_gap": 0.0, "max_ctr_rel_gap": 0.0}
+    assert ab_compare.brio_train_gaps(brio_train_output(), brio_train_output(steps=2))["first_differing_step"] == 3
+
+    summary = {**stub_summary(400, 400), "outputs_equal": False, **gaps}
+    monkeypatch.setattr(ab_compare, "compare", lambda *args: summary)
+    assert ab_compare.main([str(ROOT), str(ROOT), "--workload", "brio-train", "--rounds", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2:4] == ["outputs equal: no",
+                          "brio-train histories first differ at step 2; largest relative gap in loss "
+                          f"{gaps['max_loss_rel_gap']:.3g}, in MLE 0, in ranking 1e-12"]
+    assert json.loads(lines[-1])["first_differing_step"] == 2
+
+
+def test_a_brio_train_pass_of_two_trees_that_differ_names_the_first_step(tmp_path):
+    # A copy of this checkout's sources whose BRIO gradient is scaled by
+    # 1 + 2**-40: the first step's history row is equal, the next ones not.
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    source = tmp_path / "src" / "briosum" / "brio.py"
+    text = source.read_text(encoding="utf-8")
+    assert text.count("(total * scale).backward()") == 1
+    source.write_text(text.replace("(total * scale).backward()",
+                                   "(total * (scale * (1 + 2**-40))).backward()"), encoding="utf-8")
+    proc = run_tool(ROOT, tmp_path, "--workload", "brio-train", "--rounds", "1", "--seed", "3")
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[2] == "outputs equal: no"
+    assert lines[3].startswith("brio-train histories first differ at step 2; largest relative gap in loss ")
+    summary = json.loads(lines[-1])
+    assert summary["first_differing_step"] == 2
+    assert 0.0 < summary["max_loss_rel_gap"] < 1e-6

@@ -272,6 +272,44 @@ def test_attention_with_residual_equals_add_of_attention(case, shared):
     assert check_bitwise(fused, composed, leaves) < 1e-6
 
 
+@pytest.mark.parametrize("residual", [False, True], ids=["no-residual", "residual"])
+@pytest.mark.parametrize("padded", [False, True], ids=["unmasked", "pad"])
+def test_grouped_attention_equals_kv_repeated_per_row(padded, residual):
+    # 2 sources serve 6 query rows, 3 consecutive rows each: the grouped view
+    # against the per-row path with each source's K/V (and mask) repeated.
+    d, heads, rows = 8, 2, np.repeat([0, 1], 3)
+    queries, k, v = leaf((6, 4, d)), leaf((2, 5, d)), leaf((2, 5, d))
+    weights = [leaf((d, d), 0.5), leaf((d,)), leaf((d, d), 0.5), leaf((d,))]
+    stream = leaf((6, 4, d)) if residual else None
+    leaves = [queries, k, v, *weights] + ([stream] if residual else [])
+    mask = np.where(np.arange(5) >= np.array([[3], [5]]), -1e9, 0.0)[:, None, None, :] if padded else None
+
+    def grouped():
+        return ad.attention(queries, k, v, *weights, mask, heads, stream)
+
+    def per_row():
+        row_mask = None if mask is None else mask[rows]
+        return ad.attention(queries, getitem(k, rows), getitem(v, rows), *weights, row_mask, heads, stream)
+
+    upstream = Tensor(RNG.normal(size=(6, 4, d)))
+    results = []
+    for op in (grouped, per_row):
+        for t in leaves:
+            t.grad[...] = 0.0
+        out = op()
+        tsum(out * upstream).backward()
+        results.append((out.data.copy(), [t.grad.copy() for t in leaves]))
+    (got, got_grads), (want, want_grads) = results
+    assert got.shape == want.shape == (6, 4, d)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    for got_grad, want_grad in zip(got_grads, want_grads):
+        np.testing.assert_allclose(got_grad, want_grad, rtol=1e-12, atol=1e-12 * np.abs(want_grad).max())
+    if padded:
+        assert not k.grad[0, 3:].any() and k.grad[1, 3:].any()
+    named = {str(i): t for i, t in enumerate(leaves)}
+    assert tensor_gradcheck(lambda: tsum(grouped() * upstream), named, sample=24) < 1e-6
+
+
 @pytest.mark.parametrize("shared", [False, True], ids=["own-leaf", "residual-is-input"])
 def test_ffn_with_residual_equals_add_of_ffn(shared):
     x, weights = leaf((2, 3, 4)), [leaf((4, 6)), leaf((6,)), leaf((6, 4)), leaf((4,))]
@@ -376,7 +414,8 @@ def test_brio_objective_matches_composed_graph(case):
     results = []
     for op in (ad.brio_objective, composed_brio_objective):
         sums.grad[...] = 0.0
-        out, mle, ctr = op(sums, lengths, *weights)
+        out, [(loss, mle, ctr)] = op(sums, lengths, *weights)
+        assert loss == out.item()
         (out * 1.7).backward()
         results.append((out.item(), mle, ctr, sums.grad.copy()))
     (got, got_mle, got_ctr, got_grad), (want, want_mle, want_ctr, want_grad) = results
@@ -395,6 +434,46 @@ def test_brio_objective_matches_composed_graph(case):
     # finite differences must not step across a kink
     assert n < 2 or np.abs(args).min() > 0.05
     assert tensor_gradcheck(lambda: ad.brio_objective(sums, lengths, *weights)[0], {"sums": sums}) < 1e-6
+
+
+# Three documents in one objective: 5 rows, then 1 row (MLE only), then 3,
+# each block padded with empty rows (length 0) to 5 rows.
+BLOCK_SUMS = [[-4.3, -3.0, -2.2, -7.7, -4.4], [-2.7], [-5.1, -1.9, -5.9]]
+BLOCK_LENGTHS = [[5.0, 4.0, 3.0, 7.0, 6.0], [3.0], [6.0, 2.0, 9.0]]
+
+
+def blocks(width=5):
+    sums = np.zeros((len(BLOCK_SUMS), width))
+    lengths = np.zeros_like(sums)
+    for j, (s, n) in enumerate(zip(BLOCK_SUMS, BLOCK_LENGTHS)):
+        sums[j, : len(s)], lengths[j, : len(n)] = s, n
+    return Tensor(sums.reshape(-1), requires_grad=True), lengths
+
+
+def test_brio_objective_over_k_documents_sums_the_single_documents():
+    weights = (1.5, 2.0, 0.1, 1.0)
+    sums, lengths = blocks()
+    total, values = ad.brio_objective(sums, lengths, *weights)
+    (total * 0.6).backward()
+    singles, grads = [], []
+    for s, n in zip(BLOCK_SUMS, BLOCK_LENGTHS):
+        one = Tensor(np.array(s), requires_grad=True)
+        single, [value] = ad.brio_objective(one, np.array(n), *weights)
+        (single * 0.6).backward()
+        singles.append(value)
+        grads.append(one.grad)
+    assert values == singles
+    assert total.item() == singles[0][0] + singles[1][0] + singles[2][0]
+    assert singles[0][2] > 0.0 and singles[1][2] == 0.0  # a ranking term, and an MLE-only block
+    grad = sums.grad.reshape(3, 5)
+    for j, g in enumerate(grads):
+        assert np.array_equal(grad[j, : len(g)], g)
+        assert not grad[j, len(g) :].any()  # empty rows take no gradient
+
+
+def test_brio_objective_over_k_documents_gradcheck():
+    sums, lengths = blocks()
+    assert tensor_gradcheck(lambda: ad.brio_objective(sums, lengths, 1.5, 2.0, 0.1, 1.0)[0], {"sums": sums}) < 1e-6
 
 
 def test_backward_accumulates_on_second_call():

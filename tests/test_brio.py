@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from briosum import autodiff as ad
-from briosum import brio, decode
+from briosum import brio, decode, model
 from briosum.brio import (
     BrioConfig,
     CandSum,
@@ -360,6 +360,68 @@ def test_brio_loss_gradcheck_including_hinge():
         return brio_loss(params, ranked, config)
 
     assert max_gradcheck_error(params, loss_fn, sample=300) < 1e-4
+
+
+# -- documents in pairs ------------------------------------------------------------
+
+PAIR_CASES = {
+    # a 6-candidate set beside a 3-candidate one with a longer source
+    "unequal": ({}, 6, 3),
+    # the second set has one candidate, so it is scored on its reference alone
+    "mle-only-beside-full": ({}, 6, 1),
+    # every document is scored on its reference alone: one row each
+    "ctr-weight-0": ({"ctr_weight": 0.0}, 6, 3),
+}
+
+
+def pair_of_sets(first, second):
+    """Two candidate sets of ``first`` and ``second`` candidates; the second
+    has a longer source and a shorter reference."""
+    ranked = [varied_ranked(first, seed=31), varied_ranked(second, seed=32)]
+    ranked[1].doc_id = "d1"
+    ranked[1].source_ids = [BOS_ID, 9, 4, 11, 6, 12, 5, 10, 7, EOS_ID]
+    ranked[1].reference_ids = [BOS_ID, 8, 4, EOS_ID]
+    return ranked
+
+
+@pytest.mark.parametrize("tie", [False, True], ids=["untied", "tied"])
+@pytest.mark.parametrize("case", list(PAIR_CASES))
+def test_a_pair_pass_equals_two_single_document_passes(case, tie):
+    overrides, first, second = PAIR_CASES[case]
+    config = brio_cfg(**{"ctr_weight": 2.5, "mle_weight": 1.5, "margin": 0.1, **overrides})
+    params = tiny_params(seed=28, tie_embeddings=tie)
+    pair = pair_of_sets(first, second)
+    params.zero_grads()
+    singles = [value for ranked in pair for value in brio._score(params, [ranked], config, 0.5)]
+    want = params.grad.copy()
+    params.zero_grads()
+    together = brio._score(params, pair, config, 0.5)
+    assert len(together) == 2
+    for got_values, want_values in zip(together, singles):
+        assert got_values == pytest.approx(want_values, rel=1e-12, abs=0.0)
+    ranks = config.ctr_weight > 0.0
+    assert [ctr > 0.0 for _, _, ctr in singles] == [ranks, ranks and second > 1]
+    gap = np.abs(params.grad - want).max()
+    assert 0.0 < np.abs(want).max() and gap <= 1e-12 * np.abs(want).max()
+    # Each document's values are its own loss graph's.
+    for ranked, (loss, mle, ctr) in zip(pair, singles):
+        assert brio_loss(params, ranked, config).item() == loss
+        assert loss == pytest.approx(config.mle_weight * mle + config.ctr_weight * ctr, rel=1e-15)
+
+
+def test_score_rows_of_a_pair_equals_each_document_alone():
+    params = tiny_params(seed=26)
+    pair = pair_of_sets(6, 2)
+    row_sets = [[r.reference_ids, *(c.token_ids for c in r.candidates)] for r in pair]
+    sources = [r.source_ids for r in pair]
+    sums, lengths = model.score_rows(params, sources, row_sets)
+    assert sums.shape == (14,) and lengths.shape == (2, 7)
+    for j in range(2):
+        alone, alone_lengths = model.score_rows(params, [sources[j]], [row_sets[j]])
+        n = len(row_sets[j])
+        np.testing.assert_allclose(sums.data[7 * j : 7 * j + n], alone.data, rtol=1e-12)
+        assert np.array_equal(lengths[j, :n], alone_lengths[0])
+        assert not sums.data[7 * j + n : 7 * j + 7].any() and not lengths[j, n:].any()
 
 
 # -- candidate generation ----------------------------------------------------------

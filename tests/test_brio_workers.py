@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from briosum import brio
-from briosum.brio import CandSum, RankedCandidateSet, _epoch_order, brio_train_stage
+from briosum.brio import CandSum, RankedCandidateSet, _epoch_order, batch_indices, brio_train_stage
 from briosum.cli import BRIO_CKPT, ExperimentConfig, run_pipeline
 from briosum.corpus import BOS_ID, EOS_ID, UNK_ID
 from briosum.model import init_params
@@ -78,15 +78,16 @@ def acceptance_brio_config(**overrides):
 
 def train(monkeypatch, workers, params, sets, config, seed=3, on_score=None):
     """Train with ``workers`` forked workers; returns the trained tensors by
-    name, the history and the set indices this process scored itself."""
+    name, the history and, for each group of documents this process scored
+    itself, their set indices."""
     monkeypatch.setattr(brio, "_worker_count", lambda: workers)
     scored = []
 
-    def score(params, ranked, config, scale):
-        scored.append(next(i for i, s in enumerate(sets) if s is ranked))
+    def score(params, group, config, scale):
+        scored.append([next(i for i, s in enumerate(sets) if s is ranked) for ranked in group])
         if on_score is not None:
             on_score(len(scored))
-        return SCORE(params, ranked, config, scale)
+        return SCORE(params, group, config, scale)
 
     monkeypatch.setattr(brio, "_score", score)
     trained, history = brio_train_stage(params, sets, config, seed=seed)
@@ -101,18 +102,23 @@ def assert_same_training(got, reference):
         assert np.array_equal(tensors[name], data), name
 
 
-# 10 sets in batches of 4 leave a remainder batch of 2.
+# 10 sets in batches of 4 leave a remainder batch of 2: each batch is 2 or 1
+# pairs, and a batch of 4 forks one worker at most. In batches of 7 and 3, a
+# lone last document ends each batch, and 3 workers are forked. Per epoch
+# this process scores ceil(groups / (workers + 1)) groups of each batch;
+# the workers deliver the rest.
 CASES = {
-    "plain": ({}, ()),
-    "sets-under-2-candidates": ({}, (0, 7)),
-    "ctr-weight-0": ({"ctr_weight": 0.0}, ()),
+    "plain": ({}, (), [10, 6, 6]),
+    "sets-under-2-candidates": ({}, (0, 7), [10, 6, 6]),
+    "ctr-weight-0": ({"ctr_weight": 0.0}, (), [10, 6, 6]),
+    "batches-of-7": ({"batch_size": 7}, (4,), [12, 6, 4]),
 }
 
 
 @pytest.mark.parametrize("model", [ACCEPTANCE_MODEL, UNTIED_MODEL], ids=["tied", "untied"])
 @pytest.mark.parametrize("case", list(CASES))
 def test_worker_counts_give_equal_histories_and_tensors(monkeypatch, model, case):
-    overrides, short = CASES[case]
+    overrides, short, counts = CASES[case]
     config = acceptance_brio_config(**overrides)
     sets = acceptance_sets(10, seed=20)
     for index, kept in zip(short, (1, 0)):
@@ -121,9 +127,26 @@ def test_worker_counts_give_equal_histories_and_tensors(monkeypatch, model, case
     runs = {workers: train(monkeypatch, workers, params, sets, config) for workers in (0, 1, 3)}
     for workers in (1, 3):
         assert_same_training(runs[workers], runs[0])
-    # Per epoch, this process scores ceil(n / (workers + 1)) of each batch
-    # of n = 4, 4, 2 documents; the workers deliver the rest.
-    assert [len(runs[w][2]) for w in (0, 1, 3)] == [20, 10, 6]
+    assert [len(runs[w][2]) for w in (0, 1, 3)] == counts
+    # Alone, this process scores each batch in pairs, in batch order.
+    batches = [b for epoch in (1, 2) for b in batch_indices(_epoch_order(len(sets), 3, epoch), config.batch_size)]
+    assert runs[0][2] == [b[i : i + 2] for b in batches for i in range(0, len(b), 2)]
+
+
+@pytest.mark.parametrize("size", [3, 4, 5])
+def test_a_batch_forks_one_worker_fewer_than_its_pairs(monkeypatch, size):
+    counts = []
+    real_start = brio._Workers.start
+
+    def start(self, count, batch):
+        counts.append(count)
+        real_start(self, count, batch)
+
+    monkeypatch.setattr(brio._Workers, "start", start)
+    params = init_params(ACCEPTANCE_MODEL, seed=7)
+    sets = acceptance_sets(10, seed=23)
+    train(monkeypatch, 3, params, sets, acceptance_brio_config(batch_size=size, epochs=1))
+    assert counts == [-(-size // 2) - 1]
 
 
 def test_a_worker_killed_mid_stage_changes_nothing(monkeypatch):
@@ -141,32 +164,33 @@ def test_a_worker_killed_mid_stage_changes_nothing(monkeypatch):
     monkeypatch.setattr(brio._Workers, "start", start)
 
     def kill_first_worker(calls):
-        if calls == 4:  # this process's first document of the second epoch
+        if calls == 4:  # this process's first pair of the second epoch
             os.kill(pools[0].procs[0][0], signal.SIGKILL)
 
     got = train(monkeypatch, 3, params, sets, config, on_score=kill_first_worker)
     assert_same_training(got, reference)
     assert len(pools) == 1 and len(pools[0].procs) == 0  # all reaped at the end
-    assert len(got[2]) > 6  # this process scored the killed worker's documents
+    assert len(got[2]) > 6  # this process scored the killed worker's pairs
 
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_an_out_of_range_id_raises_what_it_raises_without_workers(monkeypatch, workers):
     config = acceptance_brio_config()
     sets = acceptance_sets(10, seed=22)
-    # Position 3 of the first batch is a worker's with 1 and with 3 workers.
+    # Position 3 of the first batch is in its second pair, a worker's with 1
+    # and with 3 workers.
     bad = _epoch_order(len(sets), 3, 1)[3]
     sets[bad].candidates[2].token_ids += (ACCEPTANCE_MODEL.vocab_size + 5,)
     params = init_params(ACCEPTANCE_MODEL, seed=7)
     errors, scored = [], []
     for count in (0, workers):
         monkeypatch.setattr(brio, "_worker_count", lambda count=count: count)
-        monkeypatch.setattr(brio, "_score", lambda p, ranked, *a: scored.append(ranked) or SCORE(p, ranked, *a))
+        monkeypatch.setattr(brio, "_score", lambda p, group, *a: scored.append(group) or SCORE(p, group, *a))
         with pytest.raises(Exception) as info:
             brio_train_stage(params, sets, config, seed=3)
         errors.append((type(info.value), str(info.value)))
     assert errors[0] == errors[1]
-    assert scored[-1] is sets[bad]  # the worker failed, then this process raised
+    assert scored[-1][1] is sets[bad]  # the worker failed, then this process raised
 
 
 def _children(pid):

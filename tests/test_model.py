@@ -425,7 +425,7 @@ def test_gold_sums_match_composed_graph_beside_all_pad_rows(tie_embeddings):
         return decoder_logprobs(params, DecoderCache.start(params, np.array([src])), tgt_in)[0]
 
     cases = [
-        (lambda: score_rows(params, src, rows)[0], lambda: composed_gold_sum(table(), gold, keep, axis=1)),
+        (lambda: score_rows(params, [src], [rows])[0], lambda: composed_gold_sum(table(), gold, keep, axis=1)),
         (lambda: mle_loss(table(), gold), lambda: composed_gold_sum(table(), gold, keep) * (-1.0 / keep.sum())),
     ]
     for fused, composed in cases:
@@ -435,7 +435,7 @@ def test_gold_sums_match_composed_graph_beside_all_pad_rows(tie_embeddings):
         scale = max(float(np.abs(g).max()) for g in want_grads)
         for got_grad, want_grad in zip(got_grads, want_grads):
             assert_relative_close(got_grad, want_grad, scale)
-    assert score_rows(params, src, rows)[0].data[1] == 0.0
+    assert score_rows(params, [src], [rows])[0].data[1] == 0.0
 
 
 # -- checkpoints -----------------------------------------------------------------------
