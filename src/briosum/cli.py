@@ -4,8 +4,10 @@ The pipeline is split -> finetune -> gen-cands -> brio -> loop -> evaluate
 -> report. Every stage writes self-describing artifacts into the output
 directory (each embeds the hash of the resolved configuration); re-running
 a completed stage is a no-op unless --force is given, and resuming against
-artifacts from a different configuration is refused. Artifacts are written
-whole or not at all, through ``_publish``, and read through one reader,
+artifacts from a different configuration is refused. A stage function only
+computes: ``_run_stage`` loads the inputs that ``_STAGES`` lists, and
+publishes the outputs the function returns. Artifacts are written through
+one writer, ``_write``, whole or not at all, and read through one reader,
 ``_load``: one that is missing or does not load whole, or a checkpoint of
 another model than 'finetune' would build now, is an error naming its
 stage. A ``run_pipeline`` call tokenizes the corpus at most once, and it
@@ -353,10 +355,11 @@ class _Context:
     @cached_property
     def producers(self) -> dict[str, str]:
         iterations = range(2, self.config.brio_config().loop_iterations + 1)
-        return _PRODUCERS | {LOOP_CANDIDATES.format(i): "loop" for i in iterations}
+        return {LOOP_CANDIDATES.format(i): "loop" for i in iterations} | _PRODUCERS
 
     def outputs(self, stage: str) -> list[str]:
-        """The artifacts ``stage`` writes, the loop's candidate caches included."""
+        """The artifacts ``stage`` writes, in the order it publishes them:
+        the loop's candidate caches come first."""
         return [name for name, producer in self.producers.items() if producer == stage]
 
     @cached_property
@@ -466,22 +469,21 @@ def _publish(path: Path, write) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def _write_text(path: Path, text: str) -> None:
-    _publish(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
-
-
-def _write_json(ctx: _Context, name: str, payload: dict) -> None:
-    """A JSON artifact, stamped with the config hash."""
-    _write_text(ctx.path(name), json.dumps({"config_hash": ctx.hash, **payload}, sort_keys=True))
-
-
-def _save(ctx: _Context, name: str, params: ModelParams, stage: str) -> None:
-    meta = {"config_hash": ctx.hash, "stage": stage}
-    _publish(ctx.path(name), lambda tmp: save_checkpoint(params, tmp, meta))
-
-
-def _write_cache(ctx: _Context, name: str, ranked: list[RankedCandidateSet]) -> None:
-    _publish(ctx.path(name), lambda tmp: write_candidate_cache(tmp, ranked, ctx.hash))
+def _write(ctx: _Context, name: str, value) -> None:
+    """Publish an artifact as ``_load`` reads it back: a checkpoint of
+    parameters, a candidate cache of ranked sets, or a JSON payload, each
+    stamped with the config hash; a report as its plain text."""
+    path = ctx.path(name)
+    if path.suffix == ".ckpt":
+        meta = {"config_hash": ctx.hash, "stage": path.stem}
+        _publish(path, lambda tmp: save_checkpoint(value, tmp, meta))
+    elif path.suffix == ".jsonl":
+        _publish(path, lambda tmp: write_candidate_cache(tmp, value, ctx.hash))
+    elif path.suffix == ".json":
+        text = json.dumps({"config_hash": ctx.hash, **value}, sort_keys=True)
+        _publish(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
+    else:
+        _publish(path, lambda tmp: tmp.write_text(value, encoding="utf-8"))
 
 
 def _outputs_fresh(ctx: _Context, stage: str) -> bool:
@@ -498,7 +500,7 @@ def _outputs_fresh(ctx: _Context, stage: str) -> bool:
     return True
 
 
-def _stage_split(ctx: _Context) -> str:
+def _stage_split(ctx: _Context) -> tuple[dict, str]:
     docs = _documents(ctx.config)
     limit = ctx.config.max_documents
     if limit and limit < len(docs):
@@ -508,13 +510,12 @@ def _stage_split(ctx: _Context) -> str:
     split = split_corpus(docs, ctx.config.seed)
     vocab = build_vocab(split.train, ctx.config.max_vocab_size, ctx.config.min_count)
     ids = {name: [d.id for d in getattr(split, name)] for name in ("train", "validation", "test")}
-    _write_json(ctx, SPLIT_FILE, ids)
-    _write_json(ctx, VOCAB_FILE, {"tokens": vocab.id_to_token})
-    ctx.__dict__.pop("prepared", None)  # built from the split this stage replaced
-    return f"split {len(split.train)}/{len(split.validation)}/{len(split.test)}, vocab {vocab.size}"
+    ctx.__dict__.pop("prepared", None)  # built from the split this stage replaces
+    note = f"split {len(split.train)}/{len(split.validation)}/{len(split.test)}, vocab {vocab.size}"
+    return {SPLIT_FILE: ids, VOCAB_FILE: {"tokens": vocab.id_to_token}}, note
 
 
-def _stage_finetune(ctx: _Context) -> str:
+def _stage_finetune(ctx: _Context) -> tuple[dict, str]:
     prepared = ctx.prepared
     standard = init_params(ctx.config.model_config(prepared.vocab.size), ctx.config.seed)
     best, history = finetune_stage(
@@ -526,36 +527,27 @@ def _stage_finetune(ctx: _Context) -> str:
         seed=ctx.config.seed,
     )
     # finetune_stage trains a copy, so ``standard`` still holds the initial draw.
-    _save(ctx, STANDARD_CKPT, standard, "standard")
-    _save(ctx, FINETUNE_CKPT, best, "finetune")
-    _write_json(ctx, FINETUNE_METRICS, {"history": history})
-    return f"{len(history)} epochs, best val quality {max(h['val_quality'] for h in history):.4f}"
+    note = f"{len(history)} epochs, best val quality {max(h['val_quality'] for h in history):.4f}"
+    return {STANDARD_CKPT: standard, FINETUNE_CKPT: best, FINETUNE_METRICS: {"history": history}}, note
 
 
-def _stage_gen_cands(ctx: _Context) -> str:
-    params = _load(ctx, FINETUNE_CKPT)
+def _stage_gen_cands(ctx: _Context, params: ModelParams) -> tuple[dict, str]:
     prepared = ctx.prepared
-    brio_config = ctx.config.brio_config()
-    ranked = generate_candidate_sets(params, prepared.train, brio_config, prepared.vocab)
-    _write_cache(ctx, FINETUNE_CANDIDATES, ranked)
-    return f"{len(ranked)} candidate sets"
+    ranked = generate_candidate_sets(params, prepared.train, ctx.config.brio_config(), prepared.vocab)
+    return {FINETUNE_CANDIDATES: ranked}, f"{len(ranked)} candidate sets"
 
 
-def _stage_brio(ctx: _Context) -> str:
-    params = _load(ctx, FINETUNE_CKPT)
-    ranked = _load(ctx, FINETUNE_CANDIDATES)
+def _stage_brio(ctx: _Context, params: ModelParams, ranked: list[RankedCandidateSet]) -> tuple[dict, str]:
     trained, history = brio_train_stage(params, ranked, ctx.config.brio_config(), seed=ctx.config.seed)
-    _save(ctx, BRIO_CKPT, trained, "brio")
-    _write_json(ctx, BRIO_METRICS, {"history": history})
-    return f"{len(history)} steps"
+    return {BRIO_CKPT: trained, BRIO_METRICS: {"history": history}}, f"{len(history)} steps"
 
 
-def _stage_loop(ctx: _Context) -> str:
-    params = _load(ctx, BRIO_CKPT)
+def _stage_loop(ctx: _Context, params: ModelParams) -> tuple[dict, str]:
     prepared = ctx.prepared
+    caches = {}
 
     def sink(iteration: int, ranked_sets: list[RankedCandidateSet]) -> None:
-        _write_cache(ctx, LOOP_CANDIDATES.format(iteration), ranked_sets)
+        caches[LOOP_CANDIDATES.format(iteration)] = ranked_sets
 
     best, report = brio_loop(
         params,
@@ -567,54 +559,41 @@ def _stage_loop(ctx: _Context) -> str:
         seed=ctx.config.seed,
         candidate_sink=sink,
     )
-    _save(ctx, LOOP_CKPT, best, "loop")
-    _write_json(ctx, LOOP_REPORT, {"iterations": report})
-    return f"{len(report)} iterations"
+    return {**caches, LOOP_CKPT: best, LOOP_REPORT: {"iterations": report}}, f"{len(report)} iterations"
 
 
-def _stage_evaluate(ctx: _Context) -> str:
-    systems = [(label, _load(ctx, filename)) for label, filename in _REPORT_SYSTEMS]
+def _stage_evaluate(ctx: _Context, *systems: ModelParams) -> tuple[dict, str]:
     decode_config = ctx.config.decode_config()
     rows = []
     per_doc_payload = {}
-    for label, params in systems:
+    for (label, _), params in zip(_REPORT_SYSTEMS, systems):
         per_doc, means = evaluate(params, ctx.prepared.test, decode_config)
         rows.append({"system": label, **means})
         per_doc_payload[label] = [
             {"doc_id": doc_id, "r1": t.rouge1.f1, "r2": t.rouge2.f1, "rl": t.rougeL.f1}
             for doc_id, t in per_doc
         ]
-    _write_json(ctx, EVAL_FILE, {"rows": rows, "per_document": per_doc_payload})
-    return f"{len(rows)} systems"
+    return {EVAL_FILE: {"rows": rows, "per_document": per_doc_payload}}, f"{len(rows)} systems"
 
 
-def _stage_report(ctx: _Context) -> str:
-    rows = _load(ctx, EVAL_FILE)["rows"]
-    reports = {REPORT_TXT: emit_report(rows, "text"), REPORT_CSV: emit_report(rows, "csv")}
-    try:
-        for name, text in reports.items():
-            _write_text(ctx.path(name), text)
-    except BaseException:
-        # Both tables or neither: a new report.txt beside an old report.csv would disagree.
-        for name in reports:
-            with contextlib.suppress(OSError):
-                ctx.path(name).unlink(missing_ok=True)
-        raise
-    return f"{len(rows)} rows"
+def _stage_report(ctx: _Context, evaluation: dict) -> tuple[dict, str]:
+    rows = evaluation["rows"]
+    return {REPORT_TXT: emit_report(rows, "text"), REPORT_CSV: emit_report(rows, "csv")}, f"{len(rows)} rows"
 
 
 class _Stage(NamedTuple):
-    run: Callable[[_Context], str]
+    run: Callable[..., tuple[dict, str]]
     reads: tuple[str, ...]
     writes: tuple[str, ...]
 
 
 # Each stage in pipeline order: its function, the artifacts it reads and
 # the artifacts it writes. Every stage after ``split`` reads the split and
-# the vocabulary, through ``_Context.prepared``. The loop also writes a
-# candidate cache for each iteration from the second on
-# (``_Context.producers``). The reports are not listed: they are
-# re-rendered on every run and carry no config hash, so they stay
+# the vocabulary, through ``_Context.prepared``; ``_run_stage`` loads the
+# rest and passes them to the function in this order. The loop also writes
+# a candidate cache for each iteration from the second on, ahead of its
+# listed outputs (``_Context.producers``). The reports are not listed:
+# they are re-rendered on every run and carry no config hash, so they stay
 # byte-identical.
 _SPLIT = (SPLIT_FILE, VOCAB_FILE)
 _STAGES = {
@@ -631,13 +610,21 @@ _PRODUCERS = {name: stage for stage, entry in _STAGES.items() for name in entry.
 
 
 def _run_stage(ctx: _Context, stage: str) -> str:
-    """Run one stage; one that fails leaves none of its outputs behind. An
-    exception it raises that is not already a StageError becomes one naming
-    this stage."""
+    """Run one stage: load the inputs it lists, call its function, then
+    publish the outputs that it returns, in order. One that fails leaves
+    none of its outputs behind: not the listed ones of an earlier run, nor
+    any it has published. An exception it raises that is not already a
+    StageError becomes one naming this stage."""
+    entry = _STAGES[stage]
+    artifacts = {}
     try:
-        return _STAGES[stage].run(ctx)
+        inputs = [_load(ctx, name) for name in entry.reads if name not in _SPLIT]
+        artifacts, note = entry.run(ctx, *inputs)
+        for name, value in artifacts.items():
+            _write(ctx, name, value)
+        return note
     except BaseException as exc:
-        for name in ctx.outputs(stage):
+        for name in (*ctx.outputs(stage), *artifacts):
             with contextlib.suppress(OSError):  # the stage's own error is the one to report
                 ctx.path(name).unlink(missing_ok=True)
         if isinstance(exc, Exception) and not isinstance(exc, StageError):

@@ -20,7 +20,8 @@ runs the decoder on one new position against the cached self-attention keys
 and values of the previous step's prefixes.
 
 All searches are deterministic: score ties break toward the lower token id,
-then the earlier hypothesis.
+then the earlier hypothesis. No search picks PAD or BOS, whatever their
+scores, so a hypothesis holds BOS at position 0 and words, EOS or UNK after.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .corpus import BOS_ID, EOS_ID, PAD_ID
+from .corpus import BOS_ID, EOS_ID
 from .model import DecoderCache, ModelParams, decoder_logprobs, pad_ids
 
 # Next-token log-prob rows, (batch, vocab), for a batch of prefixes ...
@@ -92,8 +93,8 @@ class Hypothesis:
     """A BOS-prefixed candidate with its cumulative (possibly diversity-
     penalized) log-prob; ``finished`` means EOS was emitted.
     ``model_log_prob`` sums the scorer's log-probs of the tokens with no
-    penalty and nothing for PAD, as ``model.score_rows`` does; a closing
-    search adds log p(EOS | tokens) for a hypothesis capped unfinished."""
+    penalty, as ``model.score_rows`` does; a closing search adds
+    log p(EOS | tokens) for a hypothesis capped unfinished."""
 
     tokens: tuple[int, ...]
     log_prob: float
@@ -227,6 +228,7 @@ def _extend_groups(
         # first maximum and a stable sort on the negated sums both break
         # ties toward the lower token id, then the earlier hypothesis.
         sums = (np.array([h.log_prob for h in active[g]])[:, None] + logps).T.ravel()
+        sums[: 2 * len(active[g])] = -np.inf  # tokens PAD_ID = 0 and BOS_ID = 1 are never picked
         if budget == 1:
             picked = [int(np.argmax(sums))]
         else:
@@ -237,13 +239,15 @@ def _extend_groups(
             picked = kept[np.argsort(-sums[kept], kind="stable")][:budget]
         next_active: list[Hypothesis] = []
         for k in picked:
+            if sums[k] == -np.inf:  # PAD, BOS or a token the scorer rules out
+                continue
             token, i = divmod(int(k), len(active[g]))
             parent = active[g][i]
             hyp = Hypothesis(
                 tokens=parent.tokens + (token,),
                 log_prob=float(sums[k]),
                 finished=token == EOS_ID,
-                model_log_prob=parent.model_log_prob + (0.0 if token == PAD_ID else float(scores[i, token])),
+                model_log_prob=parent.model_log_prob + float(scores[i, token]),
             )
             chosen_counts[token] += 1.0
             if hyp.finished or len(hyp.tokens) >= config.max_decode_len:

@@ -586,7 +586,19 @@ def _payload(ckpt):
     return ckpt.read_bytes().split(b"\n", 1)[1]
 
 
-@pytest.mark.parametrize("iterations", [1, 2])
+def record_publishes(monkeypatch) -> list[str]:
+    """The names of the artifacts that ``cli._publish`` publishes from now on, in order."""
+    real, names = cli._publish, []
+
+    def publish(path, write):
+        names.append(path.name)
+        real(path, write)
+
+    monkeypatch.setattr(cli, "_publish", publish)
+    return names
+
+
+@pytest.mark.parametrize("iterations", [1, 2, 3])
 def test_loop_stage_continues_from_the_brio_checkpoint(mini_config, tmp_path, monkeypatch, iterations):
     ini = tmp_path / "loop.ini"
     ini.write_text(
@@ -599,8 +611,12 @@ def test_loop_stage_continues_from_the_brio_checkpoint(mini_config, tmp_path, mo
     # The loop reads brio.ckpt, not the gen-cands cache.
     (out / FINETUNE_CANDIDATES).unlink()
     seeds = count_train_stages(monkeypatch)
+    published = record_publishes(monkeypatch)
     assert run_pipeline(config, ["loop"]) == 0
     assert seeds == [config.seed * 1009 + i for i in range(2, iterations + 1)]
+    # Each later round's cache, when the loop ends, then the loop's listed outputs.
+    caches = [cli.LOOP_CANDIDATES.format(i) for i in range(2, iterations + 1)]
+    assert published == [*caches, LOOP_CKPT, LOOP_REPORT] == cli._Context(config, out, False).outputs("loop")
     if iterations == 1:
         assert _payload(out / LOOP_CKPT) == _payload(out / BRIO_CKPT)
 
@@ -766,6 +782,20 @@ def test_brio_after_its_input_checkpoint_is_deleted_is_not_up_to_date(mini_full_
     )
     assert captured.out == ""
     assert not (run / BRIO_CKPT).exists()
+
+
+def test_each_stage_publishes_the_outputs_its_table_lists_in_order(mini_full_run, tmp_path, monkeypatch):
+    ini, out = mini_full_run
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    config = ExperimentConfig.load(ini, out_dir=str(run))
+    ctx = cli._Context(config, run, force=True)
+    published = record_publishes(monkeypatch)
+    for stage in STAGES:
+        published.clear()
+        assert run_pipeline(config, [stage], force=True) == 0
+        expected = [REPORT_TXT, REPORT_CSV] if stage == "report" else ctx.outputs(stage)
+        assert published == expected, stage
 
 
 def test_each_stage_reads_only_what_an_earlier_stage_writes():

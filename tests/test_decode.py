@@ -11,7 +11,7 @@ import pytest
 
 from briosum import autodiff as ad
 from briosum import brio, decode, model
-from briosum.corpus import BOS_ID, EOS_ID, PAD_ID
+from briosum.corpus import BOS_ID, EOS_ID, PAD_ID, UNK_ID
 from briosum.decode import (
     DecodeConfig,
     DecodeConfigError,
@@ -111,7 +111,8 @@ def log_dist(probs):
 
 
 def reference_group_beam_search(scorer, vocab_size, cfg):
-    """The tuple-list selection that the numpy top-k in group_beam_search replaced."""
+    """The tuple-list selection that the numpy top-k in group_beam_search
+    replaced, which never picks PAD or BOS."""
     width = cfg.num_beams // cfg.num_beam_groups
     active = [[Hypothesis((BOS_ID,), 0.0, False)] for _ in range(cfg.num_beam_groups)]
     done = [[] for _ in range(cfg.num_beam_groups)]
@@ -129,6 +130,7 @@ def reference_group_beam_search(scorer, vocab_size, cfg):
                 (-(active[g][i].log_prob + logps[i, v]), v, i)
                 for i in range(len(active[g]))
                 for v in range(vocab_size)
+                if v not in (PAD_ID, BOS_ID)
             ]
             candidates.sort()
             next_active = []
@@ -149,11 +151,14 @@ def reference_group_beam_search(scorer, vocab_size, cfg):
 
 
 def reference_greedy(scorer, max_decode_len):
-    """The argmax loop that greedy_decode's one-beam search replaced."""
+    """The argmax loop that greedy_decode's one-beam search replaced, over
+    every token but PAD and BOS."""
     tokens, log_prob = (BOS_ID,), 0.0
     while len(tokens) < max_decode_len:
         logps = scorer([tokens])[0]
-        token = int(np.argmax(logps))
+        masked = logps.copy()
+        masked[[PAD_ID, BOS_ID]] = -np.inf
+        token = int(np.argmax(masked))
         tokens += (token,)
         log_prob += float(logps[token])
         if token == EOS_ID:
@@ -235,7 +240,7 @@ def test_greedy_tie_breaks_to_lowest_id():
     row = log_dist([1.0, 1.0, 1.0, 1.0])  # all tied
     scorer = fixed_scorer(row[None, :])
     hyps = group_beam_search(scorer, 4, config(max_decode_len=3))
-    assert hyps[0].tokens[1] == 0
+    assert hyps[0].tokens[1] == EOS_ID  # the lowest id but PAD and BOS
 
 
 def test_greedy_decode_matches_argmax_loop():
@@ -262,20 +267,20 @@ def test_beam_one_equals_greedy_on_random_models():
 
 
 def test_beam_two_matches_enumeration_on_fixed_logits():
-    # vocab: 0..2 with EOS=2; two steps max
-    table = np.stack([log_dist([0.5, 0.3, 0.2]), log_dist([0.1, 0.2, 0.7])])
+    # vocab: 0..4 with EOS=2; two steps max
+    table = np.stack([log_dist([0.5, 0.3, 0.2, 0.25, 0.15]), log_dist([0.1, 0.2, 0.7, 0.3, 0.4])])
     scorer = fixed_scorer(table)
     cfg = config(num_beams=2, max_decode_len=3)
-    hyps = group_beam_search(scorer, 3, cfg)
+    hyps = group_beam_search(scorer, 5, cfg)
 
     def enumerate_hyps():
         out = []
-        for first in range(3):
+        for first in (EOS_ID, 3, 4):  # every token but PAD and BOS
             lp1 = table[0][first]
             if first == EOS_ID:
                 out.append(((BOS_ID, first), lp1))
                 continue
-            for second in range(3):
+            for second in (EOS_ID, 3, 4):
                 out.append(((BOS_ID, first, second), lp1 + table[1][second]))
         return out
 
@@ -308,7 +313,8 @@ def test_beam_matches_exhaustive_enumeration_small_space():
                 return
             row = scorer([prefix])[0]
             for v in range(cfg_model.vocab_size):
-                walk(prefix + (v,), logp + row[v])
+                if v not in (PAD_ID, BOS_ID):
+                    walk(prefix + (v,), logp + row[v])
 
         walk((BOS_ID,), 0.0)
         truth = sorted(leaves, key=lambda t: -(t[1] / (len(t[0]) - 1)))
@@ -447,9 +453,9 @@ def teacher_forced_sum(scorer, tokens):
 
 
 def test_search_model_log_probs_skip_pad_and_close_capped_hypotheses_as_teacher_forcing_does():
-    # The search masks no special id, so PAD can sit mid-hypothesis; its
-    # model log-prob leaves PAD out and keeps no diversity penalty.
-    counts = {"pad": 0, "capped": 0, "finished": 0, "penalized": 0}
+    # PAD is the best token after BOS, and the search skips it; a model
+    # log-prob keeps no diversity penalty.
+    counts = {"capped": 0, "finished": 0, "penalized": 0}
     for groups, penalty, seed in itertools.product((1, 2, 3), (0.0, 1.0), range(3)):
         cfg = config(num_beams=2 * groups, num_beam_groups=groups, diversity_penalty=penalty)
         scorers = [pad_forcing_scorer(6, 10 * seed + d) for d in range(2)]
@@ -461,10 +467,49 @@ def test_search_model_log_probs_skip_pad_and_close_capped_hypotheses_as_teacher_
             for scorer, hyps in zip(scorers, group_beam_searches(score, 6, cfg, len(scorers), close)):
                 for h in hyps:
                     assert h.model_log_prob == teacher_forced_sum(scorer, closed_tokens(h) if close else h.tokens)
-                    counts["pad"] += PAD_ID in h.tokens[1:-1]
+                    assert PAD_ID not in h.tokens
                     counts["capped" if not h.finished else "finished"] += 1
                     counts["penalized"] += h.log_prob != h.model_log_prob
     assert all(counts.values()), counts
+
+
+def special_first_scorer(vocab_size, seed):
+    """``integer_scorer`` with PAD and BOS the best next tokens of every prefix."""
+    scorer = integer_scorer(vocab_size, seed)
+
+    def step(prefixes):
+        rows = scorer(prefixes)
+        rows[:, [PAD_ID, BOS_ID]] = 1.0
+        return rows
+
+    return step
+
+
+@pytest.mark.parametrize("vocab_size", [4, 8])
+def test_no_search_picks_pad_or_bos_when_the_scorer_ranks_them_highest(vocab_size):
+    # A vocabulary of 4 leaves EOS and UNK only.
+    searches = [config(), config(num_beams=3), config(num_beams=6, num_beam_groups=3, diversity_penalty=1.0)]
+    for cfg, seed, close in itertools.product(searches, range(3), (False, True)):
+        scorers = [special_first_scorer(vocab_size, 10 * seed + d) for d in range(3)]
+
+        def score(keys):
+            return np.concatenate([scorers[d]([prefix]) for d, prefix in keys])
+
+        alone = [group_beam_search(scorer, vocab_size, cfg) for scorer in scorers]
+        shared = group_beam_searches(score, vocab_size, cfg, len(scorers), close)
+        for hyps in (*alone, *shared):
+            assert len(hyps) == cfg.num_beams
+            for h in hyps:
+                assert h.tokens[0] == BOS_ID
+                assert not {PAD_ID, BOS_ID} & set(h.tokens[1:]), h.tokens
+                assert np.isfinite(h.log_prob)
+
+
+def test_a_search_wider_than_the_words_left_keeps_fewer_hypotheses():
+    # One step from BOS over 4 tokens leaves EOS and UNK: 2 hypotheses for 3 beams.
+    hyps = group_beam_search(special_first_scorer(4, 0), 4, config(num_beams=3, max_decode_len=2))
+    assert sorted(h.tokens for h in hyps) == [(BOS_ID, EOS_ID), (BOS_ID, UNK_ID)]
+    assert all(np.isfinite(h.log_prob) for h in hyps)
 
 
 def test_only_a_candidate_search_closes_capped_hypotheses_with_one_incremental_step(monkeypatch):
