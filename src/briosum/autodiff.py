@@ -3,13 +3,11 @@
 A tiny tape: every op returns a new Tensor holding the forward value and,
 while gradients are enabled, a closure that maps the output gradient to the
 input gradients. ``Tensor.backward()`` orders the graph's nodes by one
-depth-first pass, which also counts the edges into each leaf created with
-``requires_grad=True``, and then walks them once in reverse. A leaf that one
-edge feeds takes its contribution into its ``grad`` buffer as it is, with no
-map entry and no sum; a node, or a leaf that several edges feed, sums its
-contributions first, in the order the walk makes them. Calling backward twice on the same graph adds the
-same gradients again (accumulation is the contract; clearing is the
-optimizer's job).
+depth-first pass and walks them once in reverse. Every tensor sums its
+contributions in one map, in the order the walk makes them; a leaf created
+with ``requires_grad=True`` adds its sum into its ``grad`` buffer when the
+walk ends. Calling backward twice on the same graph adds the same gradients
+again (accumulation is the contract; clearing is the optimizer's job).
 
 All arithmetic is float64.
 """
@@ -69,13 +67,12 @@ class Tensor:
         intermediate nodes lives in a per-call map, so repeated calls on the
         same graph add identical contributions into the leaves.
 
-        One depth-first pass orders the nodes (tensors with a vjp) and counts
-        the edges into each requires_grad leaf. Then the nodes are walked in
-        reverse. A leaf fed by one edge takes its contribution as it is into
-        ``grad``; a node, or a leaf fed by several edges (a tied embedding,
-        ``mul(a, a)``), sums its contributions in the order the walk makes
-        them before it uses the sum. So every gradient equals, bit for bit,
-        that of a walk that joins every tensor's contributions first.
+        One depth-first pass orders the nodes (tensors with a vjp), which are
+        then walked in reverse. Every tensor's contributions join one map:
+        the first is kept as it is, each later one is added to the sum, in
+        walk order. A node takes its sum when the walk reaches it; the
+        requires_grad leaves take theirs after the last node, so no
+        contribution is freed in the middle of the walk.
         """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
@@ -87,7 +84,6 @@ class Tensor:
 
         topo: list[Tensor] = []
         seen: set[Tensor] = set()
-        fan_in: dict[Tensor, int] = {}  # requires_grad leaf -> edges into it
         # ``None`` above a node on the stack: its parents are done, emit it.
         stack: list[Tensor | None] = [self]
         while stack:
@@ -100,14 +96,10 @@ class Tensor:
             seen.add(node)
             stack += (node, None)
             for parent in node._parents:
-                if parent._vjp is not None:
-                    if parent not in seen:
-                        stack.append(parent)
-                elif parent.requires_grad:
-                    fan_in[parent] = fan_in.get(parent, 0) + 1
+                if parent._vjp is not None and parent not in seen:
+                    stack.append(parent)
 
         flow: dict[Tensor, np.ndarray] = {self: np.ones_like(self.data)}
-        single: list[tuple[Tensor, np.ndarray]] = []  # (leaf fed by one edge, its contribution)
         for node in reversed(topo):
             out_grad = flow.pop(node, None)
             if out_grad is None:
@@ -117,23 +109,18 @@ class Tensor:
             for parent, contrib in zip(node._parents, node._vjp(out_grad)):
                 if contrib is None:
                     continue
-                if parent._vjp is None:
-                    if not parent.requires_grad:
-                        continue
-                    if fan_in[parent] == 1:
-                        single.append((parent, contrib))
-                        continue
+                if parent._vjp is None and not parent.requires_grad:
+                    continue  # a constant
                 # Never add in place: a vjp may hand the same array to two
                 # parents (add's g), so ``held`` can alias another flow.
                 held = flow.get(parent)
                 flow[parent] = contrib if held is None else held + contrib
-        # The leaves take their gradients once the walk is done. Freeing each
-        # contribution as it arrives lets glibc trim the heap's top after
-        # every document and fault it back in on the next: about ten times
-        # the minor faults of a BRIO training pass, and slower.
-        for leaf, contrib in single:
-            leaf.grad += contrib
-        for leaf, joined in flow.items():  # only leaves fed by several edges are left
+        # Only leaves are left: they take their sums once the walk is done.
+        # Adding each contribution as it arrives would free it at once, and
+        # glibc would trim the heap's top after every document and fault it
+        # back in on the next: about ten times the minor faults of a BRIO
+        # training pass, and slower.
+        for leaf, joined in flow.items():
             leaf.grad += joined
 
     # -- operator sugar --------------------------------------------------

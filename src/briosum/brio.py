@@ -426,11 +426,6 @@ _REQUEST = struct.Struct(f"<{_DOCS_PER_GRAPH}qqd")
 _REPLY = struct.Struct("<ddd")  # loss, MLE term, ranking term; one per document of the group
 
 
-def _groups(batch: Sequence[int]) -> list[Sequence[int]]:
-    """``batch`` in groups of ``_DOCS_PER_GRAPH`` documents, in order; the last may be short."""
-    return [batch[i : i + _DOCS_PER_GRAPH] for i in range(0, len(batch), _DOCS_PER_GRAPH)]
-
-
 class _Workers:
     """Forked processes that differentiate a batch's document groups beside this one.
 
@@ -447,7 +442,7 @@ class _Workers:
 
     def start(self, count: int, batch: int) -> None:
         """Fork ``count`` workers, with a slot for each group they score of a full batch."""
-        groups = len(_groups(range(batch)))
+        groups = len(batch_indices(range(batch), _DOCS_PER_GRAPH))
         self.slots = _shared(groups - -(-groups // (count + 1)), self.params.flat.size)
         for _ in range(count):
             (requests, to_worker), (from_worker, replies) = os.pipe(), os.pipe()
@@ -483,7 +478,7 @@ class _Workers:
         """Differentiate ``batch`` into ``params.grad``, in groups of
         ``_DOCS_PER_GRAPH`` documents: this process takes the first share of
         groups, each worker the next. Returns each document's values."""
-        groups = _groups(batch)
+        groups = batch_indices(batch, _DOCS_PER_GRAPH)
         share = -(-len(groups) // (len(self.procs) + 1))
         owners = [None] * share + [self.procs[p // share - 1] for p in range(share, len(groups))]
         for p in range(share, len(groups)):
@@ -551,7 +546,7 @@ def brio_train_stage(
     if not ranked_sets:
         raise ValueError("brio_train_stage requires at least one candidate set")
     width = min(config.batch_size, len(ranked_sets))
-    count = min(_worker_count(), len(_groups(range(width))) - 1)
+    count = min(_worker_count(), len(batch_indices(range(width), _DOCS_PER_GRAPH)) - 1)
     flat = _shared(params.flat.size) if count else np.empty_like(params.flat)
     flat[...] = params.flat
     params = ModelParams(params.config, flat)

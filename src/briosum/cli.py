@@ -61,7 +61,7 @@ from .corpus import (
     split_corpus,
     tokenize_documents,
 )
-from .decode import DecodeConfig
+from .decode import DecodeConfig, check_decode_len
 from .model import (
     CheckpointError,
     ModelConfig,
@@ -239,16 +239,10 @@ class ExperimentConfig:
         try:
             model = self.model_config(vocab_size=5)
             self.finetune_config()
-            decode = self.brio_config().decode
+            # Candidate searches close their capped hypotheses with EOS.
+            check_decode_len(model.max_target_len, self.brio_config().decode, close=True)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        # Candidates keep a closing EOS after a length-capped search, so a
-        # search may use at most max_target_len - 1 of the target positions.
-        if decode.max_decode_len >= model.max_target_len:
-            raise ConfigError(
-                f"decode.max_decode_len ({decode.max_decode_len}) must be below "
-                f"model.max_target_len ({model.max_target_len})"
-            )
 
     def canonical(self) -> str:
         lines = [
@@ -613,10 +607,10 @@ def _run_stage(ctx: _Context, stage: str) -> str:
     """Run one stage: load the inputs it lists, call its function, then
     publish the outputs that it returns, in order. One that fails leaves
     none of its outputs behind: not the listed ones of an earlier run, nor
-    any it has published. An exception it raises that is not already a
-    StageError becomes one naming this stage."""
+    any it has published. Nor does it leave the two report tables, which
+    are rendered from every artifact before them. An exception it raises
+    that is not already a StageError becomes one naming this stage."""
     entry = _STAGES[stage]
-    artifacts = {}
     try:
         inputs = [_load(ctx, name) for name in entry.reads if name not in _SPLIT]
         artifacts, note = entry.run(ctx, *inputs)
@@ -624,7 +618,7 @@ def _run_stage(ctx: _Context, stage: str) -> str:
             _write(ctx, name, value)
         return note
     except BaseException as exc:
-        for name in (*ctx.outputs(stage), *artifacts):
+        for name in (*ctx.outputs(stage), REPORT_TXT, REPORT_CSV):
             with contextlib.suppress(OSError):  # the stage's own error is the one to report
                 ctx.path(name).unlink(missing_ok=True)
         if isinstance(exc, Exception) and not isinstance(exc, StageError):

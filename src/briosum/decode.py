@@ -146,11 +146,16 @@ def make_document_scorer(params: ModelParams, sources: Sequence[Sequence[int]]) 
     return step
 
 
-def _check_budget(params: ModelParams, config: DecodeConfig) -> None:
-    if config.max_decode_len > params.config.max_target_len:
+def check_decode_len(max_target_len: int, config: DecodeConfig, close: bool) -> None:
+    """Refuse a search that does not fit the model's target positions. A
+    closing search adds EOS after a hypothesis capped at ``max_decode_len``,
+    so its ``max_decode_len`` must be below ``max_target_len``; a search
+    with no closing call may use every position."""
+    longest = max_target_len - 1 if close else max_target_len
+    if config.max_decode_len > longest:
         raise DecodeConfigError(
-            f"max_decode_len ({config.max_decode_len}) exceeds the model's "
-            f"max_target_len ({params.config.max_target_len})"
+            f"decode.max_decode_len ({config.max_decode_len}) must be "
+            f"{'below' if close else 'at most'} model.max_target_len ({max_target_len})"
         )
 
 
@@ -263,7 +268,7 @@ def diverse_beam_searches(
     """``diverse_beam_search`` of each source, in order; chunks of documents
     (``_ROWS_PER_STEP``) share each step's decoder call. ``close`` is
     ``group_beam_searches``'s, run from the last step's cache."""
-    _check_budget(params, config)
+    check_decode_len(params.config.max_target_len, config, close)
     size = max(1, _ROWS_PER_STEP // config.num_beams)
     results: list[list[Hypothesis]] = []
     for first in range(0, len(sources), size):

@@ -420,11 +420,11 @@ def _in_graph(t: ad.Tensor) -> bool:
 
 
 def reference_backward(root: ad.Tensor) -> None:
-    """``Tensor.backward`` as one map of pending gradients keyed by ``id()``:
-    the reference for the walk that writes a leaf fed by one edge straight
-    into its ``grad``. Every tensor in the graph, leaves included, joins its
-    contributions as ``held + contrib`` in the order of the reverse walk and
-    takes the sum when the walk reaches it."""
+    """``Tensor.backward`` as one map of pending gradients keyed by ``id()``,
+    with the leaves in the walk. Every tensor in the graph, leaves included,
+    joins its contributions as ``held + contrib`` in the order of the
+    reverse walk and takes the sum when the walk reaches it; ``backward``
+    keeps the leaves' sums until after the last node, with the same bits."""
     if root.data.size != 1:
         raise ValueError("backward() requires a scalar tensor")
     if not _in_graph(root):

@@ -568,6 +568,30 @@ def test_walk_with_a_none_contribution_to_a_leaf_of_two_consumers():
     assert np.array_equal(unused_got, unused_start)
 
 
+def test_leaves_take_their_sums_only_after_the_last_node():
+    # ``one`` is fed by one edge and ``many`` by three. Every other node
+    # consumes ``spy``'s output, so the walk reaches ``spy`` last, after every
+    # contribution to both leaves is made; none may have reached ``grad``.
+    one, many, z = leaf((3,)), leaf((3,)), leaf((3,))
+    seen = []
+
+    def spy(t):
+        def vjp(g):
+            seen.append((one.grad.copy(), many.grad.copy()))
+            return (g,)
+
+        return ad._node(t.data.copy(), (t,), vjp)
+
+    def build():
+        s = spy(z)
+        return tsum(add(ad.mul(one, s), add(ad.mul(many, s), ad.mul(s, ad.mul(many, many)))))
+
+    (one_start, many_start, _), (one_got, many_got, _) = walks_agree(build, [one, many, z])
+    one_seen, many_seen = seen[0]  # Tensor.backward's walk comes first
+    assert np.array_equal(one_seen, one_start) and np.array_equal(many_seen, many_start)
+    assert not np.array_equal(one_got, one_start) and not np.array_equal(many_got, many_start)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_walk_on_random_graphs_with_shared_nodes_and_leaves(seed):
     rng = np.random.default_rng(seed)

@@ -29,7 +29,7 @@ from briosum.brio import (
     write_candidate_cache,
 )
 from briosum.corpus import BOS_ID, EOS_ID, PAD_ID, UNK_ID, TokenizedExample
-from briosum.decode import DecodeConfig, Hypothesis
+from briosum.decode import DecodeConfig, DecodeConfigError, Hypothesis
 from briosum.model import candidate_scores, forward, init_params, mle_loss, sequence_log_prob
 from briosum.optim import init_optimizer, optimizer_step
 from briosum.rouge import RougeScore, RougeTriple, quality_score, score_pair
@@ -520,8 +520,9 @@ def test_generate_candidates_tie_order_by_model_score():
 
 
 def test_candidates_capped_at_the_model_target_length_are_refused_without_reading_past_it(monkeypatch):
-    # A hypothesis capped at max_target_len tokens is one token too long once
-    # closed by EOS; its closing step reads the last target position only.
+    # A hypothesis capped at max_target_len tokens would be one token too
+    # long once closed by EOS, so the search refuses that length before it
+    # runs the decoder at all.
     params, vocab = tiny_params(seed=2), tiny_vocab()
     limit = params.config.max_target_len
     config = brio_cfg(decode=decode_cfg(max_decode_len=limit))
@@ -535,10 +536,9 @@ def test_candidates_capped_at_the_model_target_length_are_refused_without_readin
     monkeypatch.setattr(decode, "decoder_logprobs", counted)
     for generate in (lambda: generate_candidates(params, examples[0], config, vocab),
                      lambda: generate_candidate_sets(params, examples, config, vocab)):
-        reached.clear()
-        with pytest.raises(ValueError, match=f"candidate length {limit + 1} exceeds maximum {limit}"):
+        with pytest.raises(DecodeConfigError, match=f"max_decode_len \\({limit}\\) must be below"):
             generate()
-        assert max(reached) == limit
+        assert reached == []
 
 
 def test_generate_candidates_dedups_token_sequences():

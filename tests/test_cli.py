@@ -768,6 +768,32 @@ def test_evaluate_after_a_checkpoint_is_deleted_is_not_up_to_date(mini_full_run,
     assert not (run / EVAL_FILE).exists()
 
 
+def test_a_failed_or_interrupted_stage_takes_both_report_tables_with_it(mini_full_run, tmp_path, monkeypatch,
+                                                                         capsys):
+    # The tables are rendered from every artifact before them, so they must
+    # not outlive the eval.json they were rendered from.
+    ini, out = mini_full_run
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    config = ExperimentConfig.load(ini, out_dir=str(run))
+    (run / BRIO_CKPT).unlink()
+    capsys.readouterr()
+    assert run_pipeline(config, ["evaluate", "report"]) == 1
+    assert capsys.readouterr().err.startswith(f"error in stage 'brio': missing artifact {BRIO_CKPT}")
+    assert not {EVAL_FILE, REPORT_TXT, REPORT_CSV} & {p.name for p in run.iterdir()}
+
+    shutil.rmtree(run)
+    shutil.copytree(out, run)
+
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "evaluate", interrupt)
+    assert run_pipeline(config, ["evaluate", "report"], force=True) == 130
+    assert capsys.readouterr().err == "interrupted in stage 'evaluate'\n"
+    assert not {EVAL_FILE, REPORT_TXT, REPORT_CSV} & {p.name for p in run.iterdir()}
+
+
 def test_brio_after_its_input_checkpoint_is_deleted_is_not_up_to_date(mini_full_run, tmp_path, capsys):
     ini, out = mini_full_run
     run = tmp_path / "run"
@@ -808,7 +834,7 @@ def test_each_stage_reads_only_what_an_earlier_stage_writes():
 def test_any_exception_in_a_stage_is_one_line_naming_it(mini_full_run, tmp_path, monkeypatch, capsys, stage,
                                                         message):
     # The stage writes its first output whole, then fails with an error no
-    # stage anticipates: that output and its old siblings all go.
+    # stage anticipates: that output, its old siblings and the reports all go.
     ini, out = mini_full_run
     run = tmp_path / "run"
     shutil.copytree(out, run)
@@ -826,8 +852,7 @@ def test_any_exception_in_a_stage_is_one_line_naming_it(mini_full_run, tmp_path,
     assert captured.err == f"error in stage '{stage}': {message or 'RuntimeError'}\n"
     assert captured.out == ""
     left = {p.name for p in run.iterdir()}
-    assert left == {name for name, producer in STAMPED_ARTIFACTS.items() if producer != stage} | {
-        REPORT_TXT, REPORT_CSV, LOCK_FILE}
+    assert left == {name for name, producer in STAMPED_ARTIFACTS.items() if producer != stage} | {LOCK_FILE}
 
 
 def test_a_report_that_fails_between_its_two_writes_leaves_neither_table(mini_full_run, tmp_path, monkeypatch,

@@ -211,6 +211,33 @@ def test_decode_len_capped_by_model():
         greedy_decode(params, [BOS_ID, 4, EOS_ID], config(max_decode_len=99))
 
 
+def test_a_closing_search_as_long_as_the_model_targets_is_refused_before_it_decodes(monkeypatch):
+    # A capped hypothesis of max_target_len tokens would not fit once closed
+    # by EOS, so every closing search refuses that length up front; greedy
+    # decoding adds no EOS and may use every target position.
+    params, src = tiny_params(seed=2), [BOS_ID, 4, 5, EOS_ID]
+    limit = params.config.max_target_len
+    calls, decoder = [], decode.decoder_logprobs
+
+    def counted(params, cache, tgt_in):
+        calls.append(cache.length + tgt_in.shape[1])
+        return decoder(params, cache, tgt_in)
+
+    monkeypatch.setattr(decode, "decoder_logprobs", counted)
+    beams = config(num_beams=4, max_decode_len=limit)
+    groups = config(num_beams=4, num_beam_groups=2, max_decode_len=limit)
+    for search in (lambda: beam_search(params, src, beams),
+                   lambda: diverse_beam_search(params, src, groups),
+                   lambda: diverse_beam_searches(params, [src, src], beams)):
+        with pytest.raises(DecodeConfigError, match=rf"max_decode_len \({limit}\) must be below .*\({limit}\)"):
+            search()
+        assert calls == []
+    assert len(diverse_beam_searches(params, [src], config(num_beams=4, max_decode_len=limit - 1))[0]) == 4
+    greedy = config(max_decode_len=limit)
+    hyps = greedy_decodes(params, [src, src], greedy)
+    assert hyps == [greedy_decode(params, src, greedy)] * 2 and len(hyps[0].tokens) == limit
+
+
 # -- greedy fixtures ---------------------------------------------------------------
 
 
