@@ -55,7 +55,6 @@ from .model import (
     load_checkpoint,
     mle_loss,
     save_checkpoint,
-    sequence_log_prob,
 )
 from .optim import OptimizerState, init_optimizer, optimizer_step, warmup_schedule
 from .rouge import RougeScore, RougeTriple, quality_score, rouge_l, rouge_n
@@ -116,7 +115,6 @@ __all__ = [
     "rouge_n",
     "run_pipeline",
     "save_checkpoint",
-    "sequence_log_prob",
     "split_corpus",
     "warmup_schedule",
 ]

@@ -22,7 +22,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -547,7 +547,7 @@ def brio_train_stage(
         raise ValueError("brio_train_stage requires at least one candidate set")
     width = min(config.batch_size, len(ranked_sets))
     count = min(_worker_count(), len(batch_indices(range(width), _DOCS_PER_GRAPH)) - 1)
-    flat = _shared(params.flat.size) if count else np.empty_like(params.flat)
+    flat = _shared(params.flat.size)
     flat[...] = params.flat
     params = ModelParams(params.config, flat)
     optimizer = init_optimizer("adafactor", params)
@@ -583,67 +583,56 @@ def brio_loop(
     config: BrioConfig,
     vocab: Vocabulary,
     seed: int = 0,
-    candidate_sink: Callable[[int, list[RankedCandidateSet]], None] | None = None,
-) -> tuple[ModelParams, list[dict]]:
+) -> tuple[ModelParams, list[dict], dict[int, list[RankedCandidateSet]]]:
     """Alternate candidate generation and contrastive training (BRIO-Loop).
 
     ``params`` is the model after one contrastive training stage: iteration
     1 evaluates it and trains no further. Each later iteration regenerates
     the candidate set of every ``train`` document with the current model
-    (not an accumulated pool), hands the new sets to ``candidate_sink`` and
-    trains on them. Each iteration records test ROUGE (as ``evaluate``
-    reports it) and validation quality. Returns the best-by-validation-
-    quality checkpoint across iterations (never a later, worse one) and the
-    per-iteration report.
+    (not an accumulated pool) and trains on them. Each iteration records
+    test ROUGE (as ``evaluate`` reports it) and validation quality. Returns
+    the best-by-validation-quality checkpoint across iterations (never a
+    later, worse one), the per-iteration report, and the rounds: each
+    iteration from the second on, in order, mapped to the candidate sets it
+    generated.
     """
     current = params.copy()
     report: list[dict] = []
+    rounds: dict[int, list[RankedCandidateSet]] = {}
     best_params = current
     best_quality = -1.0
     for iteration in range(1, config.loop_iterations + 1):
         if iteration > 1:
-            ranked_sets = generate_candidate_sets(current, train, config, vocab)
-            if candidate_sink is not None:
-                candidate_sink(iteration, ranked_sets)
-            current, _ = brio_train_stage(current, ranked_sets, config, seed=seed * 1009 + iteration)
+            rounds[iteration] = generate_candidate_sets(current, train, config, vocab)
+            current, _ = brio_train_stage(current, rounds[iteration], config, seed=seed * 1009 + iteration)
         _, test_means = evaluate(current, test, config.decode)
         val_quality = mean_greedy_rouge(current, validation, config.decode)
         report.append({"iteration": iteration, **test_means, "val_quality": val_quality})
         if val_quality > best_quality:
             best_quality = val_quality
             best_params = current
-    return best_params, report
+    return best_params, report, rounds
 
 
 # -- ranking agreement ---------------------------------------------------------
 
 
 def kendall_tau(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Kendall tau-b between two paired score lists (0 when degenerate)."""
-    n = len(xs)
-    if n != len(ys):
+    """Kendall tau-b between two paired score lists (0 when degenerate).
+
+    Over the pairs i < j, the signs of the differences in x and in y count
+    each list's ties (a zero sign) and concordant minus discordant pairs
+    (the sum of the sign products).
+    """
+    if len(xs) != len(ys):
         raise ValueError("kendall_tau requires equal-length lists")
-    concordant = discordant = ties_x = ties_y = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            dx = xs[i] - xs[j]
-            dy = ys[i] - ys[j]
-            if dx == 0 and dy == 0:
-                ties_x += 1
-                ties_y += 1
-            elif dx == 0:
-                ties_x += 1
-            elif dy == 0:
-                ties_y += 1
-            elif (dx > 0) == (dy > 0):
-                concordant += 1
-            else:
-                discordant += 1
-    total = n * (n - 1) / 2
-    denom = np.sqrt((total - ties_x) * (total - ties_y))
+    i, j = np.triu_indices(len(xs), k=1)
+    sx, sy = (np.sign(values[i] - values[j]) for values in (np.asarray(xs), np.asarray(ys)))
+    total = len(xs) * (len(xs) - 1) / 2
+    denom = np.sqrt((total - np.count_nonzero(sx == 0)) * (total - np.count_nonzero(sy == 0)))
     if denom == 0:
         return 0.0
-    return float((concordant - discordant) / denom)
+    return float((sx * sy).sum() / denom)
 
 
 def mean_ranking_agreement(
@@ -663,7 +652,7 @@ def mean_ranking_agreement(
                 params, ranked.source_ids, tokens, length_penalty
             ).data
         qualities = [c.quality for c in ranked.candidates]
-        taus.append(kendall_tau(list(scores), qualities))
+        taus.append(kendall_tau(scores, qualities))
     if not taus:
         raise ValueError("no candidate set has two or more candidates")
     return float(np.mean(taus))

@@ -141,7 +141,7 @@ class ExperimentConfig:
         path = Path(path)
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None)  # every value literal, '%' included
         try:
             parser.read(path, encoding="utf-8")
         except (configparser.Error, UnicodeDecodeError) as exc:
@@ -538,12 +538,7 @@ def _stage_brio(ctx: _Context, params: ModelParams, ranked: list[RankedCandidate
 
 def _stage_loop(ctx: _Context, params: ModelParams) -> tuple[dict, str]:
     prepared = ctx.prepared
-    caches = {}
-
-    def sink(iteration: int, ranked_sets: list[RankedCandidateSet]) -> None:
-        caches[LOOP_CANDIDATES.format(iteration)] = ranked_sets
-
-    best, report = brio_loop(
+    best, report, rounds = brio_loop(
         params,
         prepared.train,
         prepared.validation,
@@ -551,8 +546,8 @@ def _stage_loop(ctx: _Context, params: ModelParams) -> tuple[dict, str]:
         ctx.config.brio_config(),
         prepared.vocab,
         seed=ctx.config.seed,
-        candidate_sink=sink,
     )
+    caches = {LOOP_CANDIDATES.format(iteration): sets for iteration, sets in rounds.items()}
     return {**caches, LOOP_CKPT: best, LOOP_REPORT: {"iterations": report}}, f"{len(report)} iterations"
 
 
@@ -641,10 +636,11 @@ def run_pipeline(
     try:
         out = config.out_dir
         out.mkdir(parents=True, exist_ok=True)
+        lock = (out / LOCK_FILE).open("a")
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    with (out / LOCK_FILE).open("a") as lock:
+    with lock:
         try:
             fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:

@@ -206,7 +206,7 @@ def group_beam_searches(
             done[d][g][i] = replace(h, model_log_prob=h.model_log_prob + float(logp))
 
     ranked = lambda hyps: sorted(hyps, key=lambda h: -h.score(config.length_penalty))  # noqa: E731
-    return [[h for g in groups for h in ranked(done[d][g] + active[d][g])] for d in range(documents)]
+    return [[h for g in groups for h in ranked(done[d][g])] for d in range(documents)]
 
 
 def _extend_groups(

@@ -450,18 +450,6 @@ def candidate_scores(
     return sums * Tensor(lengths[0] ** -length_penalty)
 
 
-def sequence_log_prob(
-    params: ModelParams,
-    source_ids: Sequence[int],
-    candidate_ids: Sequence[int],
-    length_penalty: float = 1.0,
-) -> float:
-    """Model score f(S): candidate log-prob sum divided by |S|^length_penalty."""
-    with ad.no_grad():
-        score = candidate_scores(params, source_ids, [list(candidate_ids)], length_penalty)
-    return float(score.data[0])
-
-
 # -- checkpoint format ------------------------------------------------------
 
 

@@ -7,8 +7,9 @@ BRIO loss graph before ``embed`` and the residual-taking layers with a
 counter of its tape nodes, the backward walk with one map of pending
 gradients that ``Tensor.backward`` replaces, the dynamic-programming LCS that the
 bit-parallel ROUGE-L kernel replaces, the check that a search of many
-documents found what each document's own search finds, and the
-teacher-forced rescoring that the search's own candidate scores replace."""
+documents found what each document's own search finds, the
+teacher-forced rescoring that the search's own candidate scores replace,
+and the loop over pairs that ``brio.kendall_tau``'s sign arrays replace."""
 
 from __future__ import annotations
 
@@ -578,3 +579,29 @@ def candidate_set_score_gap(params: ModelParams, ranked_sets, length_penalty: fl
     """``rescoring_gap`` of the ``model_score`` of every candidate of every set."""
     return max(rescoring_gap(params, rs.source_ids, [c.token_ids for c in rs.candidates],
                              [c.model_score for c in rs.candidates], length_penalty) for rs in ranked_sets)
+
+
+def pair_loop_kendall_tau(xs, ys) -> float:
+    """Kendall tau-b counted pair by pair: the reference for ``brio.kendall_tau``."""
+    n = len(xs)
+    concordant = discordant = ties_x = ties_y = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            dx = xs[i] - xs[j]
+            dy = ys[i] - ys[j]
+            if dx == 0 and dy == 0:
+                ties_x += 1
+                ties_y += 1
+            elif dx == 0:
+                ties_x += 1
+            elif dy == 0:
+                ties_y += 1
+            elif (dx > 0) == (dy > 0):
+                concordant += 1
+            else:
+                discordant += 1
+    total = n * (n - 1) / 2
+    denom = np.sqrt((total - ties_x) * (total - ties_y))
+    if denom == 0:
+        return 0.0
+    return float((concordant - discordant) / denom)

@@ -30,7 +30,7 @@ from briosum.brio import (
 )
 from briosum.corpus import BOS_ID, EOS_ID, PAD_ID, UNK_ID, TokenizedExample
 from briosum.decode import DecodeConfig, DecodeConfigError, Hypothesis
-from briosum.model import candidate_scores, forward, init_params, mle_loss, sequence_log_prob
+from briosum.model import candidate_scores, forward, init_params, mle_loss
 from briosum.optim import init_optimizer, optimizer_step
 from briosum.rouge import RougeScore, RougeTriple, quality_score, score_pair
 
@@ -40,6 +40,7 @@ from helpers import (
     count_tape_nodes,
     count_train_stages,
     max_gradcheck_error,
+    pair_loop_kendall_tau,
     reference_backward,
     relu,
     sub,
@@ -186,10 +187,11 @@ def public_brio_value(params, ranked, config):
         mle = mle_loss(forward(params, ranked.source_ids, ref[:-1]), ref[1:]).item()
     if config.ctr_weight == 0.0 or len(ranked.candidates) < 2:
         return config.mle_weight * mle, mle, 0.0
-    scores = [
-        sequence_log_prob(params, ranked.source_ids, c.token_ids, config.length_penalty)
-        for c in ranked.candidates
-    ]
+    with ad.no_grad():
+        scores = [
+            float(candidate_scores(params, ranked.source_ids, [list(c.token_ids)], config.length_penalty).data[0])
+            for c in ranked.candidates
+        ]
     ctr = contrastive_loss(ranked, scores, config.margin)
     return config.mle_weight * mle + config.ctr_weight * ctr, mle, ctr
 
@@ -703,7 +705,6 @@ def test_brio_stage_with_zero_ctr_matches_plain_mle_steps():
 
     # manual replication: same shuffle, same optimizer, MLE only
     from briosum.brio import _epoch_order
-    from briosum.model import candidate_scores, forward, mle_loss, sequence_log_prob
 
     manual = tiny_params(seed=17)
     for name, t in params.items():
@@ -750,6 +751,20 @@ def test_kendall_tau_basics():
     assert abs(kendall_tau([1, 2, 3, 4], [2, 1, 4, 3])) < 0.5
 
 
+def test_kendall_tau_equals_the_pair_loop_bit_for_bit():
+    rng = np.random.default_rng(29)
+    for trial in range(2000):
+        n = int(rng.integers(0, 9))
+        # Draws from a few values, so that ties are common in each list and in both.
+        pool = rng.normal(size=int(rng.integers(1, 5)))
+        xs, ys = list(rng.choice(pool, n)), [float(v) for v in rng.choice(pool, n)]
+        if trial % 2:
+            xs = [int(v) for v in rng.integers(0, 3, n)]
+        assert kendall_tau(xs, ys).hex() == pair_loop_kendall_tau(xs, ys).hex(), (xs, ys)
+    assert kendall_tau([], []) == pair_loop_kendall_tau([], []) == 0.0
+    assert kendall_tau([0.5], [2.0]) == pair_loop_kendall_tau([0.5], [2.0]) == 0.0
+
+
 # -- loop ---------------------------------------------------------------------------------
 
 
@@ -761,8 +776,8 @@ def test_loop_zero_iterations_identity():
     params = tiny_params(seed=20)
     examples = copy_task_examples(n=4, seed=9)
     config = brio_cfg(loop_iterations=0)
-    out, report = brio_loop(params, examples, examples, examples, config, tiny_vocab(), seed=1)
-    assert report == []
+    out, report, rounds = brio_loop(params, examples, examples, examples, config, tiny_vocab(), seed=1)
+    assert report == [] and rounds == {}
     assert out is not params
     for name, t in params.items():
         np.testing.assert_array_equal(out[name].data, t.data)
@@ -773,14 +788,7 @@ def test_loop_report_rows_and_candidate_regeneration(monkeypatch):
     examples = copy_task_examples(n=5, seed=10)
     config = brio_cfg(loop_iterations=2, learning_rate=5e-3)
     seeds = count_train_stages(monkeypatch)
-    seen = {}
-
-    def sink(iteration, ranked_sets):
-        seen[iteration] = (ranked_sets, list(seeds))
-
-    _, report = brio_loop(
-        params, examples, examples, examples, config, tiny_vocab(), seed=2, candidate_sink=sink
-    )
+    _, report, rounds = brio_loop(params, examples, examples, examples, config, tiny_vocab(), seed=2)
     assert [row["iteration"] for row in report] == [1, 2]
     for row in report:
         for key in ("r1", "r2", "rl"):
@@ -793,9 +801,8 @@ def test_loop_report_rows_and_candidate_regeneration(monkeypatch):
         "val_quality": mean_greedy_rouge(params, examples, config.decode),
     }
     # only iteration 2 generates, from that model, and then trains once
-    assert set(seen) == {2}
-    regenerated, seeds_before = seen[2]
-    assert seeds_before == []
+    assert list(rounds) == [2]
+    regenerated = rounds[2]
     assert seeds == [2 * 1009 + 2]
     assert [(rs.doc_id, rs.source_ids, rs.reference_ids) for rs in regenerated] == [
         (ex.doc_id, ex.source_ids, ex.target_ids) for ex in examples
@@ -809,7 +816,7 @@ def test_loop_round_two_trains_the_round_one_model_on_its_own_candidates():
     params = tiny_params(seed=24)
     examples = copy_task_examples(n=4, seed=13)
     config = brio_cfg(loop_iterations=2, learning_rate=5e-3)
-    _, report = brio_loop(params, examples, examples, examples, config, tiny_vocab(), seed=5)
+    _, report, _ = brio_loop(params, examples, examples, examples, config, tiny_vocab(), seed=5)
     trained, _ = brio_train_stage(
         params, own_candidates(params, examples, config), config, seed=5 * 1009 + 2
     )
@@ -825,7 +832,7 @@ def test_loop_keeps_best_validation_checkpoint():
     params = tiny_params(seed=22)
     examples = copy_task_examples(n=5, seed=11)
     config = brio_cfg(loop_iterations=2, learning_rate=5e-3)
-    best, report = brio_loop(params, examples, examples, examples, config, tiny_vocab(), seed=3)
+    best, report, _ = brio_loop(params, examples, examples, examples, config, tiny_vocab(), seed=3)
     best_quality = max(row["val_quality"] for row in report)
     got = mean_greedy_rouge(best, examples, config.decode)
     assert got == pytest.approx(best_quality, abs=1e-12)

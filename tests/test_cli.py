@@ -1185,6 +1185,27 @@ def test_uncreatable_output_directory_exits_2_without_a_traceback(tmp_path, mini
     assert "Traceback" not in proc.stderr
 
 
+def test_lock_file_that_cannot_be_opened_exits_2_and_writes_nothing(tmp_path, mini_config):
+    out = tmp_path / "run"
+    (out / LOCK_FILE).mkdir(parents=True)
+    cmd = [sys.executable, "-m", "briosum", "split", "--config", str(mini_config), "--out", str(out)]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert LOCK_FILE in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert [p.name for p in out.iterdir()] == [LOCK_FILE] and not any((out / LOCK_FILE).iterdir())
+
+
+def test_config_values_are_literal(tmp_path, mini_corpus, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    text = MINI_CONFIG.format(corpus=mini_corpus).replace("seed = 11", "seed = 11\nout_dir = runs/100%done")
+    Path("bad.ini").write_text(text, encoding="utf-8")
+    assert str(ExperimentConfig.load("bad.ini").out_dir) == "runs/100%done"
+    assert main(["split", "--config", "bad.ini"]) == 0
+    assert (tmp_path / "runs" / "100%done" / SPLIT_FILE).is_file()
+
+
 def test_unwritable_stage_output_fails_the_stage_without_a_traceback(tmp_path, mini_config):
     out = tmp_path / "run"
     (out / SPLIT_FILE).mkdir(parents=True)

@@ -17,6 +17,7 @@ from briosum.model import (
     _attend,
     _param_specs,
     _project_kv,
+    candidate_scores,
     causal_mask,
     decoder_logprobs,
     encode_source,
@@ -27,7 +28,6 @@ from briosum.model import (
     pad_ids,
     save_checkpoint,
     score_rows,
-    sequence_log_prob,
     teacher_forcing,
 )
 
@@ -288,7 +288,8 @@ def test_sequence_log_prob_uniform_model():
     for name in ("out.w", "out.b"):
         params[name].data[...] = 0.0
     for cand in ([BOS_ID, 4, EOS_ID], [BOS_ID, 4, 5, 6, 7, EOS_ID]):
-        score = sequence_log_prob(params, [BOS_ID, 4, EOS_ID], cand, length_penalty=1.0)
+        with ad.no_grad():
+            score = float(candidate_scores(params, [BOS_ID, 4, EOS_ID], [cand], length_penalty=1.0).data[0])
         assert score == pytest.approx(np.log(1.0 / 13.0), abs=1e-12)
 
 
@@ -296,8 +297,9 @@ def test_sequence_log_prob_alpha_zero_is_raw_sum():
     params = tiny_params(seed=6)
     src = [BOS_ID, 4, 5, EOS_ID]
     cand = [BOS_ID, 6, 7, EOS_ID]
-    raw = sequence_log_prob(params, src, cand, length_penalty=0.0)
-    avg = sequence_log_prob(params, src, cand, length_penalty=1.0)
+    with ad.no_grad():
+        raw = float(candidate_scores(params, src, [cand], length_penalty=0.0).data[0])
+        avg = float(candidate_scores(params, src, [cand], length_penalty=1.0).data[0])
     assert raw == pytest.approx(avg * (len(cand) - 1), rel=1e-12)
 
 
@@ -317,7 +319,8 @@ def test_sequence_log_prob_known_probs():
     np.testing.assert_allclose(np.exp(logp).sum(), 1.0, atol=1e-9)
     # candidate (4, eos): per-token normalized log-probs are equal across rows
     cand = [BOS_ID, 4, 4, EOS_ID]
-    got = sequence_log_prob(params, [BOS_ID, 4, EOS_ID], cand, length_penalty=1.0)
+    with ad.no_grad():
+        got = float(candidate_scores(params, [BOS_ID, 4, EOS_ID], [cand], length_penalty=1.0).data[0])
     expected = (logp[4] * 2 + logp[EOS_ID]) / 3.0
     assert got == pytest.approx(expected, rel=1e-12)
 
@@ -325,9 +328,9 @@ def test_sequence_log_prob_known_probs():
 def test_sequence_log_prob_framing_errors():
     params = tiny_params()
     with pytest.raises(ValueError, match="BOS.*EOS"):
-        sequence_log_prob(params, [BOS_ID, 4, EOS_ID], [4, 5])
+        candidate_scores(params, [BOS_ID, 4, EOS_ID], [[4, 5]], length_penalty=1.0)
     with pytest.raises(ValueError, match="BOS.*EOS"):
-        sequence_log_prob(params, [BOS_ID, 4, EOS_ID], [BOS_ID, 4])
+        candidate_scores(params, [BOS_ID, 4, EOS_ID], [[BOS_ID, 4]], length_penalty=1.0)
 
 
 def test_pad_helpers_match_manual_padding():
